@@ -21,6 +21,7 @@ moderate loss                3 %
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -111,8 +112,6 @@ class PathloadConfig:
             raise ValueError(
                 f"fleet_fraction must be in [0.5, 1], got {self.fleet_fraction}"
             )
-        if self.min_period <= 0:
-            raise ValueError(f"min_period must be positive, got {self.min_period}")
         if not 0 < self.min_packet_size <= self.mtu:
             raise ValueError(
                 f"need 0 < min_packet_size <= mtu, got {self.min_packet_size}/{self.mtu}"
@@ -124,16 +123,45 @@ class PathloadConfig:
                 f"classification_rule must be 'tool' or 'paper', got "
                 f"{self.classification_rule!r}"
             )
-        if self.resolution_bps <= 0:
-            raise ValueError(f"resolution must be positive, got {self.resolution_bps}")
-        if self.grey_resolution_bps <= 0:
+        # Every comparison with NaN is False, so each check below also
+        # rejects NaN.
+        for name in (
+            "min_period",
+            "resolution_bps",
+            "grey_resolution_bps",
+            "gap_deviation_tolerance",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("idle_factor", "min_rate_bps"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        rate = self.initial_rate_bps
+        if rate is not None and not 0 < rate < math.inf:
             raise ValueError(
-                f"grey resolution must be positive, got {self.grey_resolution_bps}"
+                f"initial_rate_bps must be None or finite and > 0, got {rate}"
             )
-        if not 0 < self.gap_deviation_tolerance:
-            raise ValueError(
-                f"gap tolerance must be positive, got {self.gap_deviation_tolerance}"
-            )
+        for name in (
+            "pct_threshold",
+            "pdt_threshold",
+            "pct_incr_threshold",
+            "pct_nonincr_threshold",
+            "pdt_incr_threshold",
+            "pdt_nonincr_threshold",
+        ):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name, low in (
+            ("max_fleets", 1),
+            ("min_usable_streams", 1),
+            ("max_lossy_streams", 0),
+        ):
+            value = getattr(self, name)
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0 < self.max_deviant_gap_fraction <= 1:
             raise ValueError(
                 "max deviant gap fraction must be in (0,1], got "

@@ -15,6 +15,8 @@ configuration and expands to paper scale when the environment variable
 from __future__ import annotations
 
 import io
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 import numpy as np
@@ -46,10 +48,11 @@ class Scale:
     full: bool
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"need at least 1 run, got {self.runs}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
+        if not isinstance(self.runs, numbers.Integral) or self.runs < 1:
+            raise ValueError(f"runs must be an int >= 1, got {self.runs!r}")
+        # False for NaN as well as for zero, negative and infinite values.
+        if not 0 < self.interval < math.inf:
+            raise ValueError(f"interval must be finite and > 0, got {self.interval}")
 
 
 def default_scale(

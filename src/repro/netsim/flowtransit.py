@@ -11,14 +11,16 @@ costs at once.
 This module generalizes the stream-transit idea from one planned probe
 stream to a *domain*: a per-network virtual event loop that simulates
 every attached TCP flow (and any concurrent probe streams) with cheap
-tuples on a private heap instead of engine events.  The core loop is the
-same per-hop Lindley recursion ``start = max(arrival, free_at); done =
-start + size*8/C`` merged against each hop's
-:class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, with exact
-drop-tail replay on finite buffers — but where the stream planner
-computes a whole stream at send time, the domain interleaves *feedback*
-traffic (data -> ack -> cwnd growth -> more data) by walking its virtual
-heap in timestamp order.
+tuples on a private heap instead of engine events.  Each hop admission
+is :func:`~repro.netsim.hopfold.admit`, the same per-hop recursion
+``start = max(arrival, free_at); done = start + size*8/C`` the stream
+planner folds, merged against each hop's
+:class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, priced by the
+link's capacity schedule if it has one, with exact drop-tail replay on
+finite buffers — but where the stream planner computes a whole stream at
+send time, the domain interleaves *feedback* traffic (data -> ack ->
+cwnd growth -> more data) by walking its virtual heap in timestamp
+order.
 
 Correctness rests on one invariant — the **cap-bounded walk**:
 
@@ -61,12 +63,14 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from bisect import bisect_right
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..core.probing import PacketRecord
 from .engine import SimulationError
 from .fastpath import resolve_fast
+from .hopfold import admit
 from .packet import Packet, PacketKind
 from .streamtransit import HopAgenda, StreamPlan, _impure, plan_stream
 
@@ -83,7 +87,6 @@ FLOW_FALLBACK_REASONS: tuple[str, ...] = (
     "tracer",
     "link-config",
     "link-decommission",
-    "capacity-schedule",
 )
 
 _INF = float("inf")
@@ -231,12 +234,14 @@ class _AgendaHook:
 
 class _VLink:
     """Per-link virtual queue state, refreshed from the real link at the
-    start of every round (after a full ``sync()``)."""
+    start of every round (after a full ``sync()``); the ``hop`` that
+    :func:`~repro.netsim.hopfold.admit` reads and updates."""
 
     __slots__ = (
         "link",
         "agenda",
         "cap",
+        "sched",
         "prop",
         "buffer_bytes",
         "agg",
@@ -422,85 +427,22 @@ class FlowTransitDomain:
         self._round_call = self.sim.schedule_at(t, self._round)
 
     # ------------------------------------------------------------------
-    # The Lindley admission core
+    # Hop admission (the recursion itself is hopfold.admit)
     # ------------------------------------------------------------------
-    def _fold_cross(self, vl: _VLink, t: float) -> None:
-        """Fold cross arrivals <= ``t`` into ``vl``'s virtual server state,
-        winning exact ties, with the same per-arrival purge ``_sync_fg``
-        performs.  Cross drops accrue stats only at the real fold."""
-        agg = vl.agg
-        if agg._horizon < t:
-            agg.extend_until(t)
-        c_times = agg.times
-        c_sizes = agg.sizes
-        ci = vl.vci
-        cn = len(c_times)
-        if ci >= cn or c_times[ci] > t:
-            return
-        free_at = vl.free_at
-        backlog = vl.backlog
-        infl = vl.infl
-        cap = vl.cap
-        buffer_bytes = vl.buffer_bytes
-        while ci < cn:
-            tc = c_times[ci]
-            if tc > t:
-                break
-            sz = c_sizes[ci]
-            while infl and infl[0][0] <= tc:
-                backlog -= infl.popleft()[1]
-            if buffer_bytes is not None and backlog + sz > buffer_bytes:
-                pass  # cross drop: stats accrue at the real fold
-            else:
-                start = free_at if free_at > tc else tc
-                free_at = start + sz * 8.0 / cap
-                infl.append((free_at, sz))
-                backlog += sz
-            ci += 1
-        vl.vci = ci
-        vl.free_at = free_at
-        vl.backlog = backlog
-
-    def _admit(self, vl: _VLink, t: float, size: int) -> Optional[float]:
-        """Admit ``size`` bytes at ``vl`` at time ``t``; return the
-        transmission-complete time, or ``None`` on a drop-tail drop.
-
-        Bit-identical mirror of the accounting ``Link._sync_fg`` performs
-        when it later folds this recorded admission: cross arrivals <= t
-        first (winning exact ties), per-arrival purges, then the
-        foreground admission itself.
-        """
-        if vl.agg is not None:
-            self._fold_cross(vl, t)
-        free_at = vl.free_at
-        backlog = vl.backlog
-        infl = vl.infl
-        cap = vl.cap
-        buffer_bytes = vl.buffer_bytes
-        while infl and infl[0][0] <= t:
-            backlog -= infl.popleft()[1]
+    def _hop_admit(self, vlinks, hop: int, t: float, size: int, tail) -> None:
+        """Admit ``size`` bytes at ``vlinks[hop]`` at ``t``, record the
+        admission on the hop's agenda (the values ``Link._sync_fg`` later
+        replays), and queue the packet's next virtual event."""
+        vl = vlinks[hop]
+        done = admit(vl, t, size)
         vl.ap.append(t)  # flow agendas record bare arrival times
         vl.asz.append(size)
-        if buffer_bytes is not None and backlog + size > buffer_bytes:
+        if done is None:
             vl.aac.append(False)
             vl.ad.append(0.0)
-            vl.free_at = free_at
-            vl.backlog = backlog
-            return None
-        start = free_at if free_at > t else t
-        done = start + size * 8.0 / cap
+            return  # dropped: the packet silently vanishes, as on a real path
         vl.aac.append(True)
         vl.ad.append(done)
-        infl.append((done, size))
-        vl.free_at = done
-        vl.backlog = backlog + size
-        return done
-
-    def _hop_admit(self, vlinks, hop: int, t: float, size: int, tail) -> None:
-        vl = vlinks[hop]
-        done = self._admit(vl, t, size)
-        if done is None:
-            return  # dropped: the packet silently vanishes, as on a real path
         t_out = done + vl.prop
         self._vseq = q = self._vseq + 1
         hop += 1
@@ -562,6 +504,7 @@ class FlowTransitDomain:
                 del ag.sizes[: ag.idx]
                 ag.idx = 0
             vl.cap = link.capacity_bps
+            vl.sched = link._cap_sched
             vl.prop = link.prop_delay
             vl.buffer_bytes = link.buffer_bytes
             vl.free_at = link._free_at
@@ -710,8 +653,6 @@ class FlowTransitDomain:
         snd.cwnd_log.append((t, cwnd))
         # _restart_rto: flight measured before the refill below.
         vt = snd._rto_timer
-        vheap = self._vheap
-        heappush = heapq.heappush
         snd_nxt = snd.snd_nxt
         rto_timer = None
         if snd_nxt - ack > 0:
@@ -745,29 +686,7 @@ class FlowTransitDomain:
         high = snd.high_water
         hdr = fs.hdr
         fwdv = fs.fwdv
-        single = len(fwdv) == 1
-        vl0 = fwdv[0]
         sent = 0
-        vseq = self._vseq
-        if single:
-            # Every segment of this burst admits at the same instant ``t``,
-            # so the cross fold and the in-flight purge _admit would repeat
-            # per segment collapse to one pass; appended departures all
-            # finish strictly after ``t`` and can never re-trigger either.
-            if vl0.agg is not None:
-                self._fold_cross(vl0, t)
-            l_infl = vl0.infl
-            backlog = vl0.backlog
-            while l_infl and l_infl[0][0] <= t:
-                backlog -= l_infl.popleft()[1]
-            free_at = vl0.free_at
-            cap = vl0.cap
-            buffer_bytes = vl0.buffer_bytes
-            prop = vl0.prop
-            ap = vl0.ap
-            asz = vl0.asz
-            aac = vl0.aac
-            ad = vl0.ad
         while snd_nxt - ack + mss <= window:
             if total is not None:
                 remaining = total - snd_nxt
@@ -788,42 +707,18 @@ class FlowTransitDomain:
             else:  # fresh segment: cannot already be tracked
                 infl[snd_nxt] = _SegmentInfo(snd_nxt, length, t)
             sent += 1
-            if single:
-                size = length + hdr
-                ap.append(t)  # flow agendas record bare arrival times
-                asz.append(size)
-                if buffer_bytes is not None and backlog + size > buffer_bytes:
-                    aac.append(False)
-                    ad.append(0.0)
-                else:
-                    start = free_at if free_at > t else t
-                    done = start + size * 8.0 / cap
-                    aac.append(True)
-                    ad.append(done)
-                    l_infl.append((done, size))
-                    backlog += size
-                    free_at = done
-                    vseq += 1
-                    heappush(vheap, (done + prop, vseq, K_DATA, fs, snd_nxt, length))
-            else:
-                self._vseq = vseq
-                self._hop_admit(fwdv, 0, t, length + hdr, (K_DATA, fs, snd_nxt, length))
-                vseq = self._vseq
+            self._hop_admit(fwdv, 0, t, length + hdr, (K_DATA, fs, snd_nxt, length))
             if rto_timer is None:
                 tp = t + rto
                 snd._rto_timer = rto_timer = _VTimer(tp, snd._on_rto, ())
-                vseq += 1
-                rto_timer.q = vseq
+                self._vseq = q = self._vseq + 1
+                rto_timer.q = q
                 rto_timer.pending = True
                 if tp < self._pmin:
                     self._pmin = tp
             snd_nxt += length
             if snd_nxt > high:
                 high = snd_nxt
-        if single:
-            vl0.free_at = free_at
-            vl0.backlog = backlog
-        self._vseq = vseq
         if sent:
             snd.segments_sent += sent
         snd.snd_nxt = snd_nxt
@@ -867,39 +762,7 @@ class FlowTransitDomain:
             rcv.rcv_nxt = rcv_nxt
             rcv.delivered_log.append((t, rcv_nxt))
         rcv.acks_sent += 1
-        revv = fs.revv
-        if len(revv) == 1:
-            # Inline of _admit for the common single-hop reverse path.
-            vl0 = revv[0]
-            if vl0.agg is not None:
-                self._fold_cross(vl0, t)
-            infl0 = vl0.infl
-            backlog = vl0.backlog
-            while infl0 and infl0[0][0] <= t:
-                backlog -= infl0.popleft()[1]
-            size = fs.ack_size
-            vl0.ap.append(t)  # flow agendas record bare arrival times
-            vl0.asz.append(size)
-            buffer_bytes = vl0.buffer_bytes
-            if buffer_bytes is not None and backlog + size > buffer_bytes:
-                vl0.aac.append(False)
-                vl0.ad.append(0.0)
-                vl0.backlog = backlog
-            else:
-                free_at = vl0.free_at
-                start = free_at if free_at > t else t
-                done = start + size * 8.0 / vl0.cap
-                vl0.aac.append(True)
-                vl0.ad.append(done)
-                infl0.append((done, size))
-                vl0.backlog = backlog + size
-                vl0.free_at = done
-                self._vseq = q = self._vseq + 1
-                heapq.heappush(
-                    self._vheap, (done + vl0.prop, q, K_ACK, fs, rcv_nxt)
-                )
-        else:
-            self._hop_admit(revv, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
+        self._hop_admit(fs.revv, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
 
     # ------------------------------------------------------------------
     # Adopted probe streams
@@ -1264,6 +1127,7 @@ class FlowTransitDomain:
             fg = [(ag.pairs[i], 1, i) for i in range(a0, an)]
             infl = deque(infl0)
             cap = vl.cap
+            sched = vl.sched
             buffer_bytes = vl.buffer_bytes
             link_name = vl.link.name
             for t, tag, i in heapq.merge(cross, fg):
@@ -1278,6 +1142,8 @@ class FlowTransitDomain:
                         )
                     continue
                 start = free_at if free_at > t else t
+                if sched is not None:
+                    cap = sched[1][bisect_right(sched[0], start)]
                 free_at = start + sz * 8.0 / cap
                 infl.append((free_at, sz))
                 backlog += sz
@@ -1329,14 +1195,6 @@ def try_attach_flow(sender: "TCPSender") -> bool:
             or link._drop_hook is not None
         ):
             _note_flow_fallback(network, sim, "link-config")
-            return False
-        if link._cap_sched is not None:
-            # The virtual-link walk hoists one capacity per hop and the
-            # round planner divides by it throughout; a piecewise
-            # schedule would need per-admission lookups in every branch.
-            # Rare enough that the per-packet path (which handles it
-            # exactly) is the right answer.
-            _note_flow_fallback(network, sim, "capacity-schedule")
             return False
     global _SegmentInfo
     if _SegmentInfo is None:

@@ -1,0 +1,200 @@
+"""The FIFO hop recursion, written once for every event-elided path.
+
+The paper's path model (Section III-A) is a chain of FIFO
+store-and-forward hops.  A hop serves each arrival at ``start =
+max(arrival, free_at)`` and is free again at ``start + size*8/C``, where
+``C`` is the rate in force at ``start`` (the link's fixed capacity, or
+its piecewise-constant schedule, :meth:`Link.set_capacity_segments`).  A
+finite drop-tail buffer refuses an arrival that would push the backlog
+(bytes queued or in transmission) past the buffer size.
+
+Two entry points carry that recursion for the planners:
+
+* :func:`fold` walks a slice of a link's cross-traffic arrivals, merged
+  with an optional sorted foreground sequence.  ``Link.sync`` and
+  ``Link._sync_fg`` fold cross traffic alone; ``plan_stream`` passes a
+  probe stream's arrivals at each hop.
+* :func:`admit` is the same step for one foreground arrival.  The
+  flow-transit walk needs it: acks and cwnd changes come between its
+  admissions, so it never has a slice to hand over.
+
+``Link.send()`` keeps its own copy, because it is the per-packet
+reference every equality suite compares against.  So do the sanitize
+shadows (``streamtransit._shadow_verify`` and
+``FlowTransitDomain._verify_round``), so that a bug here cannot hide in
+its own mirror image.
+
+Contract (bit-identity with ``Link.send()``):
+
+* Cross arrivals win exact-time ties: each one at or before ``t`` is
+  folded before a foreground admission at ``t``, as ``send()`` folds
+  pending bulk arrivals before admitting its packet.
+* The floating-point expressions and their order are those of
+  ``send()``.
+* ``in_flight`` (a deque of ``(done, size)``, oldest first) is mutated
+  in place.  A planner, which must not touch link state, passes a copy.
+* With an infinite buffer nothing can drop, so the per-arrival purge is
+  deferred, and a transmission that finishes by ``until`` never enters
+  ``in_flight``: completion times are monotone on a FIFO hop, so the
+  purge at ``until`` would remove it anyway.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+
+__all__ = ["admit", "fold"]
+
+
+def fold(
+    times, sizes, ci, until, free_at, backlog, in_flight, cap, sched, buffer_bytes,
+    fg=(), fg_size=0,
+):
+    """Fold cross arrivals ``times[ci:]``/``sizes[ci:]`` up to ``until``
+    (inclusive), merged with foreground arrivals ``fg`` of ``fg_size``
+    bytes each.
+
+    ``fg`` is sorted, and its last entry is at or before ``until``.
+    ``cap`` is the fixed rate and ``sched`` the link's ``(boundaries,
+    rates)`` schedule or ``None``; ``buffer_bytes`` is ``None`` for an
+    infinite buffer.  Returns ``(ci, free_at, backlog, fwd_bytes,
+    fwd_pkts, drop_bytes, drop_pkts, dones, accepts)``: the new cursor,
+    the hop state at ``until`` (``in_flight`` already purged to it), the
+    bytes and packets this call forwarded and dropped, cross and
+    foreground together, each foreground entry's transmission-complete
+    time (0.0 when dropped), and its verdicts (``None`` for an infinite
+    buffer, which accepts every entry).
+    """
+    cn = len(times)
+    nfg = len(fg)
+    fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
+    dones: list[float] = []
+    k = 0
+    if buffer_bytes is None:
+        accepts = None
+        while True:  # simlint: vector-safe
+            stop = fg[k] if k < nfg else until
+            while ci < cn:  # simlint: vector-safe
+                t = times[ci]
+                if t > stop:
+                    break
+                size = sizes[ci]
+                start = free_at if free_at > t else t
+                free_at = start + size * 8.0 / (
+                    cap if sched is None else sched[1][bisect_right(sched[0], start)]
+                )
+                fwd_bytes += size
+                fwd_pkts += 1
+                if free_at > until:
+                    in_flight.append((free_at, size))
+                    backlog += size
+                ci += 1
+            if k == nfg:
+                break
+            start = free_at if free_at > stop else stop
+            free_at = start + fg_size * 8.0 / (
+                cap if sched is None else sched[1][bisect_right(sched[0], start)]
+            )
+            if free_at > until:
+                in_flight.append((free_at, fg_size))
+                backlog += fg_size
+            dones.append(free_at)
+            k += 1
+        fwd_bytes += fg_size * nfg
+        fwd_pkts += nfg
+    else:
+        # Drop-tail decisions replay in merge order: the backlog each
+        # arrival tests is the one send() would compute at that instant.
+        accepts = []
+        while True:
+            stop = fg[k] if k < nfg else until
+            while ci < cn:
+                t = times[ci]
+                if t > stop:
+                    break
+                size = sizes[ci]
+                while in_flight and in_flight[0][0] <= t:
+                    backlog -= in_flight.popleft()[1]
+                if backlog + size > buffer_bytes:
+                    drop_bytes += size
+                    drop_pkts += 1
+                else:
+                    start = free_at if free_at > t else t
+                    free_at = start + size * 8.0 / (
+                        cap if sched is None else sched[1][bisect_right(sched[0], start)]
+                    )
+                    in_flight.append((free_at, size))
+                    backlog += size
+                    fwd_bytes += size
+                    fwd_pkts += 1
+                ci += 1
+            if k == nfg:
+                break
+            while in_flight and in_flight[0][0] <= stop:
+                backlog -= in_flight.popleft()[1]
+            if backlog + fg_size > buffer_bytes:
+                drop_bytes += fg_size
+                drop_pkts += 1
+                accepts.append(False)
+                dones.append(0.0)
+            else:
+                start = free_at if free_at > stop else stop
+                free_at = start + fg_size * 8.0 / (
+                    cap if sched is None else sched[1][bisect_right(sched[0], start)]
+                )
+                in_flight.append((free_at, fg_size))
+                backlog += fg_size
+                fwd_bytes += fg_size
+                fwd_pkts += 1
+                accepts.append(True)
+                dones.append(free_at)
+            k += 1
+    while in_flight and in_flight[0][0] <= until:
+        backlog -= in_flight.popleft()[1]
+    return (
+        ci, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts
+    )
+
+
+def admit(hop, t, size):
+    """Admit one foreground arrival of ``size`` bytes at ``t``; return its
+    transmission-complete time, or ``None`` when drop-tail refuses it.
+
+    ``hop`` holds the queue state ``free_at``, ``backlog`` and ``infl``
+    (the in-flight deque), which this call updates, and the link's
+    ``cap``, ``sched`` and ``buffer_bytes``.  Its ``agg`` (the link's
+    :class:`~repro.netsim.bulkarrivals.CrossAggregator`, or ``None``) and
+    ``vci`` (the cursor into the aggregator's merged arrivals) supply the
+    cross traffic, which is folded up to ``t`` first.  Cross drops are
+    not counted here: the link counts them when it folds the same
+    arrivals for real.
+    """
+    agg = hop.agg
+    if agg is not None:
+        if agg._horizon < t:
+            agg.extend_until(t)
+        times = agg.times
+        ci = hop.vci
+        if ci < len(times) and times[ci] <= t:
+            hop.vci, hop.free_at, hop.backlog = fold(
+                times, agg.sizes, ci, t, hop.free_at, hop.backlog, hop.infl,
+                hop.cap, hop.sched, hop.buffer_bytes,
+            )[:3]
+    infl = hop.infl
+    backlog = hop.backlog
+    while infl and infl[0][0] <= t:
+        backlog -= infl.popleft()[1]
+    buffer_bytes = hop.buffer_bytes
+    if buffer_bytes is not None and backlog + size > buffer_bytes:
+        hop.backlog = backlog
+        return None
+    free_at = hop.free_at
+    start = free_at if free_at > t else t
+    sched = hop.sched
+    done = start + size * 8.0 / (
+        hop.cap if sched is None else sched[1][bisect_right(sched[0], start)]
+    )
+    infl.append((done, size))
+    hop.free_at = done
+    hop.backlog = backlog + size
+    return done

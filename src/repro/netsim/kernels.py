@@ -7,9 +7,10 @@ stable argsort over the concatenated feeds; its twin, a stable Python
 sort, is the ``REPRO_NO_VECTOR`` reference (resolved through
 :func:`repro.netsim.fastpath.resolve_vector`, CLI flag ``--no-vector``).
 Both only reorder, so they return ``==`` results.  The FIFO folds
-(``Link.sync``, the stream and flow planners) and the arrival prefix sums
-are plain scalar loops at their call sites: their NumPy twins never paid
-end to end (``docs/performance.md``).
+(``Link.sync``, the stream and flow planners) are plain scalar loops in
+:mod:`repro.netsim.hopfold`, and the arrival prefix sums are scalar
+loops at their call sites: their NumPy twins never paid end to end
+(``docs/performance.md``).
 
 Selection is observable: ``kernel_calls`` / ``kernel_fallbacks`` are
 process-wide counters, published into every tracer's registry as

@@ -26,11 +26,14 @@ Bulk-eligible cross traffic costs **no per-packet events at all**: sources
 deposit batched absolute-arrival arrays with the link's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator`, and :meth:`Link.sync`
 folds every arrival with timestamp ≤ now into ``_free_at``, the backlog
-ledger, and :class:`LinkStats` — in arrival order, as a tight loop over
-plain floats/ints — before any foreground ``send()``, any
+ledger, and :class:`LinkStats` — in arrival order, through
+:func:`~repro.netsim.hopfold.fold`, the hop recursion every planner
+shares — before any foreground ``send()``, any
 ``backlog_bytes()``/``queueing_delay()`` read, and any ``stats`` access.
 Foreground packets therefore observe exactly the queue state the
-per-packet path would have produced.  Installing a ``qdisc``, a
+per-packet path would have produced.  :meth:`Link.send` keeps its own
+copy of the recursion: it is the per-packet reference the fold is
+tested against.  Installing a ``qdisc``, a
 ``drop_hook``, or a new ``deliver`` callback on a link that carries bulk
 traffic automatically reverts its sources to the per-packet path (the
 future sample path is unchanged; see ``docs/performance.md``).
@@ -44,6 +47,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .engine import Simulator
+from .hopfold import fold
 from .packet import Packet
 
 __all__ = ["Link", "LinkStats"]
@@ -352,107 +356,35 @@ class Link:
             t_now = self.sim.now if now is None else now
         idx = agg.idx
         times = agg.times
-        n = len(times)
-        if idx >= n or times[idx] > t_now:
+        if idx >= len(times) or times[idx] > t_now:
             return
-        sizes = agg.sizes
-        cap = self.capacity_bps
-        cap_sched = self._cap_sched
-        free_at = self._free_at
-        backlog = self._backlog_bytes
-        in_flight = self._in_flight
+        (
+            agg.idx, self._free_at, self._backlog_bytes,
+            fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, _, _,
+        ) = fold(
+            times, agg.sizes, idx, t_now, self._free_at, self._backlog_bytes,
+            self._in_flight, self.capacity_bps, self._cap_sched, self.buffer_bytes,
+        )
         stats = self._stats
-        fwd_bytes = stats.bytes_forwarded
-        fwd_pkts = stats.packets_forwarded
-        buffer_bytes = self.buffer_bytes
-        if buffer_bytes is None:
-            # Infinite buffer: nothing can drop, so the per-arrival purge is
-            # deferred (purging is monotone), and — because completion times
-            # are monotone on a FIFO link — an arrival whose transmission
-            # finishes by ``t_now`` would be purged by the trailing pass
-            # anyway, so it never enters the in-flight deque at all.
-            if cap_sched is None:
-                while idx < n:  # simlint: vector-safe
-                    t = times[idx]
-                    if t > t_now:
-                        break
-                    size = sizes[idx]
-                    start = free_at if free_at > t else t
-                    free_at = start + size * 8.0 / cap
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                    if free_at > t_now:
-                        in_flight.append((free_at, size))
-                        backlog += size
-                    idx += 1
-            else:
-                bounds, caps = cap_sched
-                while idx < n:  # simlint: vector-safe
-                    t = times[idx]
-                    if t > t_now:
-                        break
-                    size = sizes[idx]
-                    start = free_at if free_at > t else t
-                    free_at = start + size * 8.0 / caps[bisect_right(bounds, start)]
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                    if free_at > t_now:
-                        in_flight.append((free_at, size))
-                        backlog += size
-                    idx += 1
-        else:
-            # Drop-tail decisions replay deterministically in merge order:
-            # the backlog each arrival tests is the one the per-packet path
-            # would have computed at that instant.
-            if cap_sched is not None:
-                bounds, caps = cap_sched
-            drop_bytes = stats.bytes_dropped
-            drop_pkts = stats.packets_dropped
-            while idx < n:
-                t = times[idx]
-                if t > t_now:
-                    break
-                size = sizes[idx]
-                while in_flight and in_flight[0][0] <= t:
-                    backlog -= in_flight.popleft()[1]
-                if backlog + size > buffer_bytes:
-                    drop_bytes += size
-                    drop_pkts += 1
-                else:
-                    start = free_at if free_at > t else t
-                    if cap_sched is not None:
-                        cap = caps[bisect_right(bounds, start)]
-                    free_at = start + size * 8.0 / cap
-                    in_flight.append((free_at, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                idx += 1
-            stats.bytes_dropped = drop_bytes
-            stats.packets_dropped = drop_pkts
-        while in_flight and in_flight[0][0] <= t_now:
-            backlog -= in_flight.popleft()[1]
-        agg.idx = idx
-        self._free_at = free_at
-        self._backlog_bytes = backlog
-        stats.bytes_forwarded = fwd_bytes
-        stats.packets_forwarded = fwd_pkts
+        stats.bytes_forwarded += fwd_bytes
+        stats.packets_forwarded += fwd_pkts
+        stats.bytes_dropped += drop_bytes
+        stats.packets_dropped += drop_pkts
         agg.compact()
 
     def _sync_fg(self, t_now: float) -> None:
         """Fold cross arrivals *and* planned probe admissions up to ``t_now``.
 
         Same contract as :meth:`sync`, extended with the installed
-        :class:`~repro.netsim.streamtransit.HopAgenda`: entries are
-        interleaved in arrival order (exact-time ties go to cross traffic,
-        because ``send()`` folds cross arrivals ≤ now before admitting the
-        foreground packet) and agenda accepts reuse the planned completion
-        times, so the queue state after any fold is bit-identical to the
-        per-packet path's at the same instant.  Unlike the cross-only fold
-        this one purges per arrival and appends unconditionally — the
-        backlog each agenda entry observes is then exactly the value the
-        per-packet ``send()`` would have traced/tested; the trailing purge
-        makes the end state identical either way.
+        :class:`~repro.netsim.streamtransit.HopAgenda`: each run of cross
+        arrivals up to the next agenda entry is folded first (exact-time
+        ties go to cross traffic, because ``send()`` folds cross arrivals
+        ≤ now before admitting the foreground packet), then the entry is
+        replayed with its planned completion time, so the queue state
+        after any fold is bit-identical to the per-packet path's at the
+        same instant.  Each entry sees the hop purged to its own arrival
+        time, so the backlog it records is exactly the value the
+        per-packet ``send()`` would have traced or tested.
         """
         agenda = self._agenda
         agg = self._agg
@@ -482,76 +414,57 @@ class Link:
         a_accepts = agenda.accepts
         a_dones = agenda.dones
         a_size = agenda.size
-        cap = self.capacity_bps
-        cap_sched = self._cap_sched
         free_at = self._free_at
         backlog = self._backlog_bytes
         in_flight = self._in_flight
-        stats = self._stats
-        fwd_bytes = stats.bytes_forwarded
-        fwd_pkts = stats.packets_forwarded
-        drop_bytes = stats.bytes_dropped
-        drop_pkts = stats.packets_dropped
-        buffer_bytes = self.buffer_bytes
+        fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
         tracer = self._tracer
         inf = float("inf")
         while True:
-            c_t = c_times[ci] if ci < cn else inf
             if ai < an:
                 a_t = a_pairs[ai][0] if tupled else a_pairs[ai]
             else:
                 a_t = inf
-            if c_t <= a_t:
-                t = c_t
-                if t > t_now:
-                    break
-                size = c_sizes[ci]
-                while in_flight and in_flight[0][0] <= t:
-                    backlog -= in_flight.popleft()[1]
-                if buffer_bytes is not None and backlog + size > buffer_bytes:
-                    drop_bytes += size
-                    drop_pkts += 1
-                else:
-                    start = free_at if free_at > t else t
-                    if cap_sched is not None:
-                        cap = cap_sched[1][bisect_right(cap_sched[0], start)]
-                    free_at = start + size * 8.0 / cap
-                    in_flight.append((free_at, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                ci += 1
+            stop = a_t if a_t < t_now else t_now
+            if ci < cn and c_times[ci] <= stop:
+                ci, free_at, backlog, fb, fp, db, dp, _, _ = fold(
+                    c_times, c_sizes, ci, stop, free_at, backlog, in_flight,
+                    self.capacity_bps, self._cap_sched, self.buffer_bytes,
+                )
+                fwd_bytes += fb
+                fwd_pkts += fp
+                drop_bytes += db
+                drop_pkts += dp
+            if a_t > t_now:
+                break
+            while in_flight and in_flight[0][0] <= a_t:
+                backlog -= in_flight.popleft()[1]
+            size = a_size if a_sizes is None else a_sizes[ai]
+            if a_accepts is None or a_accepts[ai]:
+                done = a_dones[ai]
+                free_at = done
+                in_flight.append((done, size))
+                backlog += size
+                fwd_bytes += size
+                fwd_pkts += 1
+                if tracer is not None:
+                    tracer.on_link_enqueue(self.name, backlog)
             else:
-                t = a_t
-                if t > t_now:
-                    break
-                while in_flight and in_flight[0][0] <= t:
-                    backlog -= in_flight.popleft()[1]
-                size = a_size if a_sizes is None else a_sizes[ai]
-                if a_accepts is None or a_accepts[ai]:
-                    done = a_dones[ai]
-                    free_at = done
-                    in_flight.append((done, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                    if tracer is not None:
-                        tracer.on_link_enqueue(self.name, backlog)
-                else:
-                    drop_bytes += size
-                    drop_pkts += 1
-                    if tracer is not None:
-                        self._backlog_bytes = backlog
-                        tracer.on_link_drop(self, agenda.proto, t)
-                ai += 1
+                drop_bytes += size
+                drop_pkts += 1
+                if tracer is not None:
+                    self._backlog_bytes = backlog
+                    tracer.on_link_drop(self, agenda.proto, a_t)
+            ai += 1
         while in_flight and in_flight[0][0] <= t_now:
             backlog -= in_flight.popleft()[1]
         self._free_at = free_at
         self._backlog_bytes = backlog
-        stats.bytes_forwarded = fwd_bytes
-        stats.packets_forwarded = fwd_pkts
-        stats.bytes_dropped = drop_bytes
-        stats.packets_dropped = drop_pkts
+        stats = self._stats
+        stats.bytes_forwarded += fwd_bytes
+        stats.packets_forwarded += fwd_pkts
+        stats.bytes_dropped += drop_bytes
+        stats.packets_dropped += drop_pkts
         if agg is not None:
             agg.idx = ci
             agg.compact()

@@ -12,16 +12,17 @@ per-hop Lindley recursion
 against a cross-traffic arrival sequence that the link's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator` already holds as
 sorted arrays.  :func:`plan_stream` therefore walks the whole stream
-analytically at send time — merging the K probe send instants with each
-hop's cross arrivals in timestamp order, replaying drop-tail decisions
-exactly as :meth:`Link.sync` would — and schedules **one** simulator
-event (the delivery of the stream-closing packet) instead of ~K x (H+1).
+analytically at send time — one :func:`~repro.netsim.hopfold.fold` call
+per hop merges the K probe arrivals with that hop's cross arrivals in
+timestamp order and replays drop-tail decisions exactly as
+:meth:`Link.sync` would — and schedules **one** simulator event (the
+delivery of the stream-closing packet) instead of ~K x (H+1).
 
 Determinism contract
 --------------------
-Every observable is bit-identical to the per-packet path: the recursion
-uses the same floating-point expressions in the same order as
-``Link.send()``/``Link.sync()``, planned admissions are folded into link
+Every observable is bit-identical to the per-packet path: the fold uses
+the same floating-point expressions in the same order as
+``Link.send()``, planned admissions are folded into link
 state lazily through per-hop :class:`HopAgenda` queues (so ``LinkStats``
 and monitor samples agree at every read instant), and clock/jitter RNG
 draw *order* is unchanged.  Engine digests are reproducible within a
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.probing import PacketRecord
 from .engine import SimulationError
+from .hopfold import fold
 from .packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -407,7 +409,7 @@ def plan_stream(
     drop_hop = plan.drop_hop
 
     # Arrival times and schedule indices in admission order, as parallel
-    # lists (the hop walks consume bare times, and the index list passes
+    # lists (the hop fold consumes bare times, and the index list passes
     # through infinite-buffer hops untouched).
     # Positional indices, not seqs: jitter can reorder sends, and
     # ``drop_hop``/``sched``/record pairing are all indexed by schedule
@@ -424,155 +426,34 @@ def plan_stream(
             c_times = agg.times
             c_sizes = agg.sizes
             ci = agg.idx
-            cn = len(c_times)
         else:
             c_times = c_sizes = ()
             ci = 0
-            cn = 0
-        ci_start = ci
-        cap = link.capacity_bps
-        cap_sched = link._cap_sched
-        if cap_sched is not None:
-            # Piecewise-constant capacity: every admission looks up the
-            # rate in force at its transmission start, exactly as
-            # ``Link.send()`` does; the walks below do the per-admission
-            # lookup inline.
-            cs_bounds, cs_caps = cap_sched
+        # A copy: the plan must not touch link state.
+        in_flight = deque(link._in_flight)
+        (
+            ci_end, free_at, end_backlog, fwd_bytes, fwd_pkts,
+            drop_bytes, drop_pkts, a_dones, a_accepts,
+        ) = fold(
+            c_times, c_sizes, ci, t_end, link._free_at, link._backlog_bytes,
+            in_flight, link.capacity_bps, link._cap_sched, link.buffer_bytes,
+            cur_t, size,
+        )
         prop = link.prop_delay
-        buffer_bytes = link.buffer_bytes
-        free_at = link._free_at
-        tx = size * 8.0 / cap
-        a_dones: list[float] = []
-        nxt_t: list[float] = []
-        nxt_i: list[int] = []
-        fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
-        if buffer_bytes is None:
-            # Infinite buffer: only the transmitter clock decides.  The
-            # per-arrival purge is deferred as in Link.sync(): the hop's
-            # last planned arrival (``t_end``) is known up front, dones
-            # are monotone on a FIFO link, so admissions completing by
-            # ``t_end`` never enter the end-state deque at all.
-            a_accepts = None
-            if ci >= cn or c_times[ci] > t_end:
-                # No cross arrivals due on this hop: only the probes'
-                # own back-to-back spacing matters, so the interleaved
-                # walk collapses to the bare Lindley chain and the index
-                # list passes through unchanged.
-                end_in_flight = [e for e in link._in_flight if e[0] > t_end]
-                eif_append = end_in_flight.append
-                dones_append = a_dones.append
-                nxt_append = nxt_t.append
-                for t in cur_t:  # simlint: vector-safe
-                    start = free_at if free_at > t else t
-                    if cap_sched is None:
-                        done_t = start + tx
-                    else:
-                        done_t = start + size * 8.0 / cs_caps[
-                            bisect_right(cs_bounds, start)
-                        ]
-                    free_at = done_t
-                    if done_t > t_end:
-                        eif_append((done_t, size))
-                    dones_append(done_t)
-                    nxt_append(done_t + prop)
-                nxt_i = cur_i
-                k = len(a_dones)
-                fwd_bytes += size * k
-                fwd_pkts += k
-            else:
-                end_in_flight = [e for e in link._in_flight if e[0] > t_end]
-                eif_append = end_in_flight.append
-                dones_append = a_dones.append
-                nxt_append = nxt_t.append
-                for t in cur_t:  # simlint: vector-safe
-                    while ci < cn:
-                        tc = c_times[ci]
-                        if tc > t:
-                            break
-                        sz = c_sizes[ci]
-                        start = free_at if free_at > tc else tc
-                        if cap_sched is not None:
-                            cap = cs_caps[bisect_right(cs_bounds, start)]
-                        free_at = start + sz * 8.0 / cap
-                        if free_at > t_end:
-                            eif_append((free_at, sz))
-                        fwd_bytes += sz
-                        fwd_pkts += 1
-                        ci += 1
-                    start = free_at if free_at > t else t
-                    if cap_sched is None:
-                        done_t = start + tx
-                    else:
-                        done_t = start + size * 8.0 / cs_caps[
-                            bisect_right(cs_bounds, start)
-                        ]
-                    free_at = done_t
-                    if done_t > t_end:
-                        eif_append((done_t, size))
-                    dones_append(done_t)
-                    nxt_append(done_t + prop)
-                nxt_i = cur_i
-                k = len(a_dones)
-                fwd_bytes += size * k
-                fwd_pkts += k
-            end_backlog = sum(e[1] for e in end_in_flight)
+        if a_accepts is None:
+            # Infinite buffer: every probe passes, so the index list
+            # passes through untouched.
+            nxt_t = [done_t + prop for done_t in a_dones]
+            nxt_i = cur_i
         else:
-            # Exact drop-tail replay, mirroring Link.sync()/Link.send():
-            # per-arrival purge, cross folded first on exact-time ties,
-            # then the probe's own admission.
-            a_accepts = []
-            backlog = link._backlog_bytes
-            in_flight = deque(link._in_flight)
-            for t, i in zip(cur_t, cur_i):
-                while ci < cn:
-                    tc = c_times[ci]
-                    if tc > t:
-                        break
-                    sz = c_sizes[ci]
-                    while in_flight and in_flight[0][0] <= tc:
-                        backlog -= in_flight.popleft()[1]
-                    if backlog + sz > buffer_bytes:
-                        drop_bytes += sz
-                        drop_pkts += 1
-                    else:
-                        start = free_at if free_at > tc else tc
-                        if cap_sched is not None:
-                            cap = cs_caps[bisect_right(cs_bounds, start)]
-                        free_at = start + sz * 8.0 / cap
-                        in_flight.append((free_at, sz))
-                        backlog += sz
-                        fwd_bytes += sz
-                        fwd_pkts += 1
-                    ci += 1
-                while in_flight and in_flight[0][0] <= t:
-                    backlog -= in_flight.popleft()[1]
-                if backlog + size > buffer_bytes:
-                    a_accepts.append(False)
-                    a_dones.append(0.0)
-                    drop_bytes += size
-                    drop_pkts += 1
-                    drop_hop[i] = h
-                else:
-                    start = free_at if free_at > t else t
-                    if cap_sched is None:
-                        done_t = start + tx
-                    else:
-                        done_t = start + size * 8.0 / cs_caps[
-                            bisect_right(cs_bounds, start)
-                        ]
-                    free_at = done_t
-                    in_flight.append((done_t, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                    a_accepts.append(True)
-                    a_dones.append(done_t)
+            nxt_t = []
+            nxt_i = []
+            for done_t, ok, i in zip(a_dones, a_accepts, cur_i):
+                if ok:
                     nxt_t.append(done_t + prop)
                     nxt_i.append(i)
-            while in_flight and in_flight[0][0] <= t_end:
-                backlog -= in_flight.popleft()[1]
-            end_in_flight = in_flight
-            end_backlog = backlog
+                else:
+                    drop_hop[i] = h
         proto = Packet(size, flow_id=run.flow_id, kind=PacketKind.PROBE)
         agenda = HopAgenda(link, None, a_accepts, a_dones, None, size, proto, plan)
         # Parallel-list views; the tupled ``pairs``/``exit_pairs`` are
@@ -582,11 +463,11 @@ def plan_stream(
         agenda._exit_t = nxt_t
         agenda._exit_i = nxt_i
         agenda.t_end = t_end
-        agenda.ci_start = ci_start
-        agenda.ci_end = ci
+        agenda.ci_start = ci
+        agenda.ci_end = ci_end
         agenda.end_free_at = free_at
         agenda.end_backlog = end_backlog
-        agenda.end_in_flight = tuple(end_in_flight)
+        agenda.end_in_flight = tuple(in_flight)
         agenda.d_fwd_bytes = fwd_bytes
         agenda.d_fwd_pkts = fwd_pkts
         agenda.d_drop_bytes = drop_bytes
@@ -647,8 +528,8 @@ def _shadow_verify(channel: "ProbeChannel", plan: StreamPlan) -> None:
     Runs once per channel under ``Simulator(sanitize=True)``.  The shadow
     deliberately avoids the planner's merged-walk structure: it builds an
     explicit tagged event list per hop with :func:`heapq.merge` and
-    processes it sequentially, so a bug in the tight loops cannot hide in
-    its own mirror image.
+    processes it sequentially, so a bug in the shared hop fold cannot
+    hide in its own mirror image.
     """
     links = plan.links
     sched = plan.sched

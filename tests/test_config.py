@@ -52,6 +52,30 @@ class TestPathloadConfig:
             {"resolution_bps": 0},
             {"grey_resolution_bps": -1},
             {"moderate_loss": 0.2, "stream_loss_abort": 0.1},
+            {"min_period": float("nan")},
+            {"min_period": float("inf")},
+            {"resolution_bps": float("nan")},
+            {"grey_resolution_bps": float("inf")},
+            {"gap_deviation_tolerance": 0.0},
+            {"gap_deviation_tolerance": float("nan")},
+            {"idle_factor": -1.0},
+            {"idle_factor": float("nan")},
+            {"idle_factor": float("inf")},
+            {"min_rate_bps": -1.0},
+            {"min_rate_bps": float("nan")},
+            {"initial_rate_bps": -1e6},
+            {"initial_rate_bps": 0.0},
+            {"initial_rate_bps": float("nan")},
+            {"initial_rate_bps": float("inf")},
+            {"pct_threshold": 1.5},
+            {"pdt_threshold": -0.1},
+            {"pct_incr_threshold": float("nan")},
+            {"pct_nonincr_threshold": 2.0},
+            {"pdt_incr_threshold": -1.0},
+            {"pdt_nonincr_threshold": float("nan")},
+            {"max_fleets": 0},
+            {"min_usable_streams": 0},
+            {"max_lossy_streams": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -71,10 +95,17 @@ class TestExperimentScaffolding:
         assert scale.runs == 50 and scale.full
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            Scale(runs=0, interval=1.0, full=False)
-        with pytest.raises(ValueError):
-            Scale(runs=1, interval=0.0, full=False)
+        for runs, interval in (
+            (0, 1.0),
+            (1, 0.0),
+            (1, -1.0),
+            (1, float("nan")),
+            (1, float("inf")),
+            (2.5, 1.0),
+            (-3, 1.0),
+        ):
+            with pytest.raises(ValueError):
+                Scale(runs=runs, interval=interval, full=False)
 
     def test_spawn_seeds_independent_and_deterministic(self):
         a = [g.integers(0, 1 << 30) for g in spawn_seeds(7, 3)]

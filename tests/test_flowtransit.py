@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.probing import StreamSpec
-from repro.netsim import LinkSpec, Simulator, build_path
+from repro.netsim import LinkSpec, Simulator, attach_cross_traffic, build_path
 from repro.netsim.qdisc import REDQueue
 from repro.netsim.topologies import build_single_hop_path
 from repro.transport.probe import ProbeChannel
@@ -71,21 +71,35 @@ def run_flow(
     mutate_at=None,
     mutate=None,
     second_flow_at=None,
+    schedule=None,
 ):
-    """One TCP transfer (plus optional concurrent probe streams)."""
+    """One TCP transfer (plus optional concurrent probe streams).
+
+    ``schedule`` installs the same capacity schedule on every forward
+    link before the transfer starts.
+    """
     sim = Simulator(sanitize=sanitize)
-    if utilization > 0.0:
+    specs = [
+        LinkSpec(10e6, prop_delay=1e-3, buffer_bytes=buffer_bytes, name=f"hop{i}")
+        for i in range(hops)
+    ]
+    if utilization > 0.0 and hops == 1:
         rng = np.random.default_rng(seed)
         setup = build_single_hop_path(
             sim, 10e6, utilization, rng, buffer_bytes=buffer_bytes
         )
         net = setup.network
     else:
-        specs = [
-            LinkSpec(10e6, prop_delay=1e-3, buffer_bytes=buffer_bytes, name=f"hop{i}")
-            for i in range(hops)
-        ]
         net = build_path(sim, specs)
+        if utilization > 0.0:
+            rng = np.random.default_rng(seed)
+            for link in net.forward_links:
+                attach_cross_traffic(
+                    sim, net, link, 10e6 * utilization, rng, n_sources=4
+                )
+    if schedule is not None:
+        for link in net.forward_links:
+            link.set_capacity_segments(schedule)
     cfg = TCPConfig(
         congestion_control=cc, delayed_ack=delayed_ack, min_rto=min_rto
     )
@@ -305,29 +319,32 @@ class TestRevocation:
 
         assert run(True) == run(False)
 
-    def test_capacity_schedule_refuses_attach(self):
-        # The virtual-link walk hoists one capacity per hop, so a link
-        # with a pre-installed piecewise schedule refuses flow planning
-        # outright — the per-packet path handles the rate changes
-        # exactly.
-        def run(fast):
-            sim = Simulator()
-            net = build_path(sim, [LinkSpec(10e6, prop_delay=1e-3)])
-            net.forward_links[0].set_capacity_segments(
-                [(0.5000789, 6e6), (0.9000456, 12e6)]
-            )
-            snd, rcv = open_connection(
-                sim, net, config=TCPConfig(min_rto=0.5),
-                total_bytes=2_000_000, start=0.0, fast=fast,
-            )
-            sim.run(until=30.0)
-            return flow_state(snd, rcv), net
-
-        stf, netf = run(True)
-        sts, _ = run(False)
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("n_streams", [0, 3])
+    @pytest.mark.parametrize("util", [0.0, 0.4])
+    @pytest.mark.parametrize("buf", [None, 12_000])
+    def test_capacity_schedule_flow_planned(self, buf, util, n_streams, hops):
+        # A flow on scheduled links is planned: every admission of the
+        # walk is priced at the rate in force when its transmission
+        # starts, as per-packet send() prices it.  The transfer and the
+        # probe streams straddle both rate changes.
+        schedule = [(0.2000789, 6e6), (0.4000456, 12e6)]
+        kwargs = dict(
+            buffer_bytes=buf, utilization=util, n_streams=n_streams,
+            hops=hops, stream_start=0.15, schedule=schedule,
+        )
+        stf, sf, mf, netf, chf = run_flow(True, sanitize=True, **kwargs)
+        sts, ss, ms, _, _ = run_flow(False, **kwargs)
         assert stf == sts
-        assert netf._ft_flows == 0
-        assert netf._ft_fallbacks == {"capacity-schedule": 1}
+        assert sf == ss
+        assert mf == ms
+        assert netf._ft_flows == 1
+        assert netf._ft_fallbacks == {}
+        if n_streams:
+            assert chf.fastpath_streams == n_streams
+        delivered_log = stf[0][14]  # (time, rcv_nxt) per in-order delivery
+        assert delivered_log[0][0] < schedule[0][0]
+        assert delivered_log[-1][0] > schedule[-1][0]
 
     def test_capacity_schedule_install_dissolves_domain(self):
         # Installing a schedule mid-transfer is a planning chokepoint

@@ -368,35 +368,30 @@ class TestVectorization:
         ]
 
     def test_plan_stream_infinite_buffer_loop_is_vector_safe(self, loops):
-        safe = self._find(
-            loops, "repro.netsim.streamtransit", "plan_stream", "VECTOR-SAFE"
-        )
+        safe = self._find(loops, "repro.netsim.hopfold", "fold", "VECTOR-SAFE")
         annotated = [l for l in safe if l.annotated]
-        # The general interleaved walk plus its specialized cross-free twin.
+        # The infinite-buffer walk that merges a probe stream with the
+        # cross arrivals, plus its inner cross-only fold.
         assert len(annotated) == 2
         for report in annotated:
             assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
             assert report.reasons and "accumulate" in report.reasons[0]
 
     def test_bulk_arrivals_fold_loops_are_vector_safe(self, loops):
-        # The bulk-arrivals fold lives in Link.sync: it consumes the
-        # CrossAggregator's merged (times, sizes) arrays.  Two flavours:
-        # the fixed-rate fold and its capacity-schedule twin (per-start
-        # rate lookup).
-        safe = self._find(loops, "repro.netsim.link", "Link.sync", "VECTOR-SAFE")
+        # The bulk-arrivals fold consumes the CrossAggregator's merged
+        # (times, sizes) arrays; Link.sync calls it with no foreground,
+        # and each admission is priced at its fixed or scheduled rate
+        # inline, so both annotated loops carry the same recursion.
+        safe = self._find(loops, "repro.netsim.hopfold", "fold", "VECTOR-SAFE")
         annotated = [l for l in safe if l.annotated]
         assert len(annotated) == 2
         for report in annotated:
             assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
 
     def test_drop_tail_counterparts_are_unsafe_with_reasons(self, loops):
-        for module, function in (
-            ("repro.netsim.streamtransit", "plan_stream"),
-            ("repro.netsim.link", "Link.sync"),
-        ):
-            unsafe = self._find(loops, module, function, "VECTOR-UNSAFE")
-            assert unsafe, f"no UNSAFE loops reported for {module}.{function}"
-            assert all(l.reasons for l in unsafe)
+        unsafe = self._find(loops, "repro.netsim.hopfold", "fold", "VECTOR-UNSAFE")
+        assert unsafe, "no UNSAFE loops reported for repro.netsim.hopfold.fold"
+        assert all(l.reasons for l in unsafe)
 
     def test_committed_report_matches_analysis(self, loops):
         committed = json.loads((REPO_ROOT / "vectorization.json").read_text())
