@@ -22,6 +22,7 @@ moderate loss                3 %
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -104,6 +105,19 @@ class PathloadConfig:
     initial_rate_bps: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN and infinite counts would slip past the range checks below.
+        for name in (
+            "n_packets",
+            "min_packet_size",
+            "mtu",
+            "n_streams",
+            "max_lossy_streams",
+            "min_usable_streams",
+            "max_fleets",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_packets < 6:
             raise ValueError(f"n_packets must be >= 6, got {self.n_packets}")
         if self.n_streams < 1:

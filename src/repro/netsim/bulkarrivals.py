@@ -8,13 +8,16 @@ Python callback dispatches just to nudge a FIFO backlog that only
 probe/TCP packets and monitors ever read.
 
 This module removes those per-packet events.  Each bulk-eligible
-:class:`~repro.netsim.crosstraffic.CrossTrafficSource` converts its
-refill buffer into absolute arrival-time/size arrays (a cumulative sum
-over the very same gap draws, RNG chunk order untouched) and registers
-them with its link's :class:`CrossAggregator`.  The aggregator k-way
-merges the link's sources in time order into one flat admission queue and
-keeps exactly **one scheduled event per refill horizon** — the instant
-the slowest source's buffer runs out — instead of one per packet.  The
+:class:`~repro.netsim.crosstraffic.CrossTrafficSource` converts its gap
+draws, one RNG chunk (512 arrivals) at a time, into absolute
+arrival-time/size arrays (a cumulative sum over the very same draws, RNG
+order untouched) and appends them to its feed at its link's
+:class:`CrossAggregator`.  At every merge the aggregator tops up each feed
+holding less than a chunk, k-way merges the link's sources in time order
+into one flat admission queue, and keeps exactly **one scheduled event
+per refill horizon** — the instant the first source's buffer runs out —
+instead of one per packet.  Generation thus stays about one chunk per
+source ahead of the fold.  The
 owning :class:`~repro.netsim.link.Link` folds merged arrivals into its
 transmitter/backlog ledger lazily, at its sync points (foreground
 ``send()``, backlog/queueing-delay reads, stats access), so foreground
@@ -190,8 +193,10 @@ class CrossAggregator:
         order)-keyed heap would apply — and the vectorized sort is an
         order of magnitude cheaper than per-entry heap operations.
         """
+        # Top up every low feed, not only empty ones: otherwise the safe
+        # horizon creeps forward one source at a time.
         for feed in self.feeds:
-            if not feed.done and not feed.times:
+            if not feed.done:
                 feed.source._bulk_fill(feed)
         horizons = [feed.times[-1] for feed in self.feeds if not feed.done]
         safe = min(horizons) if horizons else math.inf
@@ -231,7 +236,7 @@ class CrossAggregator:
             self._event = self.sim.schedule_at(safe, self._extend)
 
     def _extend(self) -> None:
-        """Refill-horizon event: generate the next batches and re-merge."""
+        """Refill-horizon event: top up the low feeds and re-merge."""
         self._event = None
         self._merge()
 
@@ -242,9 +247,10 @@ class CrossAggregator:
         (:mod:`repro.netsim.streamtransit`), which needs the cross-arrival
         sequence over the whole stream horizon *now* rather than at the
         refill events.  Each :meth:`_merge` drains the binding feed and
-        refills it on the next pass, so the safe horizon strictly advances
-        until it covers ``t`` (or every feed ends).  RNG draw order per
-        source is untouched — batches are generated in the same sequence,
+        tops it up by a chunk on the next pass, so the safe horizon
+        strictly advances until it covers ``t`` (or every feed ends); a
+        long horizon costs one merge per chunk span.  RNG draw order per
+        source is untouched — chunks are generated in the same sequence,
         only earlier in host time.
         """
         while self._horizon < t:

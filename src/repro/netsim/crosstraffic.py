@@ -16,14 +16,16 @@ This module reproduces that workload:
 Two data paths deliver the packets to the link, chosen automatically per
 source:
 
-* **Bulk (default when eligible).**  Each 4096-sample refill is converted
-  into absolute arrival-time/size arrays — a cumulative sum over the very
-  same vectorized gap draws, RNG chunk order untouched — and registered
-  with the link's :class:`~repro.netsim.bulkarrivals.CrossAggregator`.
-  The link folds the merged arrivals into its queue state lazily at its
-  sync points, so open-loop background load costs **zero scheduler events
-  per packet** (one per refill horizon), while every foreground packet
-  observes a bit-identical queue.
+* **Bulk (default when eligible).**  The source's gap and size draws are
+  converted, one RNG chunk (``_CHUNK`` = 512 arrivals) at a time, into
+  absolute arrival-time/size arrays — a cumulative sum over the very same
+  vectorized draws, RNG order untouched — and handed to the link's
+  :class:`~repro.netsim.bulkarrivals.CrossAggregator`, which keeps every
+  source topped up to one chunk ahead of the fold.  The link folds the
+  merged arrivals into its queue state lazily at its sync points, so
+  open-loop background load costs **zero scheduler events per packet**
+  (one per refill horizon), while every foreground packet observes a
+  bit-identical queue.
 * **Per-packet (fallback).**  One heap event plus O(1) Python work per
   packet.  Engaged automatically when the sample path could depend on
   per-packet interaction: a link with a ``qdisc`` (AQM must see every
@@ -84,8 +86,8 @@ PAPER_PACKET_MIX: tuple[tuple[int, float], ...] = (
     (1500, 0.10),
 )
 
-_BATCH = 4096  # samples buffered per refill
-_CHUNK = 512  # RNG draw granularity within a refill (see _refill)
+_BATCH = 4096  # samples buffered per refill of a modulated source
+_CHUNK = 512  # RNG draw granularity; one stationary refill (see _refill)
 
 
 class PacketMix:
@@ -102,11 +104,17 @@ class PacketMix:
         sizes_probs = tuple(sizes_probs)
         if not sizes_probs:
             raise ValueError("packet mix must contain at least one size")
+        # NaN passes the sum check below, and negative weights can sum to 1.
+        if not all(0 <= p < math.inf for _s, p in sizes_probs):
+            raise ValueError(
+                f"packet mix probabilities must be finite and >= 0, "
+                f"got {[p for _s, p in sizes_probs]}"
+            )
         total = sum(p for _s, p in sizes_probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"packet mix probabilities sum to {total}, expected 1")
-        if any(s <= 0 for s, _p in sizes_probs):
-            raise ValueError("packet sizes must be positive")
+        if not all(0 < s < math.inf for s, _p in sizes_probs):
+            raise ValueError("packet sizes must be positive and finite")
         self.sizes = np.array([s for s, _p in sizes_probs], dtype=np.int64)
         self.probs = np.array([p for _s, p in sizes_probs], dtype=np.float64)
 
@@ -139,7 +147,8 @@ class CrossTrafficSource:
     alpha:
         Pareto shape; the paper uses 1.9 (finite mean, infinite variance).
     start / stop:
-        Activity window in simulated seconds (``stop=None`` ⇒ forever).
+        Activity window in simulated seconds: ``start`` finite and no
+        earlier than ``sim.now``; ``stop=None`` or ``inf`` ⇒ forever.
     modulation:
         Optional ``(interval, sigma)`` slow-timescale load modulation: every
         ``interval`` seconds the source's instantaneous rate is multiplied
@@ -189,6 +198,15 @@ class CrossTrafficSource:
                 f"Pareto alpha must be finite and exceed 1 for a finite mean, "
                 f"got {alpha}"
             )
+        # A NaN start never comes due and hangs the run; a past start
+        # makes the two data paths disagree (the bulk path folds arrivals
+        # before ``now``, the per-packet path cannot schedule them).
+        if not sim.now <= start < math.inf:
+            raise ValueError(
+                f"start must be finite and >= sim.now ({sim.now}), got {start}"
+            )
+        if stop is not None and math.isnan(stop):
+            raise ValueError("stop must be None or a number (inf: never), got nan")
         self.sim = sim
         self.network = network
         self.link = link
@@ -333,14 +351,19 @@ class CrossTrafficSource:
         return float(self._next_gap())
 
     def _refill(self) -> None:
+        """Draw the next buffer of gaps and sizes; reset the cursor ``_idx``.
+
+        Draws come in _CHUNK-sized sub-batches, alternating gaps and sizes,
+        so a stationary source's RNG stream consumption order depends only
+        on _CHUNK.  It draws one chunk, which keeps the bulk path no more
+        than a chunk ahead of the fold.  A modulated source draws _BATCH:
+        its boundary factor draws interleave with its refills, so for it
+        the batch size is part of the sample path (Figs. 11-14).
+        """
         mean = self.mean_gap
         gaps: list[float] = []
         sizes: list[int] = []
-        # Draw in _CHUNK-sized sub-batches, alternating gaps and sizes: the
-        # RNG stream consumption order then depends only on _CHUNK, so the
-        # buffer size amortizes refill overhead without perturbing the
-        # sample path of any seeded experiment.
-        for _ in range(_BATCH // _CHUNK):
+        for _ in range(1 if self.modulation is None else _BATCH // _CHUNK):
             if self.model == "poisson":
                 chunk = self.rng.exponential(mean, size=_CHUNK)
             elif self.model == "pareto":
@@ -358,7 +381,7 @@ class CrossTrafficSource:
         self._idx = 0
 
     def _ensure_buffered(self) -> None:
-        """Refill once the current batch is exhausted (shared by the gap and
+        """Refill once the current buffer is exhausted (shared by the gap and
         size readers — the single refill-exhaustion check)."""
         if self._idx >= len(self._sizes):
             self._refill()
@@ -439,7 +462,11 @@ class CrossTrafficSource:
     # Bulk data path
     # ------------------------------------------------------------------
     def _bulk_fill(self, feed) -> None:
-        """Append one refill horizon of absolute arrivals to ``feed``.
+        """Top ``feed`` up with the next chunk of absolute arrivals.
+
+        Does nothing while the feed still holds ``_CHUNK`` arrivals or
+        more, so the aggregator can offer every feed a top-up at each
+        merge and the source stays about one chunk ahead of the fold.
 
         The arrival times are the identical floating-point sums the
         per-packet path computes: ``Simulator.schedule(gap, ...)`` adds
@@ -449,6 +476,8 @@ class CrossTrafficSource:
         boundary draws interleaved at their event positions — is
         byte-identical.
         """
+        if len(feed.times) >= _CHUNK:
+            return
         if self.modulation is not None:
             times, sizes = self._segmented_times()
         else:
@@ -467,7 +496,11 @@ class CrossTrafficSource:
         feed.sizes.extend(sizes)
 
     def _stationary_times(self) -> tuple[list[float], list[int]]:
-        """One unmodulated refill horizon of absolute arrival times."""
+        """The next chunk of unmodulated absolute arrival times and sizes.
+
+        A stationary refill is one chunk; each call draws a fresh one and
+        converts all of it.
+        """
         skip_first_gap = False
         if self._bulk_first:
             self._bulk_first = False
@@ -480,7 +513,7 @@ class CrossTrafficSource:
         self._refill()
         gaps = self._gaps
         sizes = self._sizes
-        self._idx = len(sizes)  # the whole batch is consumed by this horizon
+        self._idx = len(sizes)  # the whole chunk is consumed by this call
         # ``accumulate`` adds left to right, one addition per element —
         # bit-identical to the per-packet path's running ``t += gap``.
         if skip_first_gap:
@@ -492,52 +525,54 @@ class CrossTrafficSource:
         return times, sizes
 
     def _segmented_times(self) -> tuple[list[float], list[int]]:
-        """One modulated refill horizon, generated per rate-factor segment.
+        """The next chunk of modulated arrivals, generated per rate-factor
+        segment.
 
-        Walks the batch's gap draws exactly as the per-packet path's
-        event chain would: each gap is divided by the factor in force at
-        the *previous* arrival's instant (``schedule(gap / factor)``
-        happens at that event), and each boundary's factor draw is
-        consumed once the walk reaches it — the same position in the RNG
-        stream the ``_modulate`` event occupies.  Within a segment the
-        arrival times are one seeded prefix sum over ``gap / factor``
-        (scalar division per gap, then left-to-right adds — the identical
-        float expressions, in order).
+        Converts at most ``_CHUNK`` entries of the ``_BATCH`` buffer from
+        the cursor ``_idx``, walking the gap draws exactly as the
+        per-packet path's event chain would: each gap is divided by the
+        factor in force at the *previous* arrival's instant
+        (``schedule(gap / factor)`` happens at that event), and each
+        boundary's factor draw is consumed once the walk reaches it — the
+        same position in the RNG stream the ``_modulate`` event occupies.
+        Within a segment the arrival times are one seeded prefix sum over
+        ``gap / factor`` (scalar division per gap, then left-to-right adds
+        — the identical float expressions, in order).  Where a call stops
+        inside the buffer does not matter: the next one resumes the walk
+        at the same cursor, clock and boundary.
         """
         t = self._bulk_clock
-        times: list[float]
+        times: list[float] = []
         if self._bulk_first:
             self._bulk_first = False
             if self.model == "cbr":
                 t += float(self.rng.uniform(0.0, self.mean_gap))
                 # Boundaries up to the first arrival fire before its event
                 # (and before the first refill, which the per-packet path
-                # performs at that event).
+                # performs at that event).  gaps[0] is replaced by the
+                # uniform phase offset.
                 self._mod_consume(t)
                 self._refill()
-                times = [t]
-                idx = 1  # gaps[0] replaced by the uniform phase offset
             else:
                 self._refill()
                 # The first arrival is scheduled at construction from the
                 # raw first gap — never factor-divided (no boundary has
                 # fired when it is computed).
                 t = t + self._gaps[0]
-                times = [t]
-                idx = 1
-        else:
+            times.append(t)
+        elif self._idx >= len(self._sizes):
             # A boundary at or before the previous batch's last arrival
             # may be unconsumed (its crossing arrival closed that batch);
             # per-packet it fires before that arrival's event — which is
             # where this refill happens — so consume it before drawing.
             self._mod_consume(t)
             self._refill()
-            times = []
-            idx = 0
         gaps = self._gaps
-        n = len(gaps)
+        first = self._idx
+        end = min(first + _CHUNK, len(gaps))
+        idx = first + len(times)  # the first arrival took buffer index 0
         mean_gap = self.mean_gap
-        while idx < n:
+        while idx < end:
             # Boundaries at or before the last emitted arrival have fired
             # (boundary-first on an exact tie; see the module docstring).
             self._mod_consume(t)
@@ -545,17 +580,16 @@ class CrossTrafficSource:
             b = self._mod_next_b
             if b == float("inf"):
                 # Chain dead (stop reached): the factor is frozen.
-                seg = list(accumulate([g / f for g in gaps[idx:]], initial=t))
+                seg = list(accumulate([g / f for g in gaps[idx:end]], initial=t))
                 times.extend(seg[1:])
                 t = seg[-1]
-                idx = n
                 break
             # Generate this segment's window: everything up to and
             # including the first arrival at or past the boundary (that
             # arrival's time was computed from a predecessor before the
             # boundary, so it still uses factor ``f``).
             est = int((b - t) * f / mean_gap * 1.25) + 16
-            remaining = n - idx
+            remaining = end - idx
             if est > remaining:
                 est = remaining
             seg = list(accumulate([g / f for g in gaps[idx:idx + est]], initial=t))
@@ -564,9 +598,9 @@ class CrossTrafficSource:
             times.extend(seg[1:keep + 1])
             t = seg[keep]
             idx += keep
-        self._idx = n  # the whole batch is consumed by this horizon
+        self._idx = end
         self._bulk_clock = t
-        return times, self._sizes
+        return times, self._sizes[first:end]
 
     def _resume_per_packet(
         self, times: list[float], sizes: list[int], exhausted: bool
@@ -576,8 +610,11 @@ class CrossTrafficSource:
         ``times``/``sizes`` are this source's not-yet-admitted future
         arrivals, exactly as the per-packet path would have generated
         them; they are replayed as ordinary scheduled events.  Once the
-        tail drains, generation continues from the next RNG refill —
-        the same stream position the per-packet path would have reached.
+        tail drains, generation continues from the cursor ``_idx`` — just
+        past the last arrival the bulk path generated, for a modulated
+        source usually inside its batch — and refills only once the
+        buffer is spent: the same stream position the per-packet path
+        would have reached.
         """
         self._feed = None
         self._claim_per_packet()
@@ -593,7 +630,7 @@ class CrossTrafficSource:
             self.sim.schedule_at(times[0], self._tail_arrival)
             if self.modulation is not None and not exhausted:
                 # Boundary draws up to the tail's end were consumed when
-                # its batch was generated (leftovers here); restart the
+                # its chunks were generated (leftovers here); restart the
                 # event chain for the boundaries beyond it.
                 self._mod_consume(self._bulk_clock)
                 if self._mod_next_b != float("inf"):
@@ -612,8 +649,9 @@ class CrossTrafficSource:
             else:
                 if self.modulation is not None:
                     # Boundaries up to the last folded arrival were consumed
-                    # with its batch; the refill below happens (per-packet)
-                    # at that arrival's event, before any later boundary.
+                    # with its chunk; a refill below (buffer spent) happens,
+                    # per-packet, at that arrival's event, before any later
+                    # boundary.
                     self._mod_consume(self._bulk_clock)
                 gap = self._next_gap() / self._mod_factor
                 if self.modulation is not None:

@@ -28,6 +28,7 @@ from repro.netsim import (
     attach_cross_traffic,
     build_path,
 )
+from repro.netsim.crosstraffic import _CHUNK
 
 
 def run_experiment(
@@ -426,6 +427,63 @@ class TestDecommission:
         for key in OBSERVABLES:
             assert bulk[key] == pp[key], f"{key} diverged across decommission"
 
+    @pytest.mark.parametrize("modulation", [None, (0.5, 0.3)])
+    @pytest.mark.parametrize("model", ["poisson", "pareto", "cbr"])
+    @pytest.mark.parametrize("t_mut", [0.05, 0.7, 1.6, 3.1])
+    def test_resume_from_part_used_buffer(self, t_mut, model, modulation):
+        """A decommission at any instant resumes the per-packet path from
+        the generator's cursor: a stationary source's sits at a chunk
+        edge, a modulated source's inside its 4096-draw batch."""
+        cursors = []
+
+        def decommission(net):
+            link = net.forward_links[0]
+            if link._agg is not None:  # the bulk run
+                cursors.extend(
+                    (f.source._idx, len(f.source._sizes)) for f in link._agg.feeds
+                )
+            link.drop_hook = lambda pkt: None
+
+        kwargs = {
+            "model": model,
+            "modulation": modulation,
+            "mutate_at": (t_mut, decommission),
+        }
+        pp = run_experiment(False, **kwargs)
+        bulk = run_experiment(None, **kwargs)
+        assert not any(s.is_bulk for s in bulk["sources"]), "decommission missed"
+        for key in OBSERVABLES:
+            assert bulk[key] == pp[key], f"{key} diverged across decommission"
+        if modulation is None:
+            assert all(i == n == _CHUNK for i, n in cursors), "not one chunk per refill"
+        else:
+            assert all(0 < i < n for i, n in cursors), "cursor not inside a batch"
+
+    def test_cbr_decommission_inside_first_chunk(self):
+        """The first cbr chunk replaces its first gap with the phase
+        offset; a decommission inside it must replay the rest of the
+        chunk and continue with the next draw."""
+        generated = []
+
+        def decommission(net):
+            link = net.forward_links[0]
+            if link._agg is not None:  # the bulk run
+                generated.extend(f.source._gen_packets for f in link._agg.feeds)
+            link.drop_hook = lambda pkt: None
+
+        kwargs = {
+            "model": "cbr",
+            "n_sources": 1,
+            "utilization": 0.3,
+            "mutate_at": (0.4, decommission),
+        }
+        pp = run_experiment(False, **kwargs)
+        bulk = run_experiment(None, **kwargs)
+        assert generated == [_CHUNK], "decommission not inside the first chunk"
+        assert not bulk["sources"][0].is_bulk
+        for key in OBSERVABLES:
+            assert bulk[key] == pp[key], f"{key} diverged across decommission"
+
     def test_mid_run_registration_joins_bulk(self):
         """A source attached while the link already carries merged bulk
         traffic must slot into the same sample path."""
@@ -454,3 +512,23 @@ class TestDecommission:
             ]
 
         assert run(None) == run(False)
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("modulation", [None, (2.0, 0.25)])
+    def test_generation_stays_about_one_chunk_ahead(self, modulation):
+        """Bulk sources generate on demand: at any read point each source
+        holds fewer than two chunks of arrivals it has not yet offered
+        (a 4096-draw batch per source once left thousands)."""
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(12.4e6, name="L")])
+        sources = attach_cross_traffic(
+            sim, net, net.forward_links[0], 0.6 * 12.4e6,
+            np.random.default_rng(11), n_sources=10, modulation=modulation,
+        )
+        for t in (1.0, 3.0, 6.0, 10.0):
+            sim.run(until=t)
+            ahead = [s._gen_packets - s.packets_sent for s in sources]
+            assert all(s.is_bulk for s in sources)
+            assert max(ahead) < 2 * _CHUNK, f"look-ahead {ahead} at t={t}"
+        assert min(s.packets_sent for s in sources) > 2 * _CHUNK

@@ -49,8 +49,16 @@ class TestPacketMix:
         assert mix.mean_size == 1000
 
     def test_bad_probabilities_rejected(self):
-        with pytest.raises(ValueError):
-            PacketMix(((100, 0.5), (200, 0.6)))
+        # Wrong sum; NaN (which passes a sum check); negative weights that
+        # sum to 1; an infinite weight.
+        for sizes_probs in (
+            ((100, 0.5), (200, 0.6)),
+            ((40, float("nan")),),
+            ((40, -0.5), (550, 1.5)),
+            ((40, float("inf")), (550, -float("inf"))),
+        ):
+            with pytest.raises(ValueError, match="probabilit"):
+                PacketMix(sizes_probs)
 
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError):
@@ -260,6 +268,12 @@ class TestValidation:
             ("modulation", (float("inf"), 0.1)),
             ("modulation", (1.0, float("nan"))),
             ("modulation", (1.0, float("inf"))),
+            # A NaN start hangs sim.run; a start before sim.now makes the
+            # bulk path fold arrivals in the past; a NaN stop was ignored.
+            ("start", float("nan")),
+            ("start", float("inf")),
+            ("start", -1.0),
+            ("stop", float("nan")),
         ],
     )
     def test_non_finite_argument_rejected(self, arg, value):
@@ -271,6 +285,23 @@ class TestValidation:
                 sim, net, net.forward_links[0], rng=np.random.default_rng(0),
                 **kwargs,
             )
+
+    def test_start_before_now_rejected_mid_run(self):
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(1e6)])
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="start"):
+            CrossTrafficSource(
+                sim, net, net.forward_links[0], 1e5, np.random.default_rng(0),
+                start=0.5,
+            )
+        # A mid-run attach starting now, and an infinite stop, are valid.
+        src = CrossTrafficSource(
+            sim, net, net.forward_links[0], 1e5, np.random.default_rng(0),
+            start=sim.now, stop=float("inf"),
+        )
+        sim.run(until=2.0)
+        assert src.packets_sent > 0
 
     def test_zero_sources_rejected(self):
         sim = Simulator()
