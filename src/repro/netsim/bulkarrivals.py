@@ -142,10 +142,16 @@ class CrossAggregator:
         (every source's first arrival lies strictly after registration,
         so no arrival can come due before that event runs).
         """
-        if self.link._agenda is not None:
+        link = self.link
+        if link._agenda is not None:
             # A planned probe stream snapshotted this link's cross arrivals
             # without the newcomer; its transit is no longer valid.
-            self.link._agenda.plan.revoke("source-registered")
+            link._agenda.plan.revoke("source-registered")
+        elif link._domain is not None:
+            # A flow-transit walk admits straight into link state, so
+            # nothing of it needs revoking; folding the due arrivals keeps
+            # them out of the rollback below, as a foreign send would.
+            link.sync()
         self._unmerge()
         feed = _Feed(source, order=len(self.feeds))
         self.feeds.append(feed)

@@ -28,13 +28,14 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   event, the active ``run(until=...)`` bound, now + horizon)``.  No real
   callback can therefore observe — or interfere with — virtual state
   that lies in its own future; there is no speculation and no rollback.
-* Each hop carries a *persistent* :class:`~repro.netsim.streamtransit.HopAgenda`
-  recording every virtual admission (time, size, accept, done).  At any
-  real sync point — a foreign ``Link.send`` (ping, per-packet cross), a
-  monitor's ``stats`` read, a backlog query — :meth:`Link._sync_fg`
-  interleaves those records with the cross arrays, so real link state,
-  ``LinkStats`` and drop decisions are bit-identical to the per-packet
-  path at every observation instant.
+* Every segment and ack is admitted straight into the real link's
+  state by :func:`~repro.netsim.hopfold.admit`: queue, backlog and
+  ``LinkStats``, with due cross arrivals folded first.  Since no real
+  callback runs inside a walk and every admission lies before the next
+  real event, a real reader — a foreign ``Link.send`` (ping, per-packet
+  cross), a monitor's ``stats`` read, a backlog query — sees exactly the
+  per-packet state at its own instant, with nothing left to replay; a
+  ping simply queues behind the flow's packets.
 * Flow state (cwnd, RTT estimators, receiver buffers) is mutated
   directly on the real ``TCPSender``/``TCPReceiver`` objects while their
   ``sim``/``network`` attributes are shimmed; because of the cap
@@ -72,7 +73,7 @@ from .engine import SimulationError
 from .fastpath import resolve_fast
 from .hopfold import admit
 from .packet import Packet, PacketKind
-from .streamtransit import HopAgenda, StreamPlan, _impure, plan_stream
+from .streamtransit import StreamPlan, _impure, plan_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..transport.probe import ProbeChannel, _StreamRun
@@ -191,12 +192,12 @@ class _FlowVNet:
 
     def send_forward(self, pkt, handler) -> bool:
         fs = self.fs
-        self.domain._send(fs.fwdv, pkt.size, (K_DATA, fs, pkt.seq, pkt.payload))
+        self.domain._send(fs.fwd, pkt.size, (K_DATA, fs, pkt.seq, pkt.payload))
         return True
 
     def send_reverse(self, pkt, handler) -> bool:
         fs = self.fs
-        self.domain._send(fs.revv, pkt.size, (K_ACK, fs, pkt.seq))
+        self.domain._send(fs.rev, pkt.size, (K_ACK, fs, pkt.seq))
         return True
 
     # Claim bookkeeping is a planner heuristic; attached flows hold no
@@ -208,72 +209,14 @@ class _FlowVNet:
         self.domain.network.release_per_packet()
 
 
-class _AgendaHook:
-    """``plan`` stand-in on the domain's persistent hop agendas.
-
-    ``Link.send``/``CrossAggregator.register`` call ``plan.revoke(...)``
-    at the interference chokepoints.  For the domain, a foreign send or a
-    source registration is *not* fatal — all recorded admissions lie at
-    or before now (cap invariant), so folding them (``link.sync()``)
-    re-establishes exactness and the walk continues next round.  Only a
-    link decommission dissolves the domain.
-    """
-
-    __slots__ = ("domain", "link")
-
-    def __init__(self, domain, link):
-        self.domain = domain
-        self.link = link
-
-    def revoke(self, reason: str) -> None:
-        if reason == "link-decommission":
-            self.domain.dissolve(reason)
-        else:  # "foreign-send" / "source-registered": fold and carry on
-            self.link.sync()
-
-
-class _VLink:
-    """Per-link virtual queue state, refreshed from the real link at the
-    start of every round (after a full ``sync()``); the ``hop`` that
-    :func:`~repro.netsim.hopfold.admit` reads and updates."""
-
-    __slots__ = (
-        "link",
-        "agenda",
-        "cap",
-        "sched",
-        "prop",
-        "buffer_bytes",
-        "agg",
-        "free_at",
-        "backlog",
-        "infl",
-        "vci",
-        # cached agenda arrays (compaction dels in place, so these stay valid)
-        "ap",
-        "aac",
-        "ad",
-        "asz",
-    )
-
-    def __init__(self, link, agenda):
-        self.link = link
-        self.agenda = agenda
-        self.infl = deque()
-        self.ap = agenda.pairs
-        self.aac = agenda.accepts
-        self.ad = agenda.dones
-        self.asz = agenda.sizes
-
-
 class _FlowState:
     """Domain-side bookkeeping for one attached TCP flow."""
 
     __slots__ = (
         "sender",
         "receiver",
-        "fwdv",
-        "revv",
+        "fwd",
+        "rev",
         "hdr",
         "ack_size",
         "flow_id",
@@ -304,7 +247,7 @@ class _StreamState:
         "sched",
         "n",
         "size",
-        "fwdv",
+        "fwd",
         "sender_read",
         "receiver_read",
         "resume_i",
@@ -316,8 +259,9 @@ class _DomainStreamPlan(StreamPlan):
 
     Deliveries are produced by the domain walk, so the plan itself holds
     no hop agendas; revocation (reachable only through defensive paths —
-    the chokepoints talk to the domain's own hooks) dissolves the whole
-    domain, which performs this plan's rewind along with everything else.
+    the link chokepoints dissolve the domain directly) dissolves the
+    whole domain, which performs this plan's rewind along with everything
+    else.
     """
 
     __slots__ = ("domain",)
@@ -349,9 +293,9 @@ class FlowTransitDomain:
         "_vnow",
         "_limit",
         "_walking",
-        "_vl",
         "_round_call",
         "_pmin",
+        "_rec",
     )
 
     def __init__(self, sim, network):
@@ -368,21 +312,15 @@ class FlowTransitDomain:
         self._walking = False
         self._round_call = None
         self._pmin = _INF
-        # One persistent agenda per distinct link (forward and reverse may
-        # share hops in exotic topologies; dedupe preserves order).
+        # Sanitize mode: this round's admissions, (link, t, size, done).
+        self._rec = None
+        # Each distinct link (forward and reverse may share hops in exotic
+        # topologies; dedupe preserves order) names the domain, so its
+        # configuration chokepoints can dissolve it.
         links = tuple(dict.fromkeys((*network.forward_links, *network.reverse_links)))
         self.links = links
-        self._vl = {}
         for link in links:
-            hook = _AgendaHook(self, link)
-            proto = Packet(40, flow_id="flow-transit", kind=PacketKind.DATA)
-            agenda = HopAgenda(
-                link, [], [], [], [], 0, proto, hook, sizes=[], persistent=True
-            )
-            agenda.t_end = _INF
-            agenda.ci_start = 0
-            link._agenda = agenda
-            self._vl[link] = _VLink(link, agenda)
+            link._domain = self
 
     # ------------------------------------------------------------------
     # Virtual scheduling
@@ -395,16 +333,16 @@ class FlowTransitDomain:
             self._kick(time)
         return vt
 
-    def _send(self, vlinks, size, tail) -> None:
+    def _send(self, links, size, tail) -> None:
         if self._walking:
-            self._hop_admit(vlinks, 0, self._vnow, size, tail)
+            self._hop_admit(links, 0, self._vnow, size, tail)
         else:
             # Out-of-walk send (e.g. the initial burst from ``start()``):
-            # defer admission into a round at the same instant, so it is
-            # computed against freshly synced link state.
+            # defer admission into a round at the same instant, so the
+            # walk's cap invariant covers it like every other admission.
             t = self.sim._now
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (t, q, K_XMIT, vlinks, size, tail))
+            heapq.heappush(self._vheap, (t, q, K_XMIT, links, size, tail))
             self._kick(t)
 
     def _defer(self, fn, *args):
@@ -429,30 +367,32 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Hop admission (the recursion itself is hopfold.admit)
     # ------------------------------------------------------------------
-    def _hop_admit(self, vlinks, hop: int, t: float, size: int, tail) -> None:
-        """Admit ``size`` bytes at ``vlinks[hop]`` at ``t``, record the
-        admission on the hop's agenda (the values ``Link._sync_fg`` later
-        replays), and queue the packet's next virtual event."""
-        vl = vlinks[hop]
-        done = admit(vl, t, size)
-        vl.ap.append(t)  # flow agendas record bare arrival times
-        vl.asz.append(size)
+    def _hop_admit(self, links, hop: int, t: float, size: int, tail) -> None:
+        """Admit ``size`` bytes into ``links[hop]`` at ``t`` and queue the
+        packet's next virtual event.
+
+        The admission goes straight into the real link's state; the cap
+        invariant keeps it at or before the next real event, so no reader
+        can see it early.  Under sanitize it is also recorded for
+        :meth:`_verify_round`.
+        """
+        link = links[hop]
+        done = admit(link, t, size)
+        rec = self._rec
+        if rec is not None:
+            rec.append((link, t, size, done))
         if done is None:
-            vl.aac.append(False)
-            vl.ad.append(0.0)
             return  # dropped: the packet silently vanishes, as on a real path
-        vl.aac.append(True)
-        vl.ad.append(done)
-        t_out = done + vl.prop
+        t_out = done + link.prop_delay
         self._vseq = q = self._vseq + 1
         hop += 1
-        if hop < len(vlinks):
-            heapq.heappush(self._vheap, (t_out, q, K_ADMIT, vlinks, hop, size, tail))
+        if hop < len(links):
+            heapq.heappush(self._vheap, (t_out, q, K_ADMIT, links, hop, size, tail))
         else:
             heapq.heappush(self._vheap, (t_out, q) + tail)
 
     # ------------------------------------------------------------------
-    # The round: snapshot, walk, reschedule
+    # The round: walk up to the cap, reschedule
     # ------------------------------------------------------------------
     def _round(self) -> None:
         self._round_call = None
@@ -490,35 +430,24 @@ class FlowTransitDomain:
         if t0 > now and t0 >= cap:
             self._round_call = sim.schedule_at(t0, self._round)
             return
-        sanitize = sim._sanitize
-        snaps = [] if sanitize else None
-        vls = self._vl
         for link in self.links:
-            link.sync()
-            vl = vls[link]
-            ag = vl.agenda
-            if ag.idx > 4096:
-                del ag.pairs[: ag.idx]
-                del ag.accepts[: ag.idx]
-                del ag.dones[: ag.idx]
-                del ag.sizes[: ag.idx]
-                ag.idx = 0
-            vl.cap = link.capacity_bps
-            vl.sched = link._cap_sched
-            vl.prop = link.prop_delay
-            vl.buffer_bytes = link.buffer_bytes
-            vl.free_at = link._free_at
-            vl.backlog = link._backlog_bytes
-            infl = vl.infl
-            infl.clear()
-            infl.extend(link._in_flight)
+            # The walk folds cross arrivals through the aggregator cursor
+            # and never compacts; trim the consumed prefix between walks.
             agg = link._agg
-            vl.agg = agg
-            vl.vci = agg.idx if agg is not None else 0
-            if sanitize:
-                snaps.append(
-                    (vl, vl.free_at, vl.backlog, tuple(infl), vl.vci, len(ag.pairs))
+            if agg is not None:
+                agg.compact()
+        snaps = None
+        if sim._sanitize:
+            snaps = [
+                (
+                    link, link._free_at, link._backlog_bytes,
+                    tuple(link._in_flight),
+                    link._agg.idx if link._agg is not None else 0,
+                    link._stats.snapshot(),
                 )
+                for link in self.links
+            ]
+            self._rec = []
         self._walking = True
         self._vnow = now
         self._limit = cap
@@ -565,8 +494,10 @@ class FlowTransitDomain:
             if self._pmin < _INF:
                 self._flush_pending()
             self._walking = False
-        if sanitize:
-            self._verify_round(snaps)
+        if snaps is not None:
+            recs = self._rec
+            self._rec = None
+            self._verify_round(snaps, recs)
         if not self.alive:
             return
         while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
@@ -685,7 +616,7 @@ class FlowTransitDomain:
         total = snd.total_bytes
         high = snd.high_water
         hdr = fs.hdr
-        fwdv = fs.fwdv
+        fwd = fs.fwd
         sent = 0
         while snd_nxt - ack + mss <= window:
             if total is not None:
@@ -707,7 +638,7 @@ class FlowTransitDomain:
             else:  # fresh segment: cannot already be tracked
                 infl[snd_nxt] = _SegmentInfo(snd_nxt, length, t)
             sent += 1
-            self._hop_admit(fwdv, 0, t, length + hdr, (K_DATA, fs, snd_nxt, length))
+            self._hop_admit(fwd, 0, t, length + hdr, (K_DATA, fs, snd_nxt, length))
             if rto_timer is None:
                 tp = t + rto
                 snd._rto_timer = rto_timer = _VTimer(tp, snd._on_rto, ())
@@ -762,7 +693,7 @@ class FlowTransitDomain:
             rcv.rcv_nxt = rcv_nxt
             rcv.delivered_log.append((t, rcv_nxt))
         rcv.acks_sent += 1
-        self._hop_admit(fs.revv, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
+        self._hop_admit(fs.rev, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
 
     # ------------------------------------------------------------------
     # Adopted probe streams
@@ -792,8 +723,7 @@ class FlowTransitDomain:
         ss.sched = sched
         ss.n = run.spec.n_packets
         ss.size = run.spec.packet_size
-        vls = self._vl
-        ss.fwdv = tuple(vls[link] for link in self.network.forward_links)
+        ss.fwd = self.network.forward_links
         ss.sender_read = channel.sender_clock.read
         ss.receiver_read = channel.receiver_clock.read
         ss.resume_i = None
@@ -817,7 +747,7 @@ class FlowTransitDomain:
             # the per-packet sender's reschedule-before-inject tie order.
             self._vseq = q = self._vseq + 1
             heapq.heappush(self._vheap, (ss.sched[j][0], q, K_SSEND, ss, j))
-        self._hop_admit(ss.fwdv, 0, t, ss.size, (K_SDELIV, ss, i))
+        self._hop_admit(ss.fwd, 0, t, ss.size, (K_SDELIV, ss, i))
 
     def _ev_sdeliv(self, t: float, ss: _StreamState, i: int) -> None:
         run = ss.run
@@ -848,9 +778,8 @@ class FlowTransitDomain:
         network = self.network
         fs.sender = sender
         fs.receiver = receiver
-        vls = self._vl
-        fs.fwdv = tuple(vls[link] for link in network.forward_links)
-        fs.revv = tuple(vls[link] for link in network.reverse_links)
+        fs.fwd = network.forward_links
+        fs.rev = network.reverse_links
         fs.hdr = cfg.header_bytes
         fs.mss = cfg.mss
         fs.adv = float(cfg.advertised_window_bytes)
@@ -1014,14 +943,14 @@ class FlowTransitDomain:
             sim.schedule_at(t, target, pkt)
         elif k == K_ADMIT:
             hop = ev[4]
-            links = tuple(vl.link for vl in ev[3])
+            links = ev[3]
             pkt, target = self._pkt_from_tail(ev[6])
             pkt.route = links
             pkt.hop = hop
             pkt.handler = target
             sim.schedule_at(t, links[hop].send, pkt)
         elif k == K_XMIT:
-            links = tuple(vl.link for vl in ev[3])
+            links = ev[3]
             pkt, target = self._pkt_from_tail(ev[5])
             pkt.route = links
             pkt.hop = 0
@@ -1041,7 +970,8 @@ class FlowTransitDomain:
         """Hand every flow and stream back to the per-packet machinery.
 
         All committed virtual state is at or before now (cap invariant),
-        so in-flight virtual packets materialize as ordinary events at
+        and every admission is already in the real links' state, so
+        in-flight virtual packets materialize as ordinary events at
         their already-exact times and the future replays per-packet: the
         sample path equals a never-planned run.
         """
@@ -1057,9 +987,8 @@ class FlowTransitDomain:
             rc.cancel()
             self._round_call = None
         for link in self.links:
-            if link._agenda is not None:
-                link.sync()
-                link._agenda = None
+            if link._domain is self:
+                link._domain = None
         vheap = self._vheap
         drained = sorted(vheap)
         vheap.clear()  # in place: walk-loop aliases must observe the drain
@@ -1109,36 +1038,51 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Sanitize-mode shadow verification
     # ------------------------------------------------------------------
-    def _verify_round(self, snaps) -> None:
-        """Independently replay this round's admissions per hop and raise
-        :class:`SimulationError` on any divergence from the recorded
-        agenda entries (the values real folds will later consume)."""
-        for vl, free_at, backlog, infl0, vci0, a0 in snaps:
-            ag = vl.agenda
-            an = len(ag.pairs)
-            if an == a0 and vl.vci == vci0:
+    def _verify_round(self, snaps, recs) -> None:
+        """Independently replay this round on every hop and raise
+        :class:`SimulationError` on any divergence.
+
+        ``snaps`` holds each link's state at the start of the round (free
+        time, backlog, in-flight deque, aggregator cursor, stats); ``recs``
+        every admission the walk made, as ``(link, t, size, done or
+        None)``.  The replay merges the cross arrivals the walk folded
+        with the recorded admissions (cross traffic wins exact-time ties)
+        and runs its own copy of the hop recursion -- one arrival at a
+        time, no deferred purge -- so a bug in the shared fold cannot hide
+        in its own mirror image.  It checks every verdict and done, the
+        end ``_free_at`` and the ``LinkStats`` deltas.
+        """
+        for link, free_at, backlog, infl0, ci0, stats0 in snaps:
+            fg = [
+                (t, 1, i, size, done)
+                for i, (lk, t, size, done) in enumerate(recs)
+                if lk is link
+            ]
+            agg = link._agg
+            ci1 = agg.idx if agg is not None else 0
+            if not fg and ci1 == ci0:
                 continue
-            agg = vl.agg
             cross = (
-                [(agg.times[ci], 0, ci) for ci in range(vci0, vl.vci)]
+                [(agg.times[ci], 0, ci, agg.sizes[ci], None) for ci in range(ci0, ci1)]
                 if agg is not None
                 else []
             )
-            fg = [(ag.pairs[i], 1, i) for i in range(a0, an)]
             infl = deque(infl0)
-            cap = vl.cap
-            sched = vl.sched
-            buffer_bytes = vl.buffer_bytes
-            link_name = vl.link.name
-            for t, tag, i in heapq.merge(cross, fg):
+            cap = link.capacity_bps
+            sched = link._cap_sched
+            buffer_bytes = link.buffer_bytes
+            name = link.name
+            fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
+            for t, tag, i, sz, done in heapq.merge(cross, fg):
                 while infl and infl[0][0] <= t:
                     backlog -= infl.popleft()[1]
-                sz = agg.sizes[i] if tag == 0 else ag.sizes[i]
                 if buffer_bytes is not None and backlog + sz > buffer_bytes:
-                    if tag == 1 and ag.accepts[i]:
+                    drop_bytes += sz
+                    drop_pkts += 1
+                    if tag == 1 and done is not None:
                         raise SimulationError(
-                            f"flow-transit shadow check: hop {link_name!r} "
-                            f"dropped admission {i} but the walk accepted it"
+                            f"flow-transit shadow check: hop {name!r} dropped "
+                            f"admission {i} but the walk accepted it"
                         )
                     continue
                 start = free_at if free_at > t else t
@@ -1147,23 +1091,37 @@ class FlowTransitDomain:
                 free_at = start + sz * 8.0 / cap
                 infl.append((free_at, sz))
                 backlog += sz
+                fwd_bytes += sz
+                fwd_pkts += 1
                 if tag == 1:
-                    if not ag.accepts[i]:
+                    if done is None:
                         raise SimulationError(
-                            f"flow-transit shadow check: hop {link_name!r} "
-                            f"accepted admission {i} but the walk dropped it"
+                            f"flow-transit shadow check: hop {name!r} accepted "
+                            f"admission {i} but the walk dropped it"
                         )
-                    if ag.dones[i] != free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
+                    if done != free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
                         raise SimulationError(
-                            f"flow-transit shadow check: hop {link_name!r} "
-                            f"admission {i} done {free_at!r} != recorded "
-                            f"{ag.dones[i]!r}"
+                            f"flow-transit shadow check: hop {name!r} "
+                            f"admission {i} done {free_at!r} != walked {done!r}"
                         )
-            if free_at != vl.free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
+            if free_at != link._free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
                 raise SimulationError(
-                    f"flow-transit shadow check: hop {link_name!r} end "
-                    f"free_at {free_at!r} != walked {vl.free_at!r}"
+                    f"flow-transit shadow check: hop {name!r} end "
+                    f"free_at {free_at!r} != walked {link._free_at!r}"
                 )
+            stats = link._stats.snapshot()
+            deltas = {
+                "bytes_forwarded": fwd_bytes,
+                "packets_forwarded": fwd_pkts,
+                "bytes_dropped": drop_bytes,
+                "packets_dropped": drop_pkts,
+            }
+            for key, delta in deltas.items():
+                if stats[key] - stats0[key] != delta:
+                    raise SimulationError(
+                        f"flow-transit shadow check: hop {name!r} {key} rose "
+                        f"by {stats[key] - stats0[key]}, replay counts {delta}"
+                    )
 
 
 # ----------------------------------------------------------------------

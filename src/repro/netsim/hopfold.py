@@ -14,9 +14,11 @@ Two entry points carry that recursion for the planners:
   with an optional sorted foreground sequence.  ``Link.sync`` and
   ``Link._sync_fg`` fold cross traffic alone; ``plan_stream`` passes a
   probe stream's arrivals at each hop.
-* :func:`admit` is the same step for one foreground arrival.  The
-  flow-transit walk needs it: acks and cwnd changes come between its
-  admissions, so it never has a slice to hand over.
+* :func:`admit` is the same step for one foreground arrival, applied
+  to a live :class:`~repro.netsim.link.Link`.  The flow-transit walk
+  needs it: acks and cwnd changes come between its admissions, so it
+  never has a slice to hand over, and its admissions never run ahead of
+  a real reader, so they go straight into the link's state.
 
 ``Link.send()`` keeps its own copy, because it is the per-packet
 reference every equality suite compares against.  So do the sanitize
@@ -32,7 +34,8 @@ Contract (bit-identity with ``Link.send()``):
 * The floating-point expressions and their order are those of
   ``send()``.
 * ``in_flight`` (a deque of ``(done, size)``, oldest first) is mutated
-  in place.  A planner, which must not touch link state, passes a copy.
+  in place.  The stream planner, which must not touch link state, passes
+  :func:`fold` a copy.
 * With an infinite buffer nothing can drop, so the per-arrival purge is
   deferred, and a transmission that finishes by ``until`` never enters
   ``in_flight``: completion times are monotone on a FIFO hop, so the
@@ -156,45 +159,58 @@ def fold(
     )
 
 
-def admit(hop, t, size):
-    """Admit one foreground arrival of ``size`` bytes at ``t``; return its
-    transmission-complete time, or ``None`` when drop-tail refuses it.
+def admit(link, t, size):
+    """Admit one foreground arrival of ``size`` bytes at ``t`` into the live
+    state of ``link``; return its transmission-complete time, or ``None``
+    when drop-tail refuses it.
 
-    ``hop`` holds the queue state ``free_at``, ``backlog`` and ``infl``
-    (the in-flight deque), which this call updates, and the link's
-    ``cap``, ``sched`` and ``buffer_bytes``.  Its ``agg`` (the link's
-    :class:`~repro.netsim.bulkarrivals.CrossAggregator`, or ``None``) and
-    ``vci`` (the cursor into the aggregator's merged arrivals) supply the
-    cross traffic, which is folded up to ``t`` first.  Cross drops are
-    not counted here: the link counts them when it folds the same
-    arrivals for real.
+    Cross arrivals at or before ``t`` on the link's
+    :class:`~repro.netsim.bulkarrivals.CrossAggregator` are folded first,
+    from its cursor ``idx``.  The call then updates ``_in_flight``,
+    ``_free_at`` and ``_backlog_bytes`` and counts every byte and packet
+    it forwards or drops, cross and foreground, in the link's
+    :class:`~repro.netsim.link.LinkStats` -- exactly what ``Link.send()``
+    does, minus the packet, the delivery event and the per-packet hooks.
     """
-    agg = hop.agg
+    stats = link._stats
+    agg = link._agg
     if agg is not None:
         if agg._horizon < t:
             agg.extend_until(t)
         times = agg.times
-        ci = hop.vci
+        ci = agg.idx
         if ci < len(times) and times[ci] <= t:
-            hop.vci, hop.free_at, hop.backlog = fold(
-                times, agg.sizes, ci, t, hop.free_at, hop.backlog, hop.infl,
-                hop.cap, hop.sched, hop.buffer_bytes,
-            )[:3]
-    infl = hop.infl
-    backlog = hop.backlog
+            (
+                agg.idx, link._free_at, link._backlog_bytes,
+                fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, _, _,
+            ) = fold(
+                times, agg.sizes, ci, t, link._free_at, link._backlog_bytes,
+                link._in_flight, link.capacity_bps, link._cap_sched,
+                link.buffer_bytes,
+            )
+            stats.bytes_forwarded += fwd_bytes
+            stats.packets_forwarded += fwd_pkts
+            stats.bytes_dropped += drop_bytes
+            stats.packets_dropped += drop_pkts
+    infl = link._in_flight
+    backlog = link._backlog_bytes
     while infl and infl[0][0] <= t:
         backlog -= infl.popleft()[1]
-    buffer_bytes = hop.buffer_bytes
+    buffer_bytes = link.buffer_bytes
     if buffer_bytes is not None and backlog + size > buffer_bytes:
-        hop.backlog = backlog
+        link._backlog_bytes = backlog
+        stats.bytes_dropped += size
+        stats.packets_dropped += 1
         return None
-    free_at = hop.free_at
+    free_at = link._free_at
     start = free_at if free_at > t else t
-    sched = hop.sched
+    sched = link._cap_sched
     done = start + size * 8.0 / (
-        hop.cap if sched is None else sched[1][bisect_right(sched[0], start)]
+        link.capacity_bps if sched is None else sched[1][bisect_right(sched[0], start)]
     )
     infl.append((done, size))
-    hop.free_at = done
-    hop.backlog = backlog + size
+    link._free_at = done
+    link._backlog_bytes = backlog + size
+    stats.bytes_forwarded += size
+    stats.packets_forwarded += 1
     return done

@@ -33,10 +33,20 @@ shares — before any foreground ``send()``, any
 Foreground packets therefore observe exactly the queue state the
 per-packet path would have produced.  :meth:`Link.send` keeps its own
 copy of the recursion: it is the per-packet reference the fold is
-tested against.  Installing a ``qdisc``, a
-``drop_hook``, or a new ``deliver`` callback on a link that carries bulk
-traffic automatically reverts its sources to the per-packet path (the
-future sample path is unchanged; see ``docs/performance.md``).
+tested against.
+
+Planned foreground traffic takes two routes into that state.  A planned
+probe stream runs ahead of real time, so its admissions wait on the
+hop's agenda and :meth:`_sync_fg` folds them in with the cross arrivals.
+The flow-transit walk never runs ahead of a real reader, so it admits
+TCP segments and acks straight into the live state
+(:func:`~repro.netsim.hopfold.admit`) and leaves nothing pending.
+
+Installing a ``qdisc``, a ``drop_hook``, or a new ``deliver`` callback
+on a link that carries bulk traffic automatically reverts its sources
+to the per-packet path, and hands planned streams and flows back to
+the per-packet path too (the future sample path is unchanged; see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -117,6 +127,7 @@ class Link:
         "_qdisc",
         "_agg",
         "_agenda",
+        "_domain",
         "_cap_sched",
         "_free_at",
         "_in_flight",
@@ -160,6 +171,7 @@ class Link:
         self._qdisc = qdisc
         self._agg = None  # CrossAggregator once bulk sources attach
         self._agenda = None  # HopAgenda while a planned probe stream transits
+        self._domain = None  # FlowTransitDomain while it plans flows across this hop
         self._cap_sched = None  # (boundaries, rates) piecewise-constant schedule
         self._free_at = 0.0  # when the transmitter becomes idle
         self._in_flight: deque = deque()  # (tx_done_time, size_bytes)
@@ -186,6 +198,8 @@ class Link:
     def deliver(self, fn: Optional[Callable[[Packet], None]]) -> None:
         if self._agenda is not None:
             self._agenda.plan.revoke("link-decommission")
+        if self._domain is not None:
+            self._domain.dissolve("link-decommission")
         if self._agg is not None:
             self._decommission()
         self._deliver = fn
@@ -201,6 +215,8 @@ class Link:
     def drop_hook(self, fn: Optional[Callable[[Packet], None]]) -> None:
         if self._agenda is not None:
             self._agenda.plan.revoke("link-decommission")
+        if self._domain is not None:
+            self._domain.dissolve("link-decommission")
         if self._agg is not None:
             self._decommission()
         self._drop_hook = fn
@@ -215,6 +231,8 @@ class Link:
     def qdisc(self, policy) -> None:
         if self._agenda is not None:
             self._agenda.plan.revoke("link-decommission")
+        if self._domain is not None:
+            self._domain.dissolve("link-decommission")
         if self._agg is not None:
             self._decommission()
         self._qdisc = policy
@@ -252,8 +270,8 @@ class Link:
 
         Installing a schedule is a planning chokepoint like rebinding
         ``deliver``: a planned probe stream in transit is revoked and
-        replayed per-packet (which also dissolves an attached flow
-        domain), because their plans assumed the old rate function.
+        replayed per-packet, and a flow-transit domain on this hop
+        dissolves, because their plans assumed the old rate function.
         Bulk cross traffic stays bulk — the folds look rates up per
         segment.  Reinstalling replaces the previous schedule; the rate
         currently in force becomes the rate before the first boundary.
@@ -279,6 +297,8 @@ class Link:
             raise ValueError("segment boundaries must be strictly increasing")
         if self._agenda is not None:
             self._agenda.plan.revoke("link-decommission")
+        if self._domain is not None:
+            self._domain.dissolve("link-decommission")
         # Fold everything due under the schedule in force until now; the
         # per-packet path would have admitted those arrivals before this
         # call ran, under the same (old) rate function.
@@ -309,7 +329,10 @@ class Link:
 
         While a planned probe stream transits this hop (``_agenda`` is
         set), folding goes through :meth:`_sync_fg`, which interleaves the
-        agenda's precomputed admissions with the cross arrivals.
+        agenda's precomputed admissions with the cross arrivals.  A
+        flow-transit walk leaves nothing to fold here: its admissions are
+        already in the live state, and any cross arrivals after the last
+        one fold like any others.
         """
         agenda = self._agenda
         if agenda is not None:
@@ -337,7 +360,7 @@ class Link:
                 stats.packets_forwarded += agenda.d_fwd_pkts
                 stats.bytes_dropped += agenda.d_drop_bytes
                 stats.packets_dropped += agenda.d_drop_pkts
-                agenda.idx = agenda.count()
+                agenda.idx = len(agenda.times)
                 self._agenda = None
                 if agg is None:
                     self._purge(t_now)
@@ -384,7 +407,8 @@ class Link:
         after any fold is bit-identical to the per-packet path's at the
         same instant.  Each entry sees the hop purged to its own arrival
         time, so the backlog it records is exactly the value the
-        per-packet ``send()`` would have traced or tested.
+        per-packet ``send()`` would have traced or tested.  The agenda
+        detaches once its last entry is folded.
         """
         agenda = self._agenda
         agg = self._agg
@@ -397,23 +421,15 @@ class Link:
             c_times = c_sizes = ()
             ci = 0
             cn = 0
-        a_pairs = agenda.pairs
+        a_times = agenda.times
         ai = agenda.idx
-        an = len(a_pairs)
-        a_sizes = agenda.sizes  # per-entry sizes (flow agendas); None = fixed
-        # Flow agendas (a_sizes is not None) store bare arrival times in
-        # ``pairs``; stream agendas store (time, schedule_index) tuples.
-        tupled = a_sizes is None
-        if ai < an:
-            a_t0 = a_pairs[ai][0] if tupled else a_pairs[ai]
-        else:
-            a_t0 = t_now
+        an = len(a_times)
         cross_due = ci < cn and c_times[ci] <= t_now
-        if not cross_due and (ai >= an or a_t0 > t_now):
+        if not cross_due and (ai >= an or a_times[ai] > t_now):
             return
         a_accepts = agenda.accepts
         a_dones = agenda.dones
-        a_size = agenda.size
+        size = agenda.size
         free_at = self._free_at
         backlog = self._backlog_bytes
         in_flight = self._in_flight
@@ -421,10 +437,7 @@ class Link:
         tracer = self._tracer
         inf = float("inf")
         while True:
-            if ai < an:
-                a_t = a_pairs[ai][0] if tupled else a_pairs[ai]
-            else:
-                a_t = inf
+            a_t = a_times[ai] if ai < an else inf
             stop = a_t if a_t < t_now else t_now
             if ci < cn and c_times[ci] <= stop:
                 ci, free_at, backlog, fb, fp, db, dp, _, _ = fold(
@@ -439,7 +452,6 @@ class Link:
                 break
             while in_flight and in_flight[0][0] <= a_t:
                 backlog -= in_flight.popleft()[1]
-            size = a_size if a_sizes is None else a_sizes[ai]
             if a_accepts is None or a_accepts[ai]:
                 done = a_dones[ai]
                 free_at = done
@@ -469,10 +481,7 @@ class Link:
             agg.idx = ci
             agg.compact()
         agenda.idx = ai
-        if ai >= an and not agenda.persistent:
-            # Persistent agendas (the flow-transit planner's) grow as the
-            # virtual walk advances; they are detached explicitly by their
-            # owner, never by fold exhaustion.
+        if ai >= an:
             self._agenda = None
 
     def _decommission(self) -> None:
@@ -535,6 +544,9 @@ class Link:
             # assumption.  Revoking folds the plan's past, replays its
             # future per-packet, and clears this link's agenda; the sample
             # path from here on is what a never-planned run produces.
+            # (A flow-transit domain needs no such check: its admissions
+            # are already in the live state, so this packet queues
+            # behind them.)
             self._agenda.plan.revoke("foreign-send")
         if self._agg is not None:
             self.sync(now)

@@ -86,14 +86,16 @@ _INF = float("inf")
 class HopAgenda:
     """One hop's queue of planned (not yet folded) probe admissions.
 
-    ``pairs`` holds ``(arrival_time, schedule_index)`` at this hop,
-    ``accepts`` the replayed drop-tail verdicts (``None`` when every
-    admission was accepted), ``dones`` the transmission-complete times
-    (the hop's ``_free_at`` after each accepted admission), and
-    ``exit_pairs`` the ``(hop_exit_time, schedule_index)`` of accepted
-    admissions — which is also the next hop's arrival list.  ``idx`` is
-    the fold cursor, advanced by :meth:`Link._sync_fg` exactly as the
-    aggregator's ``idx`` is for cross traffic.
+    ``times`` holds the stream's arrival times at this hop in admission
+    order, ``accepts`` the replayed drop-tail verdicts (``None`` when
+    every admission was accepted), ``dones`` the transmission-complete
+    times (the hop's ``_free_at`` after each accepted admission), and
+    ``_exit_t``/``_exit_i`` the hop-exit times and schedule indices of
+    accepted admissions -- which are also the next hop's arrival list.
+    ``idx`` is the fold cursor, advanced by :meth:`Link._sync_fg` exactly
+    as the aggregator's ``idx`` is for cross traffic.  Only planned probe
+    streams use agendas: they admit ahead of real time, while the
+    flow-transit walk admits into live link state.
 
     The ``end_*``/``d_*`` fields snapshot the hop's queue state and stats
     deltas at ``t_end`` (the last planned admission): when the first fold
@@ -104,17 +106,13 @@ class HopAgenda:
 
     __slots__ = (
         "link",
-        "_pairs",
-        "_pairs_t",
-        "_pairs_i",
+        "times",
         "accepts",
         "dones",
         "_exit_pairs",
         "_exit_t",
         "_exit_i",
         "size",
-        "sizes",
-        "persistent",
         "proto",
         "plan",
         "idx",
@@ -130,48 +128,20 @@ class HopAgenda:
         "d_drop_pkts",
     )
 
-    def __init__(
-        self,
-        link,
-        pairs,
-        accepts,
-        dones,
-        exit_pairs,
-        size,
-        proto,
-        plan,
-        sizes=None,
-        persistent=False,
-    ):
+    def __init__(self, link, times, accepts, dones, exit_t, exit_i, size, proto, plan):
         self.link = link
-        # ``pairs``/``exit_pairs`` may arrive pre-zipped (flow agendas,
-        # which mutate them in place) or as parallel time/index lists set
-        # by the stream planner after construction; the tupled views are
-        # then materialized only if a replay path actually reads them.
-        self._pairs = pairs
-        self._pairs_t = self._pairs_i = None
+        self.times = times
         self.accepts = accepts
         self.dones = dones
-        self._exit_pairs = exit_pairs
-        self._exit_t = self._exit_i = None
+        # The tupled ``exit_pairs`` view is zipped only if a replay path
+        # (revocation, the sanitize shadow) reads it.
+        self._exit_pairs = None
+        self._exit_t = exit_t
+        self._exit_i = exit_i
         self.size = size
-        # Probe-stream agendas carry fixed-size packets (``sizes is None``);
-        # flow-transit agendas mix segment and ack sizes per entry.
-        self.sizes = sizes
-        # Persistent agendas (flow-transit) grow over time and are detached
-        # by their owner, not by fold exhaustion; ``t_end`` is +inf so the
-        # wholesale fast-forward branch in Link.sync() never fires.
-        self.persistent = persistent
         self.proto = proto  # template Packet for fold-time drop tracing
         self.plan = plan
         self.idx = 0
-
-    @property
-    def pairs(self):
-        p = self._pairs
-        if p is None:
-            p = self._pairs = list(zip(self._pairs_t, self._pairs_i))
-        return p
 
     @property
     def exit_pairs(self):
@@ -179,11 +149,6 @@ class HopAgenda:
         if p is None:
             p = self._exit_pairs = list(zip(self._exit_t, self._exit_i))
         return p
-
-    def count(self) -> int:
-        """``len(self.pairs)`` without forcing materialization."""
-        p = self._pairs
-        return len(p) if p is not None else len(self._pairs_t)
 
 
 class StreamPlan:
@@ -384,9 +349,9 @@ def plan_stream(
     network = channel.network
     domain = getattr(network, "_flow_domain", None)
     if domain is not None and domain.alive:
-        # A flow-transit domain owns the hop agendas: probe streams are
-        # adopted into its virtual walk instead of planning solo, so a
-        # *planned* foreground flow no longer forces the per-packet path.
+        # A flow-transit domain plans this network's hops: probe streams
+        # are adopted into its virtual walk instead of planning solo, so
+        # a *planned* foreground flow no longer forces the per-packet path.
         return domain.adopt_stream(channel, run, done_event)
     prev = network._plan
     if prev is not None:
@@ -455,13 +420,9 @@ def plan_stream(
                 else:
                     drop_hop[i] = h
         proto = Packet(size, flow_id=run.flow_id, kind=PacketKind.PROBE)
-        agenda = HopAgenda(link, None, a_accepts, a_dones, None, size, proto, plan)
-        # Parallel-list views; the tupled ``pairs``/``exit_pairs`` are
-        # zipped lazily only if a replay path reads them.
-        agenda._pairs_t = cur_t
-        agenda._pairs_i = cur_i
-        agenda._exit_t = nxt_t
-        agenda._exit_i = nxt_i
+        agenda = HopAgenda(
+            link, cur_t, a_accepts, a_dones, nxt_t, nxt_i, size, proto, plan
+        )
         agenda.t_end = t_end
         agenda.ci_start = ci
         agenda.ci_end = ci_end

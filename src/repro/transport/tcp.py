@@ -21,6 +21,8 @@ halves, and the sawtooth repeats.
 
 from __future__ import annotations
 
+import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -74,11 +76,37 @@ class TCPConfig:
     delack_timeout: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.mss <= 0:
-            raise ValueError(f"mss must be positive, got {self.mss}")
-        if self.dupack_threshold < 1:
+        # Sizes and counts must be whole: a fractional mss turns sequence
+        # numbers into floats, a fractional dupack threshold is never met,
+        # and NaN or a window below one segment silently sends nothing.
+        for name in ("mss", "header_bytes", "initial_cwnd_segments", "dupack_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        adv = self.advertised_window_bytes
+        if not isinstance(adv, numbers.Integral) or adv < self.mss:
             raise ValueError(
-                f"dupack threshold must be >= 1, got {self.dupack_threshold}"
+                f"advertised_window_bytes must be an integer >= mss "
+                f"({self.mss}), got {adv!r}"
+            )
+        ssthresh = self.initial_ssthresh_bytes
+        if ssthresh is not None and (
+            not isinstance(ssthresh, numbers.Integral) or ssthresh < 1
+        ):
+            raise ValueError(
+                f"initial_ssthresh_bytes must be None or an integer >= 1, "
+                f"got {ssthresh!r}"
+            )
+        # Comparisons with NaN are False, so these also reject NaN.  A zero
+        # initial RTO re-fires at the same instant forever; NaN timers and
+        # negative delays split the planned and per-packet paths.
+        if not 0 < self.initial_rto < math.inf:
+            raise ValueError(
+                f"initial_rto must be finite and > 0, got {self.initial_rto}"
+            )
+        if not 0 <= self.delack_timeout < math.inf:
+            raise ValueError(
+                f"delack_timeout must be finite and >= 0, got {self.delack_timeout}"
             )
         if not 0 < self.min_rto <= self.max_rto:
             raise ValueError("need 0 < min_rto <= max_rto")

@@ -1,13 +1,15 @@
 """Generated fuzz of the public constructors.
 
 Every numeric argument of ``Link``, ``CrossTrafficSource`` (with its
-``PacketMix``), ``PathloadConfig`` and ``Scale`` is drawn from NaN, ±inf,
-a negative value, zero and ordinary values.  Each example must either
-raise ``ValueError`` or construct an object that works: a link or a
-source then carries traffic and ``sim.run(until=0.5)`` must reach its end,
-and a configuration holds only finite numbers.  A wall-clock alarm turns
-a hang (a NaN start time never comes due) into a failure instead of a
-stalled suite.
+``PacketMix``), ``PathloadConfig``, ``Scale`` and ``TCPConfig`` is drawn
+from NaN, ±inf, a negative value, zero and ordinary values.  Each example
+must either raise ``ValueError`` or construct an object that works: a
+link or a source then carries traffic and ``sim.run(until=0.5)`` must
+reach its end, a configuration holds only finite numbers, and a TCP
+configuration carries a transfer to the end of its run with the same
+sender and receiver state on the planned and the per-packet path.  A
+wall-clock alarm turns a hang (a NaN start time never comes due) into a
+failure instead of a stalled suite.
 """
 
 import dataclasses
@@ -26,6 +28,9 @@ from repro.netsim import LinkSpec, PacketMix, Simulator, build_path
 from repro.netsim.crosstraffic import CrossTrafficSource
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
+from repro.transport.tcp import TCPConfig, open_connection
+
+from .test_flowtransit import flow_state
 
 #: Wall-clock budget of one example; a legitimate one takes milliseconds.
 _ALARM_S = 3
@@ -199,6 +204,59 @@ def test_scale(runs, interval, full):
         return
     assert isinstance(scale.runs, int) and scale.runs >= 1
     assert 0 < scale.interval < math.inf
+
+
+#: The values :func:`_numbers` draws besides ordinary ones.
+_ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0]
+
+
+def _mostly(ordinary, *odd):
+    """An ``ordinary`` draw three times in four, else NaN, ±inf, -1, 0 or
+    one of ``odd``: a config has nine fuzzed fields, and at even odds
+    almost every example would fail on one of them."""
+    return st.one_of(ordinary, ordinary, ordinary, st.sampled_from(_ODD + list(odd)))
+
+
+def _tcp_transfer(cfg, fast):
+    """Sender and receiver state after a 200 kB transfer over a 10 Mb/s
+    hop with a 30 kB buffer, run to t = 5 s."""
+    sim = Simulator()
+    net = build_path(sim, [LinkSpec(10e6, prop_delay=5e-3, buffer_bytes=30_000)])
+    snd, rcv = open_connection(
+        sim, net, config=cfg, total_bytes=200_000, start=0.0, fast=fast
+    )
+    sim.run(until=5.0)
+    return flow_state(snd, rcv)
+
+
+@given(
+    overrides=st.fixed_dictionaries(
+        {},
+        optional={
+            "mss": _mostly(st.integers(500, 1460), 1460.5),
+            "header_bytes": _mostly(st.integers(1, 60), -40, 40.5),
+            "initial_cwnd_segments": _mostly(st.integers(1, 4), 1.5),
+            "initial_ssthresh_bytes": st.one_of(
+                st.none(), _mostly(st.integers(1, 60_000), 3000.5)
+            ),
+            "advertised_window_bytes": _mostly(st.integers(0, 100_000), 30_000.5),
+            "dupack_threshold": _mostly(st.integers(1, 5), 2.5),
+            "initial_rto": _mostly(st.floats(0.01, 3.0)),
+            "delayed_ack": st.booleans(),
+            "delack_timeout": _mostly(st.floats(0.0, 0.5), -0.1),
+        },
+    )
+)
+@_FUZZ
+def test_tcp_config(overrides):
+    cfg = _constructs(lambda: TCPConfig(**overrides))
+    if cfg is None:
+        return
+    with _deadline():
+        planned = _tcp_transfer(cfg, True)
+        per_packet = _tcp_transfer(cfg, False)
+    assert planned == per_packet
+    assert planned[0] > 0, "the transfer never had a byte acknowledged"
 
 
 def test_alarm_fails_a_hang():

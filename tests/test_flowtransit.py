@@ -18,11 +18,14 @@ adopted into the domain's walk instead of being refused with
 ``foreground-active``.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.probing import StreamSpec
 from repro.netsim import LinkSpec, Simulator, attach_cross_traffic, build_path
+from repro.netsim.engine import SimulationError
 from repro.netsim.qdisc import REDQueue
 from repro.netsim.topologies import build_single_hop_path
 from repro.transport.probe import ProbeChannel
@@ -72,11 +75,15 @@ def run_flow(
     mutate=None,
     second_flow_at=None,
     schedule=None,
+    reads=None,
+    read_at=(),
 ):
     """One TCP transfer (plus optional concurrent probe streams).
 
     ``schedule`` installs the same capacity schedule on every forward
-    link before the transfer starts.
+    link before the transfer starts.  At each instant of ``read_at`` a
+    real callback appends to ``reads`` what a monitor sees on every
+    forward and reverse link: stats, backlog and queueing delay.
     """
     sim = Simulator(sanitize=sanitize)
     specs = [
@@ -142,6 +149,17 @@ def run_flow(
             sim.schedule_at(stream_start + 0.0513 * i, launch, i)
     if mutate_at is not None:
         sim.schedule_at(mutate_at, mutate, net)
+
+    def read():
+        reads.append(
+            tuple(
+                (lk.stats.snapshot(), lk.backlog_bytes(), lk.queueing_delay())
+                for lk in (*net.forward_links, *net.reverse_links)
+            )
+        )
+
+    for t in read_at:
+        sim.schedule_at(t, read)
     sim.run(until=until)
     states = tuple(flow_state(s, r) for s, r in flows)
     stats = tuple(lk.stats.snapshot() for lk in net.forward_links)
@@ -190,11 +208,68 @@ class TestEquality:
         st2, s2, _, _, _ = run_flow(True, sanitize=False, utilization=0.3)
         assert st1 == st2 and s1 == s2
 
+    @pytest.mark.parametrize("n_streams", [0, 2])
+    @pytest.mark.parametrize("util", [0.0, 0.3])
+    @pytest.mark.parametrize("buf", [None, 25_000])
+    def test_real_reads_see_per_packet_state(self, buf, util, n_streams):
+        # The walk admits straight into live link state, so a real reader
+        # at any instant -- in slow start, mid-transfer, during the probe
+        # streams, after the transfer -- must see on every forward and
+        # reverse link exactly what the per-packet path shows there.
+        read_at = (0.0100123, 0.0600457, 0.0900789, 0.2500123, 0.4000456, 1.6001234)
+        kwargs = dict(
+            buffer_bytes=buf, utilization=util, n_streams=n_streams,
+            read_at=read_at,
+        )
+        readsf, readss = [], []
+        stf, sf, mf, netf, chf = run_flow(True, reads=readsf, **kwargs)
+        sts, ss, ms, nets, _ = run_flow(False, reads=readss, **kwargs)
+        assert len(readsf) == len(read_at)
+        assert len(readsf[0]) == len(netf.forward_links) + len(netf.reverse_links) == 2
+        assert readsf == readss
+        assert (stf, sf, mf) == (sts, ss, ms)
+        assert netf._ft_flows == 1
+        if n_streams:
+            assert chf.fastpath_streams == n_streams
+
     def test_flow_spans_recorded(self):
         _, _, _, net, _ = run_flow(True, total_bytes=100_000)
         assert len(net._ft_spans) == 1
         t0, t1, flow_id, segments = net._ft_spans[0]
         assert t1 > t0 and segments > 0
+
+
+class TestShadow:
+    @pytest.mark.parametrize("mutant", ["shift-done", "drop-accepted", "skip-stats"])
+    def test_shadow_detects_walk_corruption(self, monkeypatch, mutant):
+        # Corrupt one admission of the walk, after a few dozen good ones:
+        # the sanitize shadow must notice a done off by 1e-9, a segment
+        # the buffer accepted but the walk dropped, and LinkStats left
+        # without the admission's counts.
+        import repro.netsim.flowtransit as ft
+
+        real = ft.admit
+        state = {"calls": 0, "hit": False}
+
+        def corrupt(link, t, size):
+            state["calls"] += 1
+            before = link._stats.snapshot()
+            done = real(link, t, size)
+            if state["hit"] or state["calls"] < 50 or done is None or size != 1500:
+                return done
+            state["hit"] = True
+            if mutant == "shift-done":
+                return done + 1e-9
+            if mutant == "drop-accepted":
+                return None
+            for key, value in before.items():  # skip-stats
+                setattr(link._stats, key, value)
+            return done
+
+        monkeypatch.setattr(ft, "admit", corrupt)
+        with pytest.raises(SimulationError, match="shadow"):
+            run_flow(True, sanitize=True, buffer_bytes=25_000, total_bytes=200_000)
+        assert state["hit"]
 
 
 # ----------------------------------------------------------------------
@@ -370,14 +445,18 @@ class TestRevocation:
 # Figure-level regression: the Section VII point run
 # ----------------------------------------------------------------------
 class TestFigurePointRun:
-    def test_fig15_point_run_bit_identical(self, monkeypatch):
-        # The full figs 15-16 testbed — BTC intervals, window-limited
-        # background flows, pinger, MRTG monitor — must report the same
-        # rows whether its TCP rides the planner or the per-packet path.
-        from repro.experiments.fig15_16_btc import _simulate
-
+    @pytest.mark.parametrize("seed", [150, 170])
+    @pytest.mark.parametrize("figure", ["fig15_16_btc", "fig17_18_intrusiveness"])
+    def test_point_run_bit_identical(self, monkeypatch, figure, seed):
+        # The full Section VII testbed — window-limited background flows,
+        # pinger, MRTG monitor, with BTC (figs 15-16) or pathload and its
+        # 0.1 s pings (figs 17-18) in intervals B and D — must report the
+        # same rows in every layout: planned, per-packet, Python merge.
+        simulate = importlib.import_module(f"repro.experiments.{figure}")._simulate
         monkeypatch.delenv("REPRO_NO_FAST", raising=False)
-        rows_fast = _simulate(seed=150, interval=12.0)
-        monkeypatch.setenv("REPRO_NO_FAST", "1")
-        rows_slow = _simulate(seed=150, interval=12.0)
-        assert rows_fast == rows_slow
+        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
+        rows = simulate(seed=seed, interval=12.0)
+        for env in ("REPRO_NO_FAST", "REPRO_NO_VECTOR"):
+            monkeypatch.setenv(env, "1")
+            assert simulate(seed=seed, interval=12.0) == rows, env
+            monkeypatch.delenv(env)

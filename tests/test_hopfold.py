@@ -3,9 +3,11 @@
 ``fold`` and ``admit`` must give ``==`` completion times, drop verdicts,
 counters and end state to a real :class:`Link` fed the same arrivals one
 ``send()`` at a time, the per-packet reference every planner is held to.
-The link folds, the stream planner and the flow-transit walk all call
-these two functions, so this one generated test stands in for per-site
-loop proofs.
+``admit`` works on a second real link, started from the reference's
+state after the prefix, so its ``LinkStats`` are compared too.  The link
+folds, the stream planner and the flow-transit walk all call these two
+functions, so this one generated test stands in for per-site loop
+proofs.
 """
 
 import math
@@ -15,6 +17,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netsim.bulkarrivals import CrossAggregator
 from repro.netsim.engine import Simulator
 from repro.netsim.hopfold import admit, fold
 from repro.netsim.link import Link
@@ -143,22 +146,27 @@ def test_fold_and_admit_match_per_packet_send(sc):
     else:
         assert accepts == [ok for _fg, ok, _done, _start in fg_log]
 
-    # admit: one call per foreground arrival, per-entry sizes, then the
-    # trailing cross arrivals folded to ``until``.
+    # admit: one call per foreground arrival, per-entry sizes, into a
+    # real link that starts from the reference's state after the prefix
+    # and holds the cross arrivals in an aggregator; then the trailing
+    # cross arrivals folded to ``until`` by ``sync``.
     link, snap, log = _reference(sc, sc.fg_sizes, _schedule(sc, sc.fg_sizes))
     free_at, backlog, in_flight = snap["state"]
-    hop = SimpleNamespace(
-        free_at=free_at, backlog=backlog, infl=in_flight, cap=link.capacity_bps,
-        sched=link._cap_sched, buffer_bytes=sc.buffer_bytes, vci=sc.prefix,
-        agg=SimpleNamespace(times=sc.cross_t, sizes=sc.cross_s, _horizon=math.inf),
-    )
-    got = [admit(hop, t, size) for t, size in zip(sc.fg, sc.fg_sizes)]
-    hop.vci, hop.free_at, hop.backlog = fold(
-        sc.cross_t, sc.cross_s, hop.vci, sc.until, hop.free_at, hop.backlog,
-        hop.infl, hop.cap, hop.sched, hop.buffer_bytes,
-    )[:3]
+    live = Link(Simulator(), sc.cap, buffer_bytes=sc.buffer_bytes)
+    live._cap_sched = link._cap_sched
+    live._free_at, live._backlog_bytes, live._in_flight = free_at, backlog, in_flight
+    for key, value in snap["stats"].items():
+        setattr(live._stats, key, value)
+    agg = CrossAggregator(live.sim, live)
+    agg.times, agg.sizes, agg.idx = list(sc.cross_t), list(sc.cross_s), sc.prefix
+    agg._horizon = math.inf
+    live._agg = agg
+    got = [admit(live, t, size) for t, size in zip(sc.fg, sc.fg_sizes)]
+    live.sync(sc.until)
+    live._purge(sc.until)
     assert got == [done if ok else None for is_fg, ok, done, _start in log if is_fg]
-    assert hop.vci == n_cross
-    assert (hop.free_at, hop.backlog, list(hop.infl)) == (
+    assert agg.idx == n_cross
+    assert (live._free_at, live._backlog_bytes, list(live._in_flight)) == (
         link._free_at, link._backlog_bytes, list(link._in_flight)
     )
+    assert live._stats.snapshot() == link._stats.snapshot()

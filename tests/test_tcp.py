@@ -1,5 +1,7 @@
 """Tests for the TCP Reno/NewReno implementation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,46 @@ class TestValidation:
     def test_bad_rto_bounds(self):
         with pytest.raises(ValueError):
             TCPConfig(min_rto=2.0, max_rto=1.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial_rto", 0.0),  # re-fires at t = 0 forever
+            ("initial_rto", math.nan),  # planned and per-packet paths split
+            ("initial_rto", -1.0),
+            ("initial_rto", math.inf),
+            ("delack_timeout", math.nan),  # the planned path hung
+            ("delack_timeout", -0.1),  # the per-packet path raised mid-run
+            ("delack_timeout", math.inf),
+            ("header_bytes", 0),
+            ("header_bytes", -40),
+            ("initial_cwnd_segments", 0),  # never sends
+            ("advertised_window_bytes", 0),
+            ("advertised_window_bytes", 1000),  # below one mss: never sends
+            ("mss", math.nan),
+            ("mss", math.inf),
+            ("mss", 1460.5),  # float sequence numbers
+            ("dupack_threshold", 2.5),  # fast retransmit never fires
+            ("dupack_threshold", 0),
+            ("initial_ssthresh_bytes", 0),
+            ("initial_ssthresh_bytes", math.nan),
+            ("initial_ssthresh_bytes", 1500.5),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TCPConfig(delayed_ack=True, **{field: value})
+
+    def test_edge_values_accepted(self):
+        cfg = TCPConfig(
+            mss=500,
+            header_bytes=1,
+            initial_cwnd_segments=1,
+            advertised_window_bytes=500,
+            dupack_threshold=1,
+            initial_rto=1e-3,
+            delayed_ack=True,
+            delack_timeout=0.0,
+            initial_ssthresh_bytes=1,
+        )
+        assert cfg.advertised_window_bytes == cfg.mss
