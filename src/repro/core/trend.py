@@ -81,6 +81,13 @@ def median_groups(owds: Sequence[float], n_groups: Optional[int] = None) -> np.n
     consecutive measurements and returns the per-group medians.  Trailing
     measurements that do not fill a complete group are folded into the last
     group, so no data is discarded.
+
+    The equal-size groups are sorted as rows of one array, and their
+    medians are read off the middle columns exactly as ``np.median``
+    computes them: ``+ 0.0`` turns a sorted ``-0.0`` into the ``+0.0``
+    that ``np.median`` returns, and a row holding NaN has median NaN.
+    Only a last group enlarged by trailing measurements goes through
+    ``np.median``.
     """
     owds = np.asarray(owds, dtype=np.float64)
     k = len(owds)
@@ -93,11 +100,18 @@ def median_groups(owds: Sequence[float], n_groups: Optional[int] = None) -> np.n
     if n_groups > k:
         n_groups = k
     group_size = k // n_groups
-    medians = np.empty(n_groups, dtype=np.float64)
-    for g in range(n_groups):
-        start = g * group_size
-        end = (g + 1) * group_size if g < n_groups - 1 else k
-        medians[g] = np.median(owds[start:end])
+    n_rows = n_groups if n_groups * group_size == k else n_groups - 1
+    rows = np.sort(owds[: n_rows * group_size].reshape(n_rows, group_size), axis=1)
+    m = group_size // 2
+    if group_size % 2:
+        medians = rows[:, m] + 0.0
+    else:
+        medians = ((rows[:, m - 1] + 0.0) + rows[:, m]) / 2.0
+    nan_rows = np.isnan(rows[:, -1])  # sorting puts NaN last
+    if nan_rows.any():
+        medians[nan_rows] = rows[nan_rows, -1]
+    if n_rows < n_groups:
+        medians = np.append(medians, np.median(owds[n_rows * group_size :]))
     return medians
 
 

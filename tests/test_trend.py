@@ -1,8 +1,10 @@
 """Unit and property tests for PCT/PDT trend detection."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.trend import (
@@ -38,6 +40,32 @@ class TestMedianGroups:
         owds[5] = 1e9  # one wild outlier
         medians = median_groups(owds)
         assert np.all(medians == 1.0)
+
+    @given(
+        owds=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0]),
+                st.sampled_from([1.0, -1.0, 2.5, float("nan")]),
+                st.floats(-1e3, 1e3),
+            ),
+            min_size=2,
+            max_size=130,
+        ),
+        n_groups=st.one_of(st.none(), st.integers(2, 140)),
+    )
+    # np.median returns +0.0 where both middle values of a group are -0.0.
+    @example(owds=[-0.0] * 6, n_groups=2)
+    @example(owds=[-0.0] * 8, n_groups=2)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_per_group_np_median_bit_for_bit(self, owds, n_groups):
+        # Ties, signed zeros and NaN groups included: each median must be
+        # the very bytes np.median gives for its group.
+        k = len(owds)
+        g = max(2, math.isqrt(k)) if n_groups is None else min(n_groups, k)
+        size = k // g
+        bounds = [(i * size, (i + 1) * size if i < g - 1 else k) for i in range(g)]
+        expected = np.array([np.median(np.asarray(owds[a:b])) for a, b in bounds])
+        assert median_groups(owds, n_groups).tobytes() == expected.tobytes()
 
     def test_too_few_owds_raises(self):
         with pytest.raises(ValueError):
