@@ -149,8 +149,8 @@ class CrossAggregator:
             link._agenda.plan.revoke("source-registered")
         elif link._domain is not None:
             # A flow-transit walk admits straight into link state, so
-            # nothing of it needs revoking; folding the due arrivals keeps
-            # them out of the rollback below, as a foreign send would.
+            # nothing needs revoking; fold the arrivals already due, so
+            # the rollback below holds only future ones.
             link.sync()
         self._unmerge()
         feed = _Feed(source, order=len(self.feeds))

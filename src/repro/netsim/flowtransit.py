@@ -28,9 +28,10 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   event, the active ``run(until=...)`` bound, now + horizon)``.  No real
   callback can therefore observe — or interfere with — virtual state
   that lies in its own future; there is no speculation and no rollback.
-* Every segment and ack is admitted straight into the real link's
-  state by :func:`~repro.netsim.hopfold.admit`: queue, backlog and
-  ``LinkStats``, with due cross arrivals folded first.  Since no real
+* Every segment, ack and adopted probe packet is admitted straight
+  into the real link's state by :func:`~repro.netsim.hopfold.admit`:
+  queue, backlog and ``LinkStats``, with due cross arrivals folded
+  first.  Since no real
   callback runs inside a walk and every admission lies before the next
   real event, a real reader — a foreign ``Link.send`` (ping, per-packet
   cross), a monitor's ``stats`` read, a backlog query — sees exactly the
@@ -123,9 +124,8 @@ K_ADMIT = 0  # (t, q, K_ADMIT, links, hop, size, tail): arrival at links[hop]
 K_DATA = 1  # (t, q, K_DATA, fs, seq, length): segment delivery at receiver
 K_ACK = 2  # (t, q, K_ACK, fs, ack): cumulative-ACK delivery at sender
 K_TIMER = 3  # (t, q, K_TIMER, vt): shimmed sim.schedule() callback
-K_XMIT = 4  # (t, q, K_XMIT, links, size, tail): out-of-walk send at t
-K_SSEND = 5  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
-K_SDELIV = 6  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
+K_SSEND = 4  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
+K_SDELIV = 5  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
 
 # transport.tcp imports this module, so its segment bookkeeping class is
 # resolved lazily on first attach.
@@ -342,7 +342,7 @@ class FlowTransitDomain:
             # walk's cap invariant covers it like every other admission.
             t = self.sim._now
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (t, q, K_XMIT, links, size, tail))
+            heapq.heappush(self._vheap, (t, q, K_ADMIT, links, 0, size, tail))
             self._kick(t)
 
     def _defer(self, fn, *args):
@@ -484,8 +484,6 @@ class FlowTransitDomain:
                         vt.fn(*vt.args)
                 elif k == K_ADMIT:
                     self._hop_admit(ev[3], ev[4], t, ev[5], ev[6])
-                elif k == K_XMIT:
-                    self._hop_admit(ev[3], 0, t, ev[4], ev[5])
                 elif k == K_SSEND:
                     self._ev_ssend(t, ev[3], ev[4])
                 else:  # K_SDELIV
@@ -881,9 +879,6 @@ class FlowTransitDomain:
             elif k == K_ADMIT:
                 tail = ev[6]
                 (owned if tail[0] != K_SDELIV and tail[1] is fs else kept).append(ev)
-            elif k == K_XMIT:
-                tail = ev[5]
-                (owned if tail[0] != K_SDELIV and tail[1] is fs else kept).append(ev)
             else:
                 kept.append(ev)
         if not owned:
@@ -949,13 +944,6 @@ class FlowTransitDomain:
             pkt.hop = hop
             pkt.handler = target
             sim.schedule_at(t, links[hop].send, pkt)
-        elif k == K_XMIT:
-            links = ev[3]
-            pkt, target = self._pkt_from_tail(ev[5])
-            pkt.route = links
-            pkt.hop = 0
-            pkt.handler = target
-            sim.schedule_at(t, links[0].send, pkt)
         elif k == K_SSEND:
             ss, i = ev[3], ev[4]
             if ss.resume_i is None or i < ss.resume_i:
@@ -1110,18 +1098,18 @@ class FlowTransitDomain:
                     f"free_at {free_at!r} != walked {link._free_at!r}"
                 )
             stats = link._stats.snapshot()
-            deltas = {
+            rose = {key: stats[key] - stats0[key] for key in stats}
+            replay = {
                 "bytes_forwarded": fwd_bytes,
                 "packets_forwarded": fwd_pkts,
                 "bytes_dropped": drop_bytes,
                 "packets_dropped": drop_pkts,
             }
-            for key, delta in deltas.items():
-                if stats[key] - stats0[key] != delta:
-                    raise SimulationError(
-                        f"flow-transit shadow check: hop {name!r} {key} rose "
-                        f"by {stats[key] - stats0[key]}, replay counts {delta}"
-                    )
+            if rose != replay:
+                raise SimulationError(
+                    f"flow-transit shadow check: hop {name!r} stats rose by "
+                    f"{rose}, replay counts {replay}"
+                )
 
 
 # ----------------------------------------------------------------------
