@@ -360,7 +360,6 @@ class Link:
                 stats.packets_forwarded += agenda.d_fwd_pkts
                 stats.bytes_dropped += agenda.d_drop_bytes
                 stats.packets_dropped += agenda.d_drop_pkts
-                agenda.idx = len(agenda.times)
                 self._agenda = None
                 if agg is None:
                     self._purge(t_now)

@@ -79,7 +79,9 @@ class TCPConfig:
         # Sizes and counts must be whole: a fractional mss turns sequence
         # numbers into floats, a fractional dupack threshold is never met,
         # and NaN or a window below one segment silently sends nothing.
-        for name in ("mss", "header_bytes", "initial_cwnd_segments", "dupack_threshold"):
+        for name in (
+            "mss", "header_bytes", "initial_cwnd_segments", "dupack_threshold"
+        ):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
