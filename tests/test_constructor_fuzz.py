@@ -38,11 +38,13 @@ _ALARM_S = 3
 _FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 
+#: NaN, +inf, -inf, a negative value and zero.
+_ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0]
+
+
 def _numbers(ordinary):
-    """NaN, +inf, -inf, a negative value, zero, or an ``ordinary`` draw."""
-    return st.one_of(
-        st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]), ordinary
-    )
+    """One of :data:`_ODD`, or an ``ordinary`` draw."""
+    return st.one_of(st.sampled_from(_ODD), ordinary)
 
 
 class _Hang(Exception):
@@ -204,10 +206,6 @@ def test_scale(runs, interval, full):
         return
     assert isinstance(scale.runs, int) and scale.runs >= 1
     assert 0 < scale.interval < math.inf
-
-
-#: The values :func:`_numbers` draws besides ordinary ones.
-_ODD = [math.nan, math.inf, -math.inf, -1.0, 0.0]
 
 
 def _mostly(ordinary, *odd):

@@ -223,7 +223,7 @@ class TestEquality:
         )
         readsf, readss = [], []
         stf, sf, mf, netf, chf = run_flow(True, reads=readsf, **kwargs)
-        sts, ss, ms, nets, _ = run_flow(False, reads=readss, **kwargs)
+        sts, ss, ms, _, _ = run_flow(False, reads=readss, **kwargs)
         assert len(readsf) == len(read_at)
         assert len(readsf[0]) == len(netf.forward_links) + len(netf.reverse_links) == 2
         assert readsf == readss
