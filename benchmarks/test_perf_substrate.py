@@ -289,8 +289,8 @@ def _stream_transit_workload(fast, n_streams=60):
 
     Returns (measurements, per-link stats) so callers can assert the fast
     and per-packet paths bit-identical; the 4-hop depth is where per-packet
-    event cost (one event per packet per hop) dominates and the analytic
-    transit's single event per stream pays off most.
+    event cost (one event per packet per hop) dominates and the walk's
+    few round events per stream pay off most.
     """
     sim = Simulator()
     net = build_path(sim, [LinkSpec(10e6, prop_delay=1e-3)] * 4)
@@ -313,9 +313,9 @@ def _stream_transit_workload(fast, n_streams=60):
 
 
 def test_probe_stream_transit_rate(benchmark):
-    """Analytic stream-transit fast path: planned streams per second.
+    """Stream-transit fast path: walk-carried streams per second.
 
-    One scheduled event per stream instead of one per packet per hop;
+    A few round events per stream instead of one per packet per hop;
     inline bit-equality against the per-packet path (same measurements,
     same link counters) keeps the benchmark honest.
     """

@@ -167,7 +167,7 @@ _BULKARRIVALS_MODULE = "repro.netsim.bulkarrivals"
 _STATE_MOVER_METHODS = frozenset({
     "schedule", "schedule_at", "process", "send", "inject_at",
     "send_forward", "send_reverse", "claim_per_packet", "release_per_packet",
-    "interrupt", "decommission", "_decommission", "sync", "revoke",
+    "interrupt", "decommission", "_decommission", "sync", "dissolve",
 })
 
 
@@ -290,7 +290,7 @@ class HookPurityChecker:
                 f"({impurity.why} at line {impurity.line}) — hooks must be "
                 "pure observers: impure hooks forfeit the event-elided fast "
                 "paths, and an RNG draw inside one corrupts stream order "
-                "under mid-flight revocation replay"
+                "when a dissolved walk hands its traffic back per-packet"
             ),
         )
 
@@ -310,7 +310,7 @@ class HookPurityChecker:
                 }
                 missing = [
                     want
-                    for want in ("_decommission", "revoke")
+                    for want in ("_decommission", "dissolve")
                     if want not in body_calls
                 ]
                 if missing:
@@ -322,9 +322,9 @@ class HookPurityChecker:
                         message=(
                             f"Link.{hook} setter no longer calls "
                             f"{' / '.join(missing)} — installing a hook must "
-                            "decommission the bulk path and revoke any "
-                            "in-flight stream plan, or the fast-path "
-                            "eligibility tables go silently stale"
+                            "decommission the bulk path and dissolve any "
+                            "flow-transit walk over the link, or the "
+                            "fast-path eligibility tables go silently stale"
                         ),
                     )
         stream = project.modules.get(_STREAMTRANSIT_MODULE)
@@ -357,17 +357,17 @@ class HookPurityChecker:
                     for n in ast.walk(register.node)
                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                 }
-                if "revoke" not in calls:
+                if "sync" not in calls:
                     yield Finding(
                         rule_id=self.rule_id,
                         path=bulk.path,
                         line=register.lineno,
                         col=0,
                         message=(
-                            "CrossAggregator.register() no longer revokes an "
-                            "installed stream plan — a source registered "
-                            "mid-stream would invalidate the planned transit "
-                            "without falling back to per-packet"
+                            "CrossAggregator.register() no longer syncs the "
+                            "link before rolling merged arrivals back — a "
+                            "reader at the registration instant would miss "
+                            "the arrivals already due"
                         ),
                     )
 

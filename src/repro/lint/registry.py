@@ -136,16 +136,17 @@ ALL_RULES: tuple[Rule, ...] = (
             "or a stale fast-path decommission guard"
         ),
         rationale=(
-            "The bulk cross-traffic path and the analytic stream planner "
-            "are only bit-identical to per-packet simulation when link "
-            "hooks are pure observers: a hook that reschedules, mutates "
-            "link/simulator state, or draws RNG changes the trajectory, so "
-            "installing one must decommission the fast paths (the Link "
-            "property setters revoke in-flight plans and fall back).  This "
-            "rule checks both sides of that contract project-wide: every "
-            "hook installation site is resolved to its function body and "
-            "checked for purity, and the decommission guards themselves "
-            "(Link setters, plan_stream eligibility, CrossAggregator."
+            "The bulk cross-traffic path and the flow-transit walk that "
+            "carries probe streams and TCP flows are only bit-identical to "
+            "per-packet simulation when link hooks are pure observers: a "
+            "hook that reschedules, mutates link/simulator state, or draws "
+            "RNG changes the trajectory, so installing one must "
+            "decommission the fast paths (the Link property setters "
+            "dissolve the walk and fall back).  This rule checks both "
+            "sides of that contract project-wide: every hook installation "
+            "site is resolved to its function body and checked for purity, "
+            "and the decommission guards themselves (Link setters, "
+            "plan_stream eligibility, the link sync in CrossAggregator."
             "register) are cross-checked so they cannot silently go stale."
         ),
     ),

@@ -134,24 +134,17 @@ class CrossAggregator:
     def register(self, source: "CrossTrafficSource") -> _Feed:
         """Add a bulk source and fold it into the merged queue.
 
-        Unadmitted merged entries are first rolled back into their feeds
-        so that a source registered mid-run cannot see its early arrivals
-        ordered behind other sources' already-merged later ones.  The
-        actual merge is deferred to a zero-delay event so the paper's
-        "ten sources per link" attach pattern merges once, not ten times
-        (every source's first arrival lies strictly after registration,
-        so no arrival can come due before that event runs).
+        Arrivals already due are folded into the link first, so a reader
+        at this instant still sees them.  The unadmitted merged entries
+        left are rolled back into their feeds so that a source registered
+        mid-run cannot see its early arrivals ordered behind other
+        sources' already-merged later ones.  The actual merge is deferred
+        to a zero-delay event so the paper's "ten sources per link"
+        attach pattern merges once, not ten times (every source's first
+        arrival lies strictly after registration, so no arrival can come
+        due before that event runs).
         """
-        link = self.link
-        if link._agenda is not None:
-            # A planned probe stream snapshotted this link's cross arrivals
-            # without the newcomer; its transit is no longer valid.
-            link._agenda.plan.revoke("source-registered")
-        elif link._domain is not None:
-            # A flow-transit walk admits straight into link state, so
-            # nothing needs revoking; fold the arrivals already due, so
-            # the rollback below holds only future ones.
-            link.sync()
+        self.link.sync()
         self._unmerge()
         feed = _Feed(source, order=len(self.feeds))
         self.feeds.append(feed)
@@ -249,9 +242,9 @@ class CrossAggregator:
     def extend_until(self, t: float) -> None:
         """Force merged coverage of every arrival with timestamp ≤ ``t``.
 
-        Used by the stream-transit planner
-        (:mod:`repro.netsim.streamtransit`), which needs the cross-arrival
-        sequence over the whole stream horizon *now* rather than at the
+        Used by the flow-transit walk
+        (:mod:`repro.netsim.flowtransit`), which needs the cross-arrival
+        sequence up to its next admission *now* rather than at the
         refill events.  Each :meth:`_merge` drains the binding feed and
         tops it up by a chunk on the next pass, so the safe horizon
         strictly advances until it covers ``t`` (or every feed ends); a

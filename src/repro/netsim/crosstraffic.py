@@ -276,10 +276,9 @@ class CrossTrafficSource:
         """Register as a per-packet foreground participant on the network.
 
         Per-packet cross arrivals go through ``link.send()`` like any
-        foreground flow, so a probe stream planned over this link would be
-        revoked at the first arrival anyway; the claim just makes the
-        planner skip the wasted work.  Held for the source's lifetime —
-        a per-packet source never reverts to bulk.
+        foreground flow; while the network has no flow-transit walk yet,
+        the claim keeps new probe streams per-packet as well.  Held for
+        the source's lifetime — a per-packet source never reverts to bulk.
         """
         if not self._pp_claimed:
             self._pp_claimed = True

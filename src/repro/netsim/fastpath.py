@@ -1,7 +1,8 @@
 """Shared fast-path / NumPy-merge opt-out resolution.
 
-Every event-elided data path (bulk cross traffic, analytic probe-stream
-transit, the flow-transit planner) honors the same three-level opt-out:
+Every event-elided data path (bulk cross traffic, and the flow-transit
+walk that carries probe streams and TCP flows) honors the same
+three-level opt-out:
 
 1. an explicit ``fast=`` argument on the component (``ProbeChannel``,
    ``TCPSender``, ``Pinger``, ``run_pathload``, ...) wins outright;

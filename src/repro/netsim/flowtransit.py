@@ -1,26 +1,23 @@
-"""Event-elided TCP flows: the flow-transit domain.
+"""Event-elided foreground traffic: the flow-transit domain.
 
-PR 4 elided per-packet events for background cross traffic, PR 6 for the
-foreground probe streams.  What remains on the hot path of the Section
-VII experiments (fig15-18) is TCP itself: every segment of the BTC
-transfer costs two link events and two endpoint callbacks, and — worse —
-an *active* TCP flow held a per-packet claim that forced every probe
-stream back to the per-packet path, so the intrusiveness study paid both
-costs at once.
+PR 4 elided per-packet events for background cross traffic.  What remains
+on the hot path of the Section VII experiments (fig15-18) is TCP itself:
+every segment of the BTC transfer costs two link events and two endpoint
+callbacks, and the SLoPS probe streams that share the path with it.
 
-This module generalizes the stream-transit idea from one planned probe
-stream to a *domain*: a per-network virtual event loop that simulates
-every attached TCP flow (and any concurrent probe streams) with cheap
-tuples on a private heap instead of engine events.  Each hop admission
-is :func:`~repro.netsim.hopfold.admit`, the same per-hop recursion
-``start = max(arrival, free_at); done = start + size*8/C`` the stream
-planner folds, merged against each hop's
+This module carries that foreground traffic in a *domain*: a per-network
+virtual event loop that simulates every attached TCP flow and every probe
+stream with cheap tuples on a private heap instead of engine events.
+Each hop admission is :func:`~repro.netsim.hopfold.admit`, the per-hop
+recursion ``start = max(arrival, free_at); done = start + size*8/C``,
+merged against each hop's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, priced by the
 link's capacity schedule if it has one, with exact drop-tail replay on
-finite buffers — but where the stream planner computes a whole stream at
-send time, the domain interleaves *feedback* traffic (data -> ack ->
-cwnd growth -> more data) by walking its virtual heap in timestamp
-order.
+finite buffers.  The walk interleaves *feedback* traffic (data -> ack ->
+cwnd growth -> more data) by walking its virtual heap in timestamp order.
+A probe stream alone in the domain is *batched* instead: each round folds
+its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold` call
+per hop (see :mod:`repro.netsim.streamtransit`).
 
 Correctness rests on one invariant — the **cap-bounded walk**:
 
@@ -28,10 +25,9 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   event, the active ``run(until=...)`` bound, now + horizon)``.  No real
   callback can therefore observe — or interfere with — virtual state
   that lies in its own future; there is no speculation and no rollback.
-* Every segment, ack and adopted probe packet is admitted straight
-  into the real link's state by :func:`~repro.netsim.hopfold.admit`:
-  queue, backlog and ``LinkStats``, with due cross arrivals folded
-  first.  Since no real
+* Every segment, ack and probe packet is admitted straight into the
+  real link's state: queue, backlog and ``LinkStats``, with due cross
+  arrivals folded first.  Since no real
   callback runs inside a walk and every admission lies before the next
   real event, a real reader — a foreign ``Link.send`` (ping, per-packet
   cross), a monitor's ``stats`` read, a backlog query — sees exactly the
@@ -49,32 +45,32 @@ and ``TCPReceiver.on_segment``); everything else — Vegas, delayed ACKs,
 recovery episodes, RTO — executes the *real* transport code under the
 shims, so there is exactly one implementation of the tricky parts.
 
-Fallback mirrors PR 6's optimistic-plan/chokepoint-revocation contract:
-ineligible configurations (tracer attached, qdisc/drop hook/rebound
-deliver, impure clocks, ``fast=False``/``REPRO_NO_FAST``) never attach,
-and a mid-flight ineligibility (link decommission, tracer attach)
-*dissolves* the domain — every in-flight virtual packet materializes as
-an ordinary engine event at its already-committed time, flows re-claim
-the per-packet path, adopted streams rewind their unsent suffix — so the
-sample path equals a never-planned run.  ``Simulator(sanitize=True)``
-shadow-replays every round's admissions per hop and raises on any
-divergence.
+Ineligible flows (full tracer attached, qdisc/drop hook/rebound deliver,
+``fast=False``/``REPRO_NO_FAST``) never attach.  A mid-flight
+ineligibility (link decommission, full tracer attached while flows are
+carried) *dissolves* the domain — every in-flight virtual packet
+materializes as an ordinary engine event at its already-committed time,
+flows re-claim the per-packet path, streams resume their unsent suffix
+per-packet — so the sample path equals a never-planned run.  Nothing
+else is ever taken back: every admission is final when it is made.
+``Simulator(sanitize=True)`` shadow-replays every round's admissions per
+hop, batched ones included, and raises on any divergence.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import TYPE_CHECKING
 
 from ..core.probing import PacketRecord
 from .engine import SimulationError
 from .fastpath import resolve_fast
-from .hopfold import admit
+from .hopfold import admit, fold
 from .packet import Packet, PacketKind
-from .streamtransit import StreamPlan, _impure, plan_stream
+from .streamtransit import StreamPlan, plan_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..transport.probe import ProbeChannel, _StreamRun
@@ -237,7 +233,13 @@ class _FlowState:
 
 
 class _StreamState:
-    """Domain-side bookkeeping for one adopted probe stream."""
+    """Domain-side bookkeeping for one probe stream.
+
+    A batched stream keeps its pending hop arrivals in ``bt`` (times) and
+    ``bi`` (schedule indices), one pair of lists per forward hop; hop 0
+    starts with the whole send schedule.  A stream admitted per packet
+    has ``bt = bi = None`` and lives on the virtual heap instead.
+    """
 
     __slots__ = (
         "channel",
@@ -250,31 +252,9 @@ class _StreamState:
         "fwd",
         "sender_read",
         "receiver_read",
-        "resume_i",
+        "bt",
+        "bi",
     )
-
-
-class _DomainStreamPlan(StreamPlan):
-    """Plan object handed to adopted streams.
-
-    Deliveries are produced by the domain walk, so the plan itself holds
-    no hop agendas; revocation (reachable only through defensive paths —
-    the link chokepoints dissolve the domain directly) dissolves the
-    whole domain, which performs this plan's rewind along with everything
-    else.
-    """
-
-    __slots__ = ("domain",)
-
-    def __init__(self, channel, run, done_event, domain):
-        super().__init__(channel, run, done_event)
-        self.domain = domain
-
-    def revoke(self, reason: str) -> None:  # pragma: no cover - safety net
-        if self.revoked:
-            return
-        if self.domain.alive:
-            self.domain.dissolve(reason)
 
 
 class FlowTransitDomain:
@@ -296,6 +276,7 @@ class FlowTransitDomain:
         "_round_call",
         "_pmin",
         "_rec",
+        "_batch",
     )
 
     def __init__(self, sim, network):
@@ -314,6 +295,8 @@ class FlowTransitDomain:
         self._pmin = _INF
         # Sanitize mode: this round's admissions, (link, t, size, done).
         self._rec = None
+        # The batched stream, while one has hop arrivals pending.
+        self._batch: _StreamState | None = None
         # Each distinct link (forward and reverse may share hops in exotic
         # topologies; dedupe preserves order) names the domain, so its
         # configuration chokepoints can dissolve it.
@@ -374,13 +357,20 @@ class FlowTransitDomain:
         The admission goes straight into the real link's state; the cap
         invariant keeps it at or before the next real event, so no reader
         can see it early.  Under sanitize it is also recorded for
-        :meth:`_verify_round`.
+        :meth:`_verify_round`.  A link with a full tracer gets the
+        enqueue and drop callbacks ``Link.send`` would make.
         """
         link = links[hop]
         done = admit(link, t, size)
         rec = self._rec
         if rec is not None:
             rec.append((link, t, size, done))
+        tracer = link._tracer
+        if tracer is not None:
+            if done is None:
+                tracer.on_link_drop(link, self._pkt_from_tail(tail)[0], t)
+            else:
+                tracer.on_link_enqueue(link.name, link._backlog_bytes)
         if done is None:
             return  # dropped: the packet silently vanishes, as on a real path
         t_out = done + link.prop_delay
@@ -394,28 +384,45 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # The round: walk up to the cap, reschedule
     # ------------------------------------------------------------------
+    def _next_time(self) -> float | None:
+        """Time of the earliest pending virtual work, or None when idle."""
+        vheap = self._vheap
+        while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
+            heapq.heappop(vheap)
+        t = vheap[0][0] if vheap else None
+        ss = self._batch
+        if ss is not None:
+            for ts in ss.bt:
+                if ts and (t is None or ts[0] < t):
+                    t = ts[0]
+        return t
+
     def _round(self) -> None:
         self._round_call = None
         if not self.alive:
             return
         sim = self.sim
         tracer = sim.tracer
-        if tracer is not None and not tracer.light:
-            # A full tracer wants per-event visibility; hand everything
-            # back.  Light tracers only buffer aggregate counters, so the
-            # domain keeps walking (docs/observability.md).
+        if tracer is not None and not tracer.light and self.flows:
+            # A full tracer wants per-event visibility of TCP; hand
+            # everything back.  Light tracers only buffer aggregate
+            # counters, so the domain keeps walking, and streams need
+            # only the link callbacks _hop_admit makes
+            # (docs/observability.md).
             _warn_tracer_fallback()
             self.dissolve("tracer")
             return
+        bs = self._batch
+        if bs is not None and any(link._tracer is not None for link in bs.fwd):
+            self._unbatch()
         vheap = self._vheap
         heappop = heapq.heappop
         if self.streams:
             live = [ss for ss in self.streams if not ss.run.done]
             if len(live) != len(self.streams):
                 self.streams = live
-        while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
-            heappop(vheap)
-        if not vheap:
+        t0 = self._next_time()
+        if t0 is None:
             return
         now = sim._now
         head = sim.peek_time()
@@ -426,7 +433,6 @@ class FlowTransitDomain:
         h = now + _HORIZON
         if h < cap:
             cap = h
-        t0 = vheap[0][0]
         if t0 > now and t0 >= cap:
             self._round_call = sim.schedule_at(t0, self._round)
             return
@@ -488,6 +494,12 @@ class FlowTransitDomain:
                     self._ev_ssend(t, ev[3], ev[4])
                 else:  # K_SDELIV
                     self._ev_sdeliv(t, ev[3], ev[4])
+            # The batched stream goes last: the heap above holds no
+            # admissions while it is batched, and any real event deferred
+            # there has already lowered the limit.
+            bs = self._batch
+            if bs is not None:
+                self._fold_batch(bs, now)
         finally:
             if self._pmin < _INF:
                 self._flush_pending()
@@ -498,10 +510,9 @@ class FlowTransitDomain:
             self._verify_round(snaps, recs)
         if not self.alive:
             return
-        while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
-            heappop(vheap)
-        if vheap:
-            self._round_call = sim.schedule_at(vheap[0][0], self._round)
+        t0 = self._next_time()
+        if t0 is not None:
+            self._round_call = sim.schedule_at(t0, self._round)
 
     def _flush_pending(self) -> None:
         """Move live postponed RTO timers onto the virtual heap.
@@ -694,24 +705,25 @@ class FlowTransitDomain:
         self._hop_admit(fs.rev, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
 
     # ------------------------------------------------------------------
-    # Adopted probe streams
+    # Probe streams
     # ------------------------------------------------------------------
     def adopt_stream(self, channel, run, done_event):
         """Carry one probe stream inside the domain walk.
 
-        Called from :func:`~repro.netsim.streamtransit.plan_stream` when a
-        domain owns this network's hop agendas.  Returns the familiar
-        ``(plan, reason)`` pair.
+        Called from :func:`~repro.netsim.streamtransit.plan_stream`.
+        Returns the familiar ``(plan, reason)`` pair.  The stream is
+        batched when it is the only foreground traffic the walk carries
+        (no flow, no other stream's admission pending), its closing
+        packet is last in send order — so no admission of it follows its
+        completion event — and no forward hop has a full tracer.  Any
+        other stream is admitted per packet.
         """
-        sim = self.sim
-        tracer = sim.tracer
-        if tracer is not None and not tracer.light:
+        tracer = self.sim.tracer
+        if self.flows and tracer is not None and not tracer.light:
             _warn_tracer_fallback()
             self.dissolve("tracer")
             return plan_stream(channel, run, done_event)
-        if _impure(channel.sender_clock) or _impure(channel.receiver_clock):
-            return None, "impure-clock"
-        plan = _DomainStreamPlan(channel, run, done_event, self)
+        plan = StreamPlan(run)
         ss = _StreamState()
         ss.channel = channel
         ss.run = run
@@ -719,26 +731,164 @@ class FlowTransitDomain:
         ss.plan = plan
         sched = run.schedule
         ss.sched = sched
-        ss.n = run.spec.n_packets
+        n = ss.n = run.spec.n_packets
         ss.size = run.spec.packet_size
-        ss.fwd = self.network.forward_links
+        fwd = ss.fwd = self.network.forward_links
         ss.sender_read = channel.sender_clock.read
         ss.receiver_read = channel.receiver_clock.read
-        ss.resume_i = None
+        ss.bt = ss.bi = None
         self.streams.append(ss)
         run.plan = plan
-        run.n_sent = ss.n
-        channel.packets_sent += ss.n
-        channel.bytes_sent += ss.n * ss.size
-        if sched:
+        run.n_sent = n
+        channel.packets_sent += n
+        channel.bytes_sent += n * ss.size
+        if not sched:
+            return plan, None
+        if (
+            self.flows
+            or self._batch is not None
+            or sched[-1][1] != n - 1
+            or any(ev[2] == K_SSEND or ev[2] == K_ADMIT for ev in self._vheap)
+            or any(link._tracer is not None for link in fwd)
+        ):
+            self._unbatch()
             self._vseq = q = self._vseq + 1
             heapq.heappush(self._vheap, (sched[0][0], q, K_SSEND, ss, 0))
-            self._kick(sched[0][0])
+        else:
+            rest = range(1, len(fwd))
+            ss.bt = [[t for t, _seq in sched]] + [[] for _ in rest]
+            ss.bi = [list(range(len(sched)))] + [[] for _ in rest]
+            self._batch = ss
+        self._kick(sched[0][0])
         return plan, None
 
-    def _ev_ssend(self, t: float, ss: _StreamState, i: int) -> None:
-        if ss.run.done:
+    def _unbatch(self) -> None:
+        """Move the batched stream's pending arrivals onto per-packet
+        virtual events: the hop-0 remainder becomes one send chain, and
+        each arrival at a later hop one admission.  Their times are
+        unchanged, so the round already scheduled still covers them."""
+        ss = self._batch
+        if ss is None:
             return
+        self._batch = None
+        vheap = self._vheap
+        fwd = ss.fwd
+        size = ss.size
+        for h, (ts, ix) in enumerate(zip(ss.bt, ss.bi)):
+            if not ts:
+                continue
+            if h == 0:
+                self._vseq = q = self._vseq + 1
+                heapq.heappush(vheap, (ts[0], q, K_SSEND, ss, ix[0]))
+                continue
+            for t, i in zip(ts, ix):
+                self._vseq = q = self._vseq + 1
+                heapq.heappush(vheap, (t, q, K_ADMIT, fwd, h, size, (K_SDELIV, ss, i)))
+        ss.bt = ss.bi = None
+
+    def _fold_batch(self, ss: _StreamState, now: float) -> None:
+        """Fold the batched stream's arrivals before the limit, hop by hop.
+
+        One :func:`~repro.netsim.hopfold.fold` per hop admits the due
+        arrivals into the live link, with the due cross arrivals folded
+        first, exactly as :func:`~repro.netsim.hopfold.admit` would one by
+        one.  Exits before the limit feed the next hop in this round;
+        later ones wait for the next round.  Exits from the last hop are
+        deliveries (:meth:`_deliver_batch`).
+        """
+        limit = self._limit
+        rec = self._rec
+        size = ss.size
+        bt = ss.bt
+        bi = ss.bi
+        links = ss.fwd
+        last = len(links) - 1
+        for h, link in enumerate(links):
+            ts = bt[h]
+            k = bisect_right(ts, now) if limit <= now else bisect_left(ts, limit)
+            if not k:
+                continue
+            fg = ts[:k]
+            ix = bi[h][:k]
+            del ts[:k], bi[h][:k]
+            t_end = fg[-1]
+            agg = link._agg
+            if agg is not None:
+                if agg._horizon < t_end:
+                    agg.extend_until(t_end)
+                c_times = agg.times
+                c_sizes = agg.sizes
+                ci = agg.idx
+            else:
+                c_times = c_sizes = ()
+                ci = 0
+            (
+                ci, link._free_at, link._backlog_bytes,
+                fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts,
+            ) = fold(
+                c_times, c_sizes, ci, t_end, link._free_at, link._backlog_bytes,
+                link._in_flight, link.capacity_bps, link._cap_sched,
+                link.buffer_bytes, fg, size,
+            )
+            if agg is not None:
+                agg.idx = ci
+            stats = link._stats
+            stats.bytes_forwarded += fwd_bytes
+            stats.packets_forwarded += fwd_pkts
+            stats.bytes_dropped += drop_bytes
+            stats.packets_dropped += drop_pkts
+            if rec is not None:
+                rec.extend(
+                    (link, t, size, d if accepts is None or accepts[j] else None)
+                    for j, (t, d) in enumerate(zip(fg, dones))
+                )
+            prop = link.prop_delay
+            if accepts is None:
+                xs = [d + prop for d in dones]
+                xi = ix
+            else:
+                xs = [d + prop for d, ok in zip(dones, accepts) if ok]
+                xi = [i for i, ok in zip(ix, accepts) if ok]
+            if h < last:
+                bt[h + 1] += xs
+                bi[h + 1] += xi
+            else:
+                self._deliver_batch(ss, xs, xi)
+        if not any(bt):
+            self._batch = None
+
+    def _deliver_batch(self, ss: _StreamState, xs, xi) -> None:
+        """Record deliveries as soon as the last hop yields them: they
+        touch no link, and records are committed only by time, so
+        recording ahead of the cap is safe.  So is scheduling the closing
+        ``_fast_complete``, a real event later rounds stop short of."""
+        run = ss.run
+        if run.done or not xs:
+            return  # stragglers after deadline finalization: lost
+        plan = ss.plan
+        sched = ss.sched
+        sender_read = ss.sender_read
+        receiver_read = ss.receiver_read
+        rec_append = plan.records.append
+        last = ss.n - 1
+        for x, i in zip(xs, xi):
+            s, seq = sched[i]
+            rec_append(
+                PacketRecord(
+                    seq=seq,
+                    sender_stamp=sender_read(s),
+                    recv_stamp=receiver_read(x),
+                )
+            )
+            if seq == last:
+                plan.complete_call = self.sim.schedule_at(
+                    x, ss.channel._fast_complete, run, ss.done
+                )
+        plan.rec_times += xs
+
+    def _ev_ssend(self, t: float, ss: _StreamState, i: int) -> None:
+        # Sends go on after the stream finalizes, as the per-packet
+        # sender's do: the stragglers are lost but still load the links.
         j = i + 1
         if j < ss.n:
             # Push the next send before admitting this packet, mirroring
@@ -770,6 +920,7 @@ class FlowTransitDomain:
     # Flow lifecycle
     # ------------------------------------------------------------------
     def attach_flow(self, sender: "TCPSender") -> None:
+        self._unbatch()
         fs = _FlowState()
         receiver = sender.receiver
         cfg = sender.config
@@ -944,12 +1095,9 @@ class FlowTransitDomain:
             pkt.hop = hop
             pkt.handler = target
             sim.schedule_at(t, links[hop].send, pkt)
-        elif k == K_SSEND:
-            ss, i = ev[3], ev[4]
-            if ss.resume_i is None or i < ss.resume_i:
-                ss.resume_i = i
         # K_TIMER: live timers are converted by _to_real at detach;
-        # anything else on the heap is logically cancelled.
+        # anything else on the heap is logically cancelled.  K_SSEND is
+        # resumed by dissolve.
 
     # ------------------------------------------------------------------
     # Dissolution (mid-flight ineligibility)
@@ -965,10 +1113,11 @@ class FlowTransitDomain:
         """
         if not self.alive:
             return
+        self._unbatch()
         self.alive = False
         sim = self.sim
         network = self.network
-        if getattr(network, "_flow_domain", None) is self:
+        if network._flow_domain is self:
             network._flow_domain = None
         rc = self._round_call
         if rc is not None:
@@ -980,11 +1129,13 @@ class FlowTransitDomain:
         vheap = self._vheap
         drained = sorted(vheap)
         vheap.clear()  # in place: walk-loop aliases must observe the drain
+        sends = []
         for ev in drained:
             k = ev[2]
-            if k == K_TIMER:
-                continue
-            self._materialize(ev)
+            if k == K_SSEND:
+                sends.append(ev)
+            elif k != K_TIMER:
+                self._materialize(ev)
         now = sim._now
         for ss in self.streams:
             run = ss.run
@@ -995,23 +1146,31 @@ class FlowTransitDomain:
                 # Virtually complete: the pending _fast_complete event
                 # will commit and finalize; nothing to rewind.
                 continue
-            plan.revoked = True
-            if not plan.commit_closed:
-                plan.commit(now, inclusive=True)
-                plan.commit_closed = True
+            plan.commit(now, inclusive=True)
+            # Deliveries a batched fold recorded past now arrive per-packet.
+            for rec, x in plan.uncommitted():
+                pkt = Packet(
+                    ss.size,
+                    flow_id=run.flow_id,
+                    seq=rec.seq,
+                    kind=PacketKind.PROBE,
+                    sender_stamp=rec.sender_stamp,
+                )
+                sim.schedule_at(x, ss.channel._on_arrival, run, pkt, ss.done)
             run.plan = None
             ss.channel._note_fallback(reason)
-            i0 = ss.resume_i if ss.resume_i is not None else ss.n
-            if i0 < ss.n:
-                unsent = ss.n - i0
-                run.n_sent -= unsent
-                ss.channel.packets_sent -= unsent
-                ss.channel.bytes_sent -= unsent * ss.size
-                sim.schedule_at(ss.sched[i0][0], ss.channel._send_next, run, i0, ss.done)
             if not run.claimed:
                 run.claimed = True
                 network.claim_per_packet()
         self.streams = []
+        # Every stream with a pending send resumes its unsent suffix on
+        # the per-packet sender, finalized or not, as per-packet sends on.
+        for t, _q, _k, ss, i0 in sends:
+            unsent = ss.n - i0
+            ss.run.n_sent -= unsent
+            ss.channel.packets_sent -= unsent
+            ss.channel.bytes_sent -= unsent * ss.size
+            sim.schedule_at(t, ss.channel._send_next, ss.run, i0, ss.done)
         for fs in list(self.flows):
             if fs.completing:
                 continue
@@ -1032,8 +1191,8 @@ class FlowTransitDomain:
 
         ``snaps`` holds each link's state at the start of the round (free
         time, backlog, in-flight deque, aggregator cursor, stats); ``recs``
-        every admission the walk made, as ``(link, t, size, done or
-        None)``.  The replay merges the cross arrivals the walk folded
+        every admission the walk made, per packet or batched, as ``(link,
+        t, size, done or None)``.  The replay merges the cross arrivals the walk folded
         with the recorded admissions (cross traffic wins exact-time ties)
         and runs its own copy of the hop recursion -- one arrival at a
         time, no deferred purge -- so a bug in the shared fold cannot hide
@@ -1118,13 +1277,11 @@ class FlowTransitDomain:
 def try_attach_flow(sender: "TCPSender") -> bool:
     """``TCPSender._begin`` seam: attach to (or create) this network's
     flow-transit domain.  Returns True when attached; on False the caller
-    takes the per-packet path (claiming as before)."""
+    takes the per-packet path (claiming as before).  The flow's own
+    eligibility is checked first, since a probe stream may have created
+    the domain."""
     network = sender.network
     sim = sender.sim
-    domain = getattr(network, "_flow_domain", None)
-    if domain is not None and domain.alive:
-        domain.attach_flow(sender)
-        return True
     if not resolve_fast(sender._fast):
         _note_flow_fallback(network, sim, "disabled")
         return False
@@ -1147,14 +1304,9 @@ def try_attach_flow(sender: "TCPSender") -> bool:
         from ..transport.tcp import _SegmentInfo as seg
 
         _SegmentInfo = seg
-    prev = network._plan
-    if prev is not None:
-        # A solo stream plan owns some hop agendas; fold/revoke it first
-        # (the flow's first per-packet send would have revoked it anyway,
-        # and under the same fallback label).
-        prev.retire_or_revoke("foreign-send")
-    domain = FlowTransitDomain(sim, network)
-    network._flow_domain = domain
+    domain = network._flow_domain
+    if domain is None:
+        domain = network._flow_domain = FlowTransitDomain(sim, network)
     domain.attach_flow(sender)
     return True
 

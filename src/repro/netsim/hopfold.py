@@ -8,23 +8,22 @@ its piecewise-constant schedule, :meth:`Link.set_capacity_segments`).  A
 finite drop-tail buffer refuses an arrival that would push the backlog
 (bytes queued or in transmission) past the buffer size.
 
-Two entry points carry that recursion for the planners:
+Two entry points carry that recursion for the event-elided paths:
 
 * :func:`fold` walks a slice of a link's cross-traffic arrivals, merged
-  with an optional sorted foreground sequence.  ``Link.sync`` and
-  ``Link._sync_fg`` fold cross traffic alone; ``plan_stream`` passes a
-  probe stream's arrivals at each hop.
-* :func:`admit` is the same step for one foreground arrival, applied
-  to a live :class:`~repro.netsim.link.Link`.  The flow-transit walk
-  needs it: acks and cwnd changes come between its admissions, so it
-  never has a slice to hand over, and its admissions never run ahead of
-  a real reader, so they go straight into the link's state.
+  with an optional sorted foreground sequence.  ``Link.sync`` folds
+  cross traffic alone; the flow-transit walk passes a batched probe
+  stream's arrivals at each hop, once per round.
+* :func:`admit` is the same step for one foreground arrival.  The walk
+  needs it for TCP and for streams that share it: acks and cwnd changes
+  come between their admissions, so there is no slice to hand over.
 
-``Link.send()`` keeps its own copy, because it is the per-packet
-reference every equality suite compares against.  So do the sanitize
-shadows (``streamtransit._shadow_verify`` and
-``FlowTransitDomain._verify_round``), so that a bug here cannot hide in
-its own mirror image.
+Both apply to a live :class:`~repro.netsim.link.Link`: the walk never
+runs ahead of a real reader, so its admissions go straight into the
+link's state.  ``Link.send()`` keeps its own copy, because it is the
+per-packet reference every equality suite compares against.  So does
+the sanitize shadow (``FlowTransitDomain._verify_round``), so that a bug
+here cannot hide in its own mirror image.
 
 Contract (bit-identity with ``Link.send()``):
 
@@ -34,8 +33,7 @@ Contract (bit-identity with ``Link.send()``):
 * The floating-point expressions and their order are those of
   ``send()``.
 * ``in_flight`` (a deque of ``(done, size)``, oldest first) is mutated
-  in place.  The stream planner, which must not touch link state, passes
-  :func:`fold` a copy.
+  in place.
 * With an infinite buffer nothing can drop, so the per-arrival purge is
   deferred, and a transmission that finishes by ``until`` never enters
   ``in_flight``: completion times are monotone on a FIFO hop, so the

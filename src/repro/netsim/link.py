@@ -35,18 +35,19 @@ per-packet path would have produced.  :meth:`Link.send` keeps its own
 copy of the recursion: it is the per-packet reference the fold is
 tested against.
 
-Planned foreground traffic takes two routes into that state.  A planned
-probe stream runs ahead of real time, so its admissions wait on the
-hop's agenda and :meth:`_sync_fg` folds them in with the cross arrivals.
-The flow-transit walk never runs ahead of a real reader, so it admits
-TCP segments and acks straight into the live state
-(:func:`~repro.netsim.hopfold.admit`) and leaves nothing pending.
+Planned foreground traffic — TCP flows and probe streams — enters that
+state through the flow-transit walk
+(:class:`~repro.netsim.flowtransit.FlowTransitDomain`), which never runs
+ahead of a real reader: it admits straight into the live state
+(:func:`~repro.netsim.hopfold.admit`, or one
+:func:`~repro.netsim.hopfold.fold` per hop for a batched stream) and
+leaves nothing pending, so :meth:`sync` only ever folds cross traffic.
 
 Installing a ``qdisc``, a ``drop_hook``, or a new ``deliver`` callback
 on a link that carries bulk traffic automatically reverts its sources
-to the per-packet path, and hands planned streams and flows back to
-the per-packet path too (the future sample path is unchanged; see
-``docs/performance.md``).
+to the per-packet path, and dissolves the walk over it, which hands
+planned streams and flows back to the per-packet path too (the future
+sample path is unchanged; see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -126,7 +127,6 @@ class Link:
         "_drop_hook",
         "_qdisc",
         "_agg",
-        "_agenda",
         "_domain",
         "_cap_sched",
         "_free_at",
@@ -170,8 +170,7 @@ class Link:
         self._drop_hook: Optional[Callable[[Packet], None]] = None
         self._qdisc = qdisc
         self._agg = None  # CrossAggregator once bulk sources attach
-        self._agenda = None  # HopAgenda while a planned probe stream transits
-        self._domain = None  # FlowTransitDomain while it plans flows across this hop
+        self._domain = None  # FlowTransitDomain while its walk crosses this hop
         self._cap_sched = None  # (boundaries, rates) piecewise-constant schedule
         self._free_at = 0.0  # when the transmitter becomes idle
         self._in_flight: deque = deque()  # (tx_done_time, size_bytes)
@@ -196,8 +195,6 @@ class Link:
 
     @deliver.setter
     def deliver(self, fn: Optional[Callable[[Packet], None]]) -> None:
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
         if self._domain is not None:
             self._domain.dissolve("link-decommission")
         if self._agg is not None:
@@ -213,8 +210,6 @@ class Link:
 
     @drop_hook.setter
     def drop_hook(self, fn: Optional[Callable[[Packet], None]]) -> None:
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
         if self._domain is not None:
             self._domain.dissolve("link-decommission")
         if self._agg is not None:
@@ -229,8 +224,6 @@ class Link:
 
     @qdisc.setter
     def qdisc(self, policy) -> None:
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
         if self._domain is not None:
             self._domain.dissolve("link-decommission")
         if self._agg is not None:
@@ -246,7 +239,7 @@ class Link:
         Without a schedule this is ``capacity_bps``.  With one, the rate
         switches at each boundary; an instant exactly on a boundary takes
         the new rate.  Every data path — per-packet ``send()``, the bulk
-        folds, and the stream planner — serializes each packet at the
+        folds, and the flow-transit walk — serializes each packet at the
         rate in force when its transmission *starts*, so they agree bit
         for bit.
         """
@@ -269,9 +262,9 @@ class Link:
         store-and-forward idealization of a rate change.
 
         Installing a schedule is a planning chokepoint like rebinding
-        ``deliver``: a planned probe stream in transit is revoked and
-        replayed per-packet, and a flow-transit domain on this hop
-        dissolves, because their plans assumed the old rate function.
+        ``deliver``: a flow-transit walk over this hop dissolves, and the
+        streams and flows it carried continue per-packet, because its
+        future admissions would be priced by the new rate function.
         Bulk cross traffic stays bulk — the folds look rates up per
         segment.  Reinstalling replaces the previous schedule; the rate
         currently in force becomes the rate before the first boundary.
@@ -295,8 +288,6 @@ class Link:
         bounds = [t for t, _ in pairs]
         if any(b >= a for b, a in zip(bounds, bounds[1:])):
             raise ValueError("segment boundaries must be strictly increasing")
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
         if self._domain is not None:
             self._domain.dissolve("link-decommission")
         # Fold everything due under the schedule in force until now; the
@@ -310,7 +301,7 @@ class Link:
     @property
     def stats(self) -> LinkStats:
         """Cumulative counters, with pending bulk arrivals folded in first."""
-        if self._agg is not None or self._agenda is not None:
+        if self._agg is not None:
             self.sync()
         return self._stats
 
@@ -326,56 +317,14 @@ class Link:
         deque, backlog, drop-tail decision, stats — without creating
         packets or scheduler events.  Idempotent and cheap when nothing is
         pending; called automatically at every foreground sync point.
-
-        While a planned probe stream transits this hop (``_agenda`` is
-        set), folding goes through :meth:`_sync_fg`, which interleaves the
-        agenda's precomputed admissions with the cross arrivals.  A
-        flow-transit walk leaves nothing to fold here: its admissions are
-        already in the live state, and any cross arrivals after the last
-        one fold like any others.
+        The flow-transit walk leaves nothing to fold here: its admissions
+        are already in the live state, and any cross arrivals after the
+        last one fold like any others.
         """
-        agenda = self._agenda
-        if agenda is not None:
-            t_now = self.sim.now if now is None else now
-            agg = self._agg
-            if (
-                t_now >= agenda.t_end
-                and agenda.idx == 0
-                and (agg is None or agg.idx == agenda.ci_start)
-                and self._tracer is None
-            ):
-                # Whole-stream fast-forward: no fold touched this hop while
-                # the stream was in transit (mid-stream folds advance a
-                # cursor; foreign sends revoke), so the planner's captured
-                # end state at ``t_end`` — identical floats, identical
-                # counter sums — applies wholesale.  Traced runs take the
-                # replay below so per-admission callbacks still fire.
-                self._free_at = agenda.end_free_at
-                self._backlog_bytes = agenda.end_backlog
-                in_flight = self._in_flight
-                in_flight.clear()
-                in_flight.extend(agenda.end_in_flight)
-                stats = self._stats
-                stats.bytes_forwarded += agenda.d_fwd_bytes
-                stats.packets_forwarded += agenda.d_fwd_pkts
-                stats.bytes_dropped += agenda.d_drop_bytes
-                stats.packets_dropped += agenda.d_drop_pkts
-                self._agenda = None
-                if agg is None:
-                    self._purge(t_now)
-                    return
-                # Fall through: cross arrivals in (t_end, now] still fold
-                # against the *t_end* queue state — their own per-arrival
-                # purges age it forward, exactly as the per-packet path.
-                agg.idx = agenda.ci_end
-            else:
-                self._sync_fg(t_now)
-                return
-        else:
-            agg = self._agg
-            if agg is None:
-                return
-            t_now = self.sim.now if now is None else now
+        agg = self._agg
+        if agg is None:
+            return
+        t_now = self.sim.now if now is None else now
         idx = agg.idx
         times = agg.times
         if idx >= len(times) or times[idx] > t_now:
@@ -394,99 +343,8 @@ class Link:
         stats.packets_dropped += drop_pkts
         agg.compact()
 
-    def _sync_fg(self, t_now: float) -> None:
-        """Fold cross arrivals *and* planned probe admissions up to ``t_now``.
-
-        Same contract as :meth:`sync`, extended with the installed
-        :class:`~repro.netsim.streamtransit.HopAgenda`: each run of cross
-        arrivals up to the next agenda entry is folded first (exact-time
-        ties go to cross traffic, because ``send()`` folds cross arrivals
-        ≤ now before admitting the foreground packet), then the entry is
-        replayed with its planned completion time, so the queue state
-        after any fold is bit-identical to the per-packet path's at the
-        same instant.  Each entry sees the hop purged to its own arrival
-        time, so the backlog it records is exactly the value the
-        per-packet ``send()`` would have traced or tested.  The agenda
-        detaches once its last entry is folded.
-        """
-        agenda = self._agenda
-        agg = self._agg
-        if agg is not None:
-            c_times = agg.times
-            c_sizes = agg.sizes
-            ci = agg.idx
-            cn = len(c_times)
-        else:
-            c_times = c_sizes = ()
-            ci = 0
-            cn = 0
-        a_times = agenda.times
-        ai = agenda.idx
-        an = len(a_times)
-        cross_due = ci < cn and c_times[ci] <= t_now
-        if not cross_due and (ai >= an or a_times[ai] > t_now):
-            return
-        a_accepts = agenda.accepts
-        a_dones = agenda.dones
-        size = agenda.size
-        free_at = self._free_at
-        backlog = self._backlog_bytes
-        in_flight = self._in_flight
-        fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
-        tracer = self._tracer
-        inf = float("inf")
-        while True:
-            a_t = a_times[ai] if ai < an else inf
-            stop = a_t if a_t < t_now else t_now
-            if ci < cn and c_times[ci] <= stop:
-                ci, free_at, backlog, fb, fp, db, dp, _, _ = fold(
-                    c_times, c_sizes, ci, stop, free_at, backlog, in_flight,
-                    self.capacity_bps, self._cap_sched, self.buffer_bytes,
-                )
-                fwd_bytes += fb
-                fwd_pkts += fp
-                drop_bytes += db
-                drop_pkts += dp
-            if a_t > t_now:
-                break
-            while in_flight and in_flight[0][0] <= a_t:
-                backlog -= in_flight.popleft()[1]
-            if a_accepts is None or a_accepts[ai]:
-                done = a_dones[ai]
-                free_at = done
-                in_flight.append((done, size))
-                backlog += size
-                fwd_bytes += size
-                fwd_pkts += 1
-                if tracer is not None:
-                    tracer.on_link_enqueue(self.name, backlog)
-            else:
-                drop_bytes += size
-                drop_pkts += 1
-                if tracer is not None:
-                    self._backlog_bytes = backlog
-                    tracer.on_link_drop(self, agenda.proto, a_t)
-            ai += 1
-        while in_flight and in_flight[0][0] <= t_now:
-            backlog -= in_flight.popleft()[1]
-        self._free_at = free_at
-        self._backlog_bytes = backlog
-        stats = self._stats
-        stats.bytes_forwarded += fwd_bytes
-        stats.packets_forwarded += fwd_pkts
-        stats.bytes_dropped += drop_bytes
-        stats.packets_dropped += drop_pkts
-        if agg is not None:
-            agg.idx = ci
-            agg.compact()
-        agenda.idx = ai
-        if ai >= an:
-            self._agenda = None
-
     def _decommission(self) -> None:
         """Flush due bulk arrivals, then revert every source to per-packet."""
-        if self._agenda is not None:  # pragma: no cover - setters revoke first
-            self._agenda.plan.revoke("link-decommission")
         agg = self._agg
         if agg is None:
             return
@@ -505,14 +363,14 @@ class Link:
 
     def backlog_bytes(self, now: Optional[float] = None) -> int:
         """Bytes queued or in transmission at time ``now`` (default: current)."""
-        if self._agg is not None or self._agenda is not None:
+        if self._agg is not None:
             self.sync()
         self._purge(self.sim.now if now is None else now)
         return self._backlog_bytes
 
     def queueing_delay(self, now: Optional[float] = None) -> float:
         """Time a zero-size arrival at ``now`` would wait before service."""
-        if self._agg is not None or self._agenda is not None:
+        if self._agg is not None:
             self.sync()
         t = self.sim.now if now is None else now
         return max(0.0, self._free_at - t)
@@ -536,17 +394,8 @@ class Link:
         """
         sim = self.sim
         now = sim.now
-        if self._agenda is not None:
-            # Universal interference chokepoint: *any* foreground send on a
-            # hop carrying a planned probe stream — TCP, ping, per-packet
-            # cross, another stream — invalidates the plan's no-interference
-            # assumption.  Revoking folds the plan's past, replays its
-            # future per-packet, and clears this link's agenda; the sample
-            # path from here on is what a never-planned run produces.
-            # (A flow-transit domain needs no such check: its admissions
-            # are already in the live state, so this packet queues
-            # behind them.)
-            self._agenda.plan.revoke("foreign-send")
+        # A flow-transit walk needs no check here: its admissions are
+        # already in the live state, so this packet queues behind them.
         if self._agg is not None:
             self.sync(now)
         # Hot attributes bound once: this method runs once per foreground

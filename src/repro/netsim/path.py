@@ -58,12 +58,11 @@ class PathNetwork:
         self.sim = sim
         self.forward_links = tuple(forward_links)
         self.reverse_links = tuple(reverse_links)
-        # Stream-transit support (repro.netsim.streamtransit): the installed
-        # plan, if any, plus a count of per-packet foreground participants
-        # (TCP flows, pings, per-packet streams/cross sources).  A positive
-        # count makes the planner refuse upfront; correctness never depends
-        # on it — any unclaimed send still revokes at the link chokepoint.
-        self._plan = None
+        # Stream-transit support (repro.netsim.streamtransit): a count of
+        # per-packet foreground participants (TCP flows, pings, per-packet
+        # streams/cross sources).  While the network has no walk yet, a
+        # positive count keeps new probe streams per-packet; correctness
+        # never depends on it, since the walk never runs past a real send.
         self._pp_claims = 0
         # Flow-transit support (repro.netsim.flowtransit): the live domain
         # carrying planned TCP flows (and adopted probe streams), plus
@@ -143,8 +142,8 @@ class PathNetwork:
     def claim_per_packet(self) -> None:
         """Note a per-packet foreground participant (TCP, ping, per-packet
         probe stream or cross source) as active on this network.  While any
-        claim is held, new probe streams skip analytic planning — cheaper
-        than planning and immediately revoking at the first foreign send."""
+        claim is held and no walk carries this network yet, new probe
+        streams take the per-packet path too (``foreground-active``)."""
         self._pp_claims += 1
 
     def release_per_packet(self) -> None:

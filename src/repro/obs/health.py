@@ -7,7 +7,7 @@ trailing ``metrics`` line of a JSONL trace:
 
 * how much of the run was event-elided vs simulated per-packet (probe
   packets by path, streams and TCP flows by fast-path outcome)?
-* *why* did anything fall back — fast-path refusals and revocations,
+* *why* did anything fall back — fast-path refusals and dissolves,
   kernel opt-outs — and on which links did packets die?
 * what did the engine do (events executed, heap high-water, scheduler
   kinds) and how did the sweep cache behave?

@@ -212,7 +212,7 @@ class Tracer:
         """Track ``link`` for per-link metrics; retrofits the link's cached
         tracer slot if the link was built before :meth:`attach`.  Light
         tracers leave the slot ``None``: per-packet drop/enqueue callbacks
-        stay off and the link's whole-stream fast-forward stays eligible —
+        stay off and a lone probe stream over the link stays batched —
         the link still feeds the cumulative per-link metrics via
         :meth:`collect_metrics`."""
         if not self.light:

@@ -75,7 +75,8 @@ class Pinger:
             return
         if not self._pp_claimed:
             # Ping probes are per-packet foreground traffic; while probing,
-            # probe-stream transit planning would only be revoked anyway.
+            # a network with no flow-transit walk yet sends new probe
+            # streams per-packet too.
             self._pp_claimed = True
             self.network.claim_per_packet()
         seq = self.sent

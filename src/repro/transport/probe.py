@@ -83,7 +83,7 @@ class _StreamRun:
         self.done = False
         #: sorted ``(send_time, seq)`` pairs — all jitter drawn up front
         self.schedule: list[tuple[float, int]] = []
-        #: installed StreamPlan while the fast path carries this stream
+        #: StreamPlan collecting records while the walk carries this stream
         self.plan = None
         #: True while this run holds a network per-packet claim
         self.claimed = False
@@ -104,9 +104,9 @@ class ProbeChannel:
         Latency for the receiver's measurement report to reach the sender;
         defaults to half the path's queueing-free RTT.
     fast:
-        Whether eligible streams take the analytic stream-transit path
-        (:mod:`repro.netsim.streamtransit`) — one scheduled event per
-        stream instead of one per packet per hop, bit-identical results.
+        Whether eligible streams ride the network's event-elided walk
+        (:mod:`repro.netsim.streamtransit`) instead of costing one event
+        per packet per hop, with bit-identical results.
         ``None`` (default) enables it unless the ``REPRO_NO_FAST``
         environment variable is set.
     """
@@ -138,8 +138,6 @@ class ProbeChannel:
         #: streams carried by the analytic fast path / per-packet fallbacks
         self.fastpath_streams = 0
         self.fastpath_fallbacks: dict[str, int] = {}
-        # One shadow verification per channel under Simulator(sanitize=True).
-        self._shadow_checked = False
         # Cached tracer: the nil path costs one None-check per stream.
         self._tracer = sim.tracer
         # Per-channel stream ids: flow labels (and hence trace tracks) are
@@ -253,39 +251,19 @@ class ProbeChannel:
             ).inc()
 
     def _fast_complete(self, run: _StreamRun, done: Event) -> None:
-        """Planned delivery of the stream-closing packet (seq K-1).
+        """Walk-carried delivery of the stream-closing packet (seq K-1).
 
-        Commits every planned record delivered up to and including now —
-        later planned deliveries are stragglers, lost exactly as on the
-        per-packet path — then finalizes.
+        Commits every record delivered up to and including now — later
+        deliveries are stragglers, lost exactly as on the per-packet path
+        — then finalizes.
         """
         if run.done:
             return
         plan = run.plan
         if plan is not None:
             plan.commit(self.sim.now, inclusive=True)
-            plan.commit_closed = True
             run.plan = None
         self._finalize(run, done)
-
-    def _replay_exit(
-        self, run: _StreamRun, s: float, seq: int, hop: int, done: Event
-    ) -> None:
-        """Revocation continuation: re-materialize an in-flight planned
-        packet at its committed transmission exit from ``hop`` and let the
-        ordinary event-driven machinery carry it the rest of the way."""
-        pkt = Packet(
-            run.spec.packet_size,
-            flow_id=run.flow_id,
-            seq=seq,
-            kind=PacketKind.PROBE,
-            created_at=s,
-            sender_stamp=self.sender_clock.read(s),
-        )
-        pkt.route = self.network.forward_links
-        pkt.hop = hop
-        pkt.handler = lambda p, run=run, done=done: self._on_arrival(run, p, done)
-        self.network._advance(pkt)
 
     def _on_arrival(self, run: _StreamRun, pkt: Packet, done: Event) -> None:
         if run.done:
@@ -307,12 +285,11 @@ class ProbeChannel:
         plan = run.plan
         if plan is not None:
             # Deadline finalize with the plan still open.  Strictly-before
-            # commit: a planned delivery at exactly the deadline instant
-            # pops *after* the deadline event (which was inserted at stream
+            # commit: a delivery at exactly the deadline instant pops
+            # *after* the deadline event (which was inserted at stream
             # start) on the per-packet path, so it is straggler-lost there
             # — and therefore here.
             plan.commit(self.sim.now, inclusive=False)
-            plan.commit_closed = True
             run.plan = None
         run.done = True
         if run.claimed:

@@ -486,7 +486,9 @@ class TestDecommission:
 
     def test_mid_run_registration_joins_bulk(self):
         """A source attached while the link already carries merged bulk
-        traffic must slot into the same sample path."""
+        traffic must slot into the same sample path, and a reader at the
+        registration instant — before the deferred merge runs — must
+        still see the arrivals already due."""
 
         def run(bulk):
             sim = Simulator()
@@ -497,6 +499,7 @@ class TestDecommission:
                 sim, net, link, 4e6, rng, n_sources=2, bulk=bulk
             )
             late = []
+            reads = []
 
             def attach_late():
                 late.extend(
@@ -506,12 +509,17 @@ class TestDecommission:
                 )
 
             sim.schedule_at(1.0, attach_late)
+            sim.schedule_at(
+                1.0, lambda: reads.append((link.stats.snapshot(), link.backlog_bytes()))
+            )
             sim.run(until=3.0)
-            return link.stats.snapshot(), [
+            return reads, link.stats.snapshot(), [
                 (s.packets_sent, s.bytes_sent) for s in (*first, *late)
             ]
 
-        assert run(None) == run(False)
+        bulk, per_packet = run(None), run(False)
+        assert bulk[0][0][0]["packets_forwarded"] > 0
+        assert bulk == per_packet
 
 
 class TestLookAhead:

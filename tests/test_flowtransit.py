@@ -307,10 +307,11 @@ class TestProbeCoexistence:
         assert chan.fastpath_streams == 0
         assert chan.fastpath_fallbacks == {"foreground-active": 1}
 
-    def test_flow_attach_revokes_solo_stream_plan(self):
-        # Probe stream planned solo first; the TCP flow attaching mid-
-        # stream revokes it under the familiar "foreign-send" label, and
-        # the sample path still matches per-packet exactly.
+    def test_flow_attach_switches_batched_stream_to_per_packet(self):
+        # The probe stream starts alone, so the walk batches it; the TCP
+        # flow attaching mid-stream moves its pending arrivals onto
+        # per-packet admissions, with no fallback, and the sample path
+        # still matches per-packet exactly.
         def run(fast):
             sim = Simulator()
             net = build_path(sim, [LinkSpec(10e6, prop_delay=1e-3)])
@@ -338,11 +339,12 @@ class TestProbeCoexistence:
         outs, sts, _ = run(False)
         assert outf == outs
         assert stf == sts
-        assert chf.fastpath_fallbacks.get("foreign-send") == 1
+        assert chf.fastpath_fallbacks == {}
+        assert chf.fastpath_streams == 1
 
 
 # ----------------------------------------------------------------------
-# Mid-flight revocation
+# Mid-flight dissolves
 # ----------------------------------------------------------------------
 class TestRevocation:
     def test_link_decommission_dissolves_domain(self):

@@ -17,7 +17,9 @@ The contracts under test, in order of importance:
    collapsed-stack and speedscope forms.
 """
 
+import ast
 import json
+import pathlib
 import time
 import warnings
 
@@ -248,6 +250,70 @@ class TestDeclaredZeroSeries:
             assert f'repro_probe_packets_total{{path="{path}"}}' in text
         assert "repro_fastpath_streams_total 0" in text
         assert "repro_fastpath_flows_total 0" in text
+
+
+def _emitted_reasons():
+    """Every fallback reason literal in ``src/repro``, by the counter it
+    feeds: ``stream`` (``ProbeChannel._note_fallback``, ``revoke`` and
+    the ``(None, reason)`` refusals of ``plan_stream``/``adopt_stream``),
+    ``flow`` (``_note_flow_fallback``) or ``both`` (``dissolve``, which
+    hands back streams and flows alike)."""
+    import repro
+
+    kinds = {
+        "_note_fallback": "stream",
+        "revoke": "stream",
+        "_note_flow_fallback": "flow",
+        "dissolve": "both",
+    }
+    found = {"stream": set(), "flow": set(), "both": set()}
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    kind = kinds.get(func.attr)
+                elif isinstance(func, ast.Name) and func.id != "_note_fallback":
+                    # kernels has a module-level _note_fallback of its own.
+                    kind = kinds.get(func.id)
+                else:
+                    kind = None
+                if kind is None:
+                    continue
+                for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                        found[kind].add(arg.value)
+            elif isinstance(node, ast.FunctionDef) and node.name in (
+                "plan_stream", "adopt_stream"
+            ):
+                for ret in ast.walk(node):
+                    if not (
+                        isinstance(ret, ast.Return)
+                        and isinstance(ret.value, ast.Tuple)
+                        and len(ret.value.elts) == 2
+                    ):
+                        continue
+                    plan, reason = ret.value.elts
+                    if (
+                        isinstance(plan, ast.Constant)
+                        and plan.value is None
+                        and isinstance(reason, ast.Constant)
+                    ):
+                        found["stream"].add(reason.value)
+    return found
+
+
+class TestDeclaredReasons:
+    def test_every_emitted_reason_is_declared(self):
+        # An undeclared reason is never exported as a declared zero, so a
+        # dashboard cannot tell "never happened" from "not instrumented".
+        from repro.netsim.flowtransit import FLOW_FALLBACK_REASONS
+        from repro.netsim.streamtransit import STREAM_FALLBACK_REASONS
+
+        found = _emitted_reasons()
+        assert found["stream"] and found["flow"] and found["both"]
+        assert found["stream"] | found["both"] <= set(STREAM_FALLBACK_REASONS)
+        assert found["flow"] | found["both"] <= set(FLOW_FALLBACK_REASONS)
 
 
 # ----------------------------------------------------------------------
