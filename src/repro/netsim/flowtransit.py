@@ -707,16 +707,17 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Probe streams
     # ------------------------------------------------------------------
-    def adopt_stream(self, channel, run, done_event):
+    def adopt_stream(self, channel: "ProbeChannel", run: "_StreamRun", done_event):
         """Carry one probe stream inside the domain walk.
 
         Called from :func:`~repro.netsim.streamtransit.plan_stream`.
         Returns the familiar ``(plan, reason)`` pair.  The stream is
         batched when it is the only foreground traffic the walk carries
-        (no flow, no other stream's admission pending), its closing
-        packet is last in send order — so no admission of it follows its
-        completion event — and no forward hop has a full tracer.  Any
-        other stream is admitted per packet.
+        (no flow, no other stream's admission pending) and its closing
+        packet is last in send order, so no admission of it follows its
+        completion event.  Any other stream is admitted per packet, and
+        so is a batched one once :meth:`_round` finds a full tracer on
+        its hops.
         """
         tracer = self.sim.tracer
         if self.flows and tracer is not None and not tracer.light:
@@ -733,7 +734,7 @@ class FlowTransitDomain:
         ss.sched = sched
         n = ss.n = run.spec.n_packets
         ss.size = run.spec.packet_size
-        fwd = ss.fwd = self.network.forward_links
+        ss.fwd = self.network.forward_links
         ss.sender_read = channel.sender_clock.read
         ss.receiver_read = channel.receiver_clock.read
         ss.bt = ss.bi = None
@@ -749,13 +750,12 @@ class FlowTransitDomain:
             or self._batch is not None
             or sched[-1][1] != n - 1
             or any(ev[2] == K_SSEND or ev[2] == K_ADMIT for ev in self._vheap)
-            or any(link._tracer is not None for link in fwd)
         ):
             self._unbatch()
             self._vseq = q = self._vseq + 1
             heapq.heappush(self._vheap, (sched[0][0], q, K_SSEND, ss, 0))
         else:
-            rest = range(1, len(fwd))
+            rest = range(1, len(ss.fwd))
             ss.bt = [[t for t, _seq in sched]] + [[] for _ in rest]
             ss.bi = [list(range(len(sched)))] + [[] for _ in rest]
             self._batch = ss
