@@ -307,11 +307,11 @@ class TestProbeCoexistence:
         assert chan.fastpath_streams == 0
         assert chan.fastpath_fallbacks == {"foreground-active": 1}
 
-    def test_flow_attach_switches_batched_stream_to_per_packet(self):
+    def test_flow_attach_revokes_solo_stream_plan(self):
         # The probe stream starts alone, so the walk batches it; the TCP
-        # flow attaching mid-stream moves its pending arrivals onto
-        # per-packet admissions, with no fallback, and the sample path
-        # still matches per-packet exactly.
+        # flow attaching mid-stream ends the solo batching and moves its
+        # pending arrivals onto per-packet admissions, with no fallback,
+        # and the sample path still matches per-packet exactly.
         def run(fast):
             sim = Simulator()
             net = build_path(sim, [LinkSpec(10e6, prop_delay=1e-3)])

@@ -207,10 +207,10 @@ class TestBitEquality:
         assert chf.fastpath_streams == rf.n_streams_sent
         assert not chf.fastpath_fallbacks
 
-    def test_mid_stream_monitor_read_splits_the_walk(self):
+    def test_mid_stream_monitor_read_uses_interleaved_fold(self):
         # Reads landing inside the stream window are real events, so the
-        # walk stops short of each one and resumes after it: the read must
-        # see the per-packet queue state.  Off the send grid (multiples of
+        # walk folds the stream up to each one and resumes after it: the
+        # read must see the per-packet queue state.  Off the send grid (multiples of
         # the 0.3 ms period); exact-time ties are TestExactTies' business.
         times = (2.0051234, 2.0087071, 2.0123777)
         mf, sf, bf, _, _ = run_streams(
@@ -266,11 +266,11 @@ class TestCapacitySchedule:
         assert sf == ss
         assert chf.fastpath_streams == len(mf)
 
-    def test_install_mid_stream_dissolves_then_matches(self):
+    def test_install_mid_stream_revokes_then_matches(self):
         # Installing a schedule while a stream is in transit is a
-        # planning chokepoint: the walk dissolves (its future admissions
-        # would be priced by the new rate function) and the remainder
-        # continues per-packet.
+        # planning chokepoint: the walk dissolves, revoking its future
+        # admissions (they would be priced by the new rate function), and
+        # the remainder continues per-packet.
         segments = ((2.00791234, 6e6), (2.01321234, 14e6))
         kwargs = dict(
             utilization=0.4, cap_install=(2.00512345, segments)
