@@ -8,14 +8,13 @@ throughout: an experiment *is* the measurement; repeating it for timing
 statistics would multiply hours of simulation for no extra fidelity.
 
 Under ``REPRO_PERF_GATE=1``, when a ``*_gate`` test *fails* its body is
-re-run once under a :class:`repro.obs.Profiler` and the wall-clock
+re-run once under a :class:`repro.obs.Profiler` and the CPU-time
 attribution profile is written to ``$REPRO_PROFILE_DIR`` (default
 ``perf-profiles/``), so a CI regression report ships the "where did the
 time go" flamegraph alongside the failing numbers instead of a bare
 "1.07x > 1.02x" assertion message.  The timed run itself is never
-sampled: a concurrent sampler thread steals enough interpreter time from
-the short fast-path arm of a paired ratio to move it by ~10-20%, which
-would fail gates that pass unperturbed.
+sampled: the sampler's work perturbs the short fast-path arm of a
+paired ratio enough to fail gates that pass unperturbed.
 """
 
 import os
@@ -73,7 +72,7 @@ def gate_profile(request):
     collapsed = os.path.join(out_dir, f"{item.name}.collapsed.txt")
     profiler.write(collapsed)
     print(
-        f"\n[perf-gate] {item.name} failed; wall-clock attribution "
+        f"\n[perf-gate] {item.name} failed; CPU-time attribution "
         f"profile -> {path} ({len(profiler.samples)} samples)"
     )
 

@@ -552,8 +552,8 @@ def test_lint_full_tree(benchmark):
 
 def test_lint_full_tree_time_gate():
     """Acceptance pin: a full-tree ``repro-lint`` run — per-file pass,
-    ProjectContext build, call graph, reaching defs, and the SIM010 loop
-    classifier — completes in < 10 s on one core, so the strict CI job
+    ProjectContext build, call graph and reaching defs — completes in
+    < 10 s on one core, so the strict CI job
     and pre-commit hook stay cheap enough to run on every change.
 
     Opt-in via ``REPRO_PERF_GATE=1`` like the other absolute gates.

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .pathload import PathloadController, PathloadReport
-from .probing import Idle, PacketRecord, SendStream, StreamMeasurement, StreamSpec
+from .probing import Idle, SendStream, StreamMeasurement, StreamSpec
 
 __all__ = ["FluidLink", "FluidPath", "run_controller_fluid"]
 
@@ -170,21 +170,16 @@ class FluidPath:
         owds = self.stream_owds(spec)
         if noise_rng is not None and noise_std > 0:
             owds = owds + noise_rng.normal(0.0, noise_std, size=len(owds))
-        send_times = t_start + spec.period * np.arange(spec.n_packets)
-        records = [
-            PacketRecord(
-                seq=k,
-                sender_stamp=float(send_times[k]),
-                recv_stamp=float(send_times[k] + owds[k] + clock_offset),
-            )
-            for k in range(spec.n_packets)
-        ]
+        seq = np.arange(spec.n_packets)
+        send_times = t_start + spec.period * seq
         return StreamMeasurement(
-            spec=spec,
-            records=records,
+            spec,
             n_sent=spec.n_packets,
             t_start=t_start,
             t_end=float(send_times[-1] + owds[-1]),
+            seq=seq,
+            sender_stamp=send_times,
+            recv_stamp=send_times + owds + clock_offset,
         )
 
 

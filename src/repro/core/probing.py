@@ -14,8 +14,8 @@ independent of how the UDP stream is produced; only the timestamps matter.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -107,26 +107,133 @@ class PacketRecord:
         return self.recv_stamp - self.sender_stamp
 
 
-@dataclass
 class StreamMeasurement:
-    """Everything the receiver learned from one periodic stream."""
+    """Everything the receiver learned from one periodic stream.
 
-    spec: StreamSpec
-    records: list[PacketRecord]
-    n_sent: int
-    #: true send time of the first packet (driver bookkeeping; experiments
-    #: use it to align measurements with monitor windows)
-    t_start: float = 0.0
-    #: true completion time at the sender (when the result came back)
-    t_end: float = 0.0
+    The received packets are kept as three arrays sorted by sequence
+    number: ``seq`` (int64), ``sender_stamp`` and ``recv_stamp`` (float64).
+    Build it from the arrays, or from :class:`PacketRecord` objects with
+    ``records=``; either input is converted once and sorted with a stable
+    sort, as ``sorted(records, key=seq)`` would order it.  ``records`` is a
+    view built from the arrays on first read.
 
-    def __post_init__(self) -> None:
-        self.records = sorted(self.records, key=operator.attrgetter("seq"))
+    Every statistic is elementwise float64 arithmetic on the arrays, which
+    rounds exactly as the same Python float expression per packet would,
+    so the values do not depend on how the measurement was built.
+    """
+
+    __slots__ = (
+        "spec",
+        "n_sent",
+        "t_start",
+        "t_end",
+        "seq",
+        "sender_stamp",
+        "recv_stamp",
+        "_records",
+    )
+
+    def __init__(
+        self,
+        spec: StreamSpec,
+        records: Optional[Iterable[PacketRecord]] = None,
+        *,
+        n_sent: int,
+        t_start: float = 0.0,
+        t_end: float = 0.0,
+        seq=(),
+        sender_stamp=(),
+        recv_stamp=(),
+    ):
+        if records is not None:
+            if len(seq) or len(sender_stamp) or len(recv_stamp):
+                raise TypeError("pass either records or the three arrays, not both")
+            records = list(records)
+            seq = [r.seq for r in records]
+            sender_stamp = [r.sender_stamp for r in records]
+            recv_stamp = [r.recv_stamp for r in records]
+        seq = np.asarray(seq, dtype=np.int64)
+        sender_stamp = np.asarray(sender_stamp, dtype=np.float64)
+        recv_stamp = np.asarray(recv_stamp, dtype=np.float64)
+        if not len(seq) == len(sender_stamp) == len(recv_stamp):
+            raise ValueError(
+                f"array lengths differ: seq {len(seq)}, sender_stamp "
+                f"{len(sender_stamp)}, recv_stamp {len(recv_stamp)}"
+            )
+        if len(seq) > 1 and (seq[1:] < seq[:-1]).any():
+            order = np.argsort(seq, kind="stable")
+            seq = seq[order]
+            sender_stamp = sender_stamp[order]
+            recv_stamp = recv_stamp[order]
+        self.spec = spec
+        #: packets the sender transmitted (lost ones included)
+        self.n_sent = n_sent
+        #: true send time of the first packet (sender bookkeeping; experiments
+        #: use it to align measurements with monitor windows)
+        self.t_start = t_start
+        #: true completion time at the sender (when the result came back)
+        self.t_end = t_end
+        self.seq = seq
+        self.sender_stamp = sender_stamp
+        self.recv_stamp = recv_stamp
+        self._records: Optional[list[PacketRecord]] = None
+
+    @property
+    def records(self) -> list[PacketRecord]:
+        """The received packets as :class:`PacketRecord` objects, in
+        sequence order (built on first read, then cached)."""
+        records = self._records
+        if records is None:
+            records = self._records = list(
+                map(
+                    PacketRecord,
+                    self.seq.tolist(),
+                    self.sender_stamp.tolist(),
+                    self.recv_stamp.tolist(),
+                )
+            )
+        return records
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StreamMeasurement):
+            return NotImplemented
+        return bool(
+            self.spec == other.spec
+            and self.n_sent == other.n_sent
+            and self.t_start == other.t_start
+            and self.t_end == other.t_end
+            and np.array_equal(self.seq, other.seq)
+            and np.array_equal(self.sender_stamp, other.sender_stamp)
+            and np.array_equal(self.recv_stamp, other.recv_stamp)
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, so unhashable
+
+    def __getstate__(self):
+        # The records view is rebuilt on demand, never pickled.
+        return (
+            self.spec, self.n_sent, self.t_start, self.t_end,
+            self.seq, self.sender_stamp, self.recv_stamp,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.spec, self.n_sent, self.t_start, self.t_end,
+            self.seq, self.sender_stamp, self.recv_stamp,
+        ) = state
+        self._records = None
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamMeasurement(spec={self.spec!r}, n_sent={self.n_sent}, "
+            f"n_received={self.n_received}, t_start={self.t_start!r}, "
+            f"t_end={self.t_end!r})"
+        )
 
     @property
     def n_received(self) -> int:
         """Packets that made it to the receiver."""
-        return len(self.records)
+        return len(self.seq)
 
     @property
     def loss_rate(self) -> float:
@@ -137,11 +244,11 @@ class StreamMeasurement:
 
     def relative_owds(self) -> np.ndarray:
         """Relative OWDs of received packets, in sequence order."""
-        return np.array([r.relative_owd for r in self.records], dtype=np.float64)
+        return self.recv_stamp - self.sender_stamp
 
     def arrival_times(self) -> np.ndarray:
         """Receiver clock stamps, in sequence order."""
-        return np.array([r.recv_stamp for r in self.records], dtype=np.float64)
+        return self.recv_stamp.copy()
 
     def sender_gaps(self) -> np.ndarray:
         """Actual sender interspacing, from consecutive received packets.
@@ -150,11 +257,9 @@ class StreamMeasurement:
         context switches and other send-rate deviations; gaps spanning a
         lost packet are normalized by the sequence distance.
         """
-        if len(self.records) < 2:
+        if len(self.seq) < 2:
             return np.empty(0, dtype=np.float64)
-        stamps = np.array([r.sender_stamp for r in self.records])
-        seqs = np.array([r.seq for r in self.records], dtype=np.float64)
-        return np.diff(stamps) / np.diff(seqs)
+        return np.diff(self.sender_stamp) / np.diff(self.seq.astype(np.float64))
 
     def dispersion_rate_bps(self) -> float:
         """Receiver-side rate of the stream (packet-train dispersion).
@@ -162,12 +267,14 @@ class StreamMeasurement:
         ``(n-1) * L * 8 / (t_last - t_first)`` over received packets — the
         quantity cprobe-style tools average (the ADR, Section II).
         """
-        if len(self.records) < 2:
+        n = len(self.seq)
+        if n < 2:
             raise ValueError("need at least two received packets for dispersion")
-        span = self.records[-1].recv_stamp - self.records[0].recv_stamp
+        recv = self.recv_stamp
+        span = float(recv[-1]) - float(recv[0])
         if span <= 0:
             raise ValueError("non-positive arrival span; cannot compute dispersion")
-        return (len(self.records) - 1) * self.spec.packet_size * 8.0 / span
+        return (n - 1) * self.spec.packet_size * 8.0 / span
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,13 @@ walk; see :mod:`repro.lint.dataflow`):
 SIM008    no RNG draws inside unordered (set/dict) iteration
 SIM009    fast-path hooks must be pure; decommission guards must not go
           stale
-SIM010    sequential FP loops classified VECTOR-SAFE/UNSAFE (the
-          ``vectorization.json`` work list); annotated loops are pinned
 SIM011    sweep task fns must not depend on cross-process shared state
 ========  ===============================================================
 
 All rules are suppressible with ``# simlint: disable=SIM0xx`` and
 gate-able behind the ``.simlint-baseline.json`` ratchet (``--strict``).
 Run as ``python -m repro.lint src benchmarks examples`` or via the
-``repro-lint`` console script; ``repro-lint --explain SIM010`` prints a
+``repro-lint`` console script; ``repro-lint --explain SIM011`` prints a
 rule's full rationale.  See ``docs/linting.md`` for the catalogue,
 pragma syntax, baseline/SARIF workflow, and allowlist rationale.
 """

@@ -113,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         help="additionally write a SARIF 2.1.0 log to FILE",
     )
-    parser.add_argument(
-        "--vectorization-report",
-        metavar="FILE",
-        type=Path,
-        help="write the SIM010 loop classification (vectorization.json) to FILE",
-    )
     return parser
 
 
@@ -174,13 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 result.findings, rules, root=lint_root, tool_version=_tool_version()
             )
             + "\n"
-        )
-    if args.vectorization_report is not None:
-        import json as _json
-
-        args.vectorization_report.parent.mkdir(parents=True, exist_ok=True)
-        args.vectorization_report.write_text(
-            _json.dumps(result.vectorization_payload(), indent=2) + "\n"
         )
 
     if args.write_baseline:

@@ -20,8 +20,7 @@ small as the rules allow:
 * **An intra-procedural reaching-definitions walk**
   (:class:`ReachingDefs`): a flow-sensitive forward pass over one scope
   that answers "which value expressions can ``name`` hold at this
-  loop?" — how SIM008 sees through ``xs = set(...)`` and SIM010 sees
-  through ``append = out.append`` bound-method aliases.
+  loop?" — how SIM008 sees through ``xs = set(...)``.
 
 Everything here is still syntactic and runs in one pass per file: no
 execution, no fixpoint iteration, no type inference.  The analysis is
@@ -344,34 +343,20 @@ class ProjectContext:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleTable] = {}
         self.by_path: dict[str, ModuleTable] = {}
-        #: path -> line numbers carrying a ``# simlint: vector-safe`` marker
-        self.markers: dict[str, frozenset[int]] = {}
         self._reaching: dict[tuple[str, int], ReachingDefs] = {}
         self._rng_cache: dict[tuple[str, str], bool] = {}
-        self._loop_reports: Optional[list] = None
 
     @classmethod
     def build(cls, files: Iterable[tuple]) -> "ProjectContext":
-        """``files`` yields ``(path, tree)`` or ``(path, tree, marker_lines)``
-        for every lintable module; trees are the per-file pass's parses —
-        the project pass never re-reads or re-parses a file."""
+        """``files`` yields ``(path, tree)`` for every lintable module;
+        trees are the per-file pass's parses — the project pass never
+        re-reads or re-parses a file."""
         project = cls()
-        for entry in files:
-            path, tree = entry[0], entry[1]
+        for path, tree in files:
             table = ModuleTable(path, module_name_for_path(path), tree)
             project.modules.setdefault(table.name, table)
             project.by_path[path] = table
-            if len(entry) > 2 and entry[2]:
-                project.markers[path] = frozenset(entry[2])
         return project
-
-    def loop_reports(self) -> list:
-        """Cached SIM010 loop classification over the whole project."""
-        if self._loop_reports is None:
-            from .projectrules import classify_loops
-
-            self._loop_reports = classify_loops(self)
-        return self._loop_reports
 
     # -- name resolution ------------------------------------------------
     def resolve(self, table: ModuleTable, node: ast.expr) -> Optional[str]:

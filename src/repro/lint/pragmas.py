@@ -29,17 +29,12 @@ from typing import Mapping, Optional, Sequence
 __all__ = [
     "PragmaIndex",
     "extract_pragmas",
-    "extract_markers",
     "allowlisted",
 ]
 
 _PRAGMA_RE = re.compile(
     r"#\s*simlint\s*:\s*disable(?:\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+?))?\s*(?:--|$)"
 )
-
-#: Loop annotation consumed by SIM010: the author asserts this loop must
-#: classify VECTOR-SAFE, and the linter holds them to it.
-_MARKER_RE = re.compile(r"#\s*simlint\s*:\s*vector-safe\b")
 
 #: Sentinel meaning "all rules suppressed on this line".
 ALL_RULES_SENTINEL = "*"
@@ -129,24 +124,6 @@ def extract_pragmas(source: str, tree: Optional[ast.Module] = None) -> PragmaInd
             for line in range(first + 1, last + 1):
                 by_line[line] = by_line.get(line, frozenset()) | rules
     return PragmaIndex(by_line)
-
-
-def extract_markers(source: str) -> frozenset[int]:
-    """Loop lines governed by a ``# simlint: vector-safe`` annotation.
-
-    An inline marker governs its own line; a marker on a comment-only
-    line governs the next line (the loop header below it).
-    """
-    lines: set[int] = set()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type == tokenize.COMMENT and _MARKER_RE.search(tok.string):
-                own_line = tok.line.strip().startswith("#")
-                lines.add(tok.start[0] + 1 if own_line else tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass
-    return frozenset(lines)
 
 
 def allowlisted(

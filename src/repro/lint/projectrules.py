@@ -2,8 +2,7 @@
 
 These rules need more than one file's AST: SIM008 chases a loop iterable
 back to its defining expression, SIM009 resolves hook callables across
-modules and cross-checks the fast-path decommission guards, SIM010
-classifies whole loop bodies, and SIM011 follows sweep worker functions
+modules and cross-checks the fast-path decommission guards, and SIM011 follows sweep worker functions
 from the :class:`~repro.parallel.SweepTask` construction site into their
 defining module.  Each checker implements ``check(project) ->
 Iterator[Finding]`` against a :class:`~repro.lint.dataflow.ProjectContext`
@@ -13,11 +12,10 @@ and is registered in :data:`PROJECT_CHECKERS`.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dataflow import (
-    GENERATOR_DRAW_METHODS,
     MUTATOR_METHODS,
     FunctionInfo,
     ModuleTable,
@@ -33,8 +31,6 @@ __all__ = [
     "PROJECT_CHECKERS",
     "PROJECT_RULE_IDS",
     "run_project_checkers",
-    "classify_loops",
-    "LoopReport",
 ]
 
 
@@ -383,598 +379,6 @@ class HookPurityChecker:
 
 
 # ----------------------------------------------------------------------
-# SIM010 — vectorizability classifier for sequential FP loops
-# ----------------------------------------------------------------------
-
-_PURE_BUILTINS = frozenset({
-    "len", "min", "max", "abs", "float", "int", "bool", "range", "round",
-    "enumerate", "zip", "isinstance", "sum", "sorted", "reversed", "repr",
-    "bisect_left", "bisect_right", "bisect", "divmod",
-})
-
-_ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
-
-
-@dataclass
-class LoopReport:
-    """Classification of one sequential loop for the vectorization work list."""
-
-    module: str
-    function: str
-    path: str
-    line: int
-    end_line: int
-    kind: str  # "for" | "while"
-    label: str  # "VECTOR-SAFE" | "VECTOR-UNSAFE"
-    reasons: list[str] = field(default_factory=list)
-    accumulators: dict[str, str] = field(default_factory=dict)
-    annotated: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "function": self.function,
-            "path": self.path,
-            "line": self.line,
-            "end_line": self.end_line,
-            "kind": self.kind,
-            "label": self.label,
-            "reasons": list(self.reasons),
-            "accumulators": dict(self.accumulators),
-            "annotated": self.annotated,
-        }
-
-
-class _LoopScan:
-    """One textual-order pass over a loop body collecting dataflow facts."""
-
-    def __init__(self, loop: ast.stmt, env: dict):
-        self.loop = loop
-        self.env = env
-        self.first_read: set[str] = set()
-        self.written: set[str] = set()
-        #: name -> [(rhs expr | None for aug, guarded, aug_op)]
-        self.writes: dict[str, list[tuple[Optional[ast.expr], bool, Optional[ast.AST]]]] = {}
-        #: name -> assigned RHS exprs (for shape chasing)
-        self.body_defs: dict[str, list[ast.expr]] = {}
-        #: reads of a name outside its own update statement
-        self.reads_elsewhere: set[str] = set()
-        self.containers_written: set[str] = set()
-        self.containers_read: set[str] = set()
-        self.predicates: list[ast.expr] = []
-        self.break_guards: list[list[ast.expr]] = []
-        self.opaque_calls: list[ast.Call] = []
-        self.rng_calls: list[ast.Call] = []
-        self.loop_targets: set[str] = set()
-        if isinstance(loop, ast.For):
-            self._collect_targets(loop.target)
-            self._read_expr(loop.iter, exclude=set())
-        else:
-            self.predicates.append(loop.test)
-            self._read_expr(loop.test, exclude=set())
-        self._scan(loop.body, guards=[])
-
-    # -- helpers ---------------------------------------------------------
-    def _collect_targets(self, target: ast.expr) -> None:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                self.loop_targets.add(node.id)
-                self.written.add(node.id)
-
-    def _alias_container(self, name: str) -> Optional[str]:
-        """Container behind a bound-method alias (``a = xs.append``)."""
-        cands = [c for c in self.env.get(name, ()) if c is not None]
-        cands += self.body_defs.get(name, [])
-        out: Optional[str] = None
-        for cand in cands:
-            if (
-                isinstance(cand, ast.Attribute)
-                and cand.attr in MUTATOR_METHODS
-                and isinstance(cand.value, ast.Name)
-            ):
-                out = cand.value.id
-            else:
-                return None
-        return out
-
-    def _read_expr(self, expr: Optional[ast.expr], exclude: set[str]) -> None:
-        if expr is None:
-            return
-        for node in ast.walk(expr):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id not in self.written:
-                    self.first_read.add(node.id)
-                if node.id not in exclude:
-                    self.reads_elsewhere.add(node.id)
-                if node.id in self.containers_written:
-                    self.containers_read.add(node.id)
-
-    def _note_call(self, node: ast.Call) -> None:
-        if is_rng_draw(node):
-            self.rng_calls.append(node)
-            return
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in MUTATOR_METHODS and isinstance(func.value, ast.Name):
-                self.containers_written.add(func.value.id)
-                return
-            self.opaque_calls.append(node)
-            return
-        if isinstance(func, ast.Name):
-            if func.id in _PURE_BUILTINS:
-                return
-            container = self._alias_container(func.id)
-            if container is not None:
-                self.containers_written.add(container)
-                return
-            self.opaque_calls.append(node)
-            return
-        self.opaque_calls.append(node)
-
-    # -- the scan --------------------------------------------------------
-    def _scan(self, stmts, guards: list[ast.expr]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                value = stmt.value
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-                self._scan_calls(value)
-                self._read_expr(value, exclude=set(names))
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        if value is not None:
-                            self.writes.setdefault(target.id, []).append(
-                                (value, bool(guards), None)
-                            )
-                            self.body_defs.setdefault(target.id, []).append(value)
-                        self.written.add(target.id)
-                    elif isinstance(target, (ast.Tuple, ast.List)):
-                        for node in ast.walk(target):
-                            if isinstance(node, ast.Name):
-                                self.written.add(node.id)
-                                self.writes.setdefault(node.id, []).append(
-                                    (None, bool(guards), None)
-                                )
-                    elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                        root = target
-                        while isinstance(root, (ast.Subscript, ast.Attribute)):
-                            root = root.value
-                        if isinstance(root, ast.Name):
-                            self.containers_written.add(root.id)
-                        self._read_expr(target, exclude=set())
-            elif isinstance(stmt, ast.AugAssign):
-                self._scan_calls(stmt.value)
-                if isinstance(stmt.target, ast.Name):
-                    name = stmt.target.id
-                    if name not in self.written:
-                        self.first_read.add(name)
-                    self._read_expr(stmt.value, exclude={name})
-                    self.written.add(name)
-                    self.writes.setdefault(name, []).append(
-                        (stmt.value, bool(guards), stmt.op)
-                    )
-                else:
-                    self._read_expr(stmt.value, exclude=set())
-                    self._read_expr(stmt.target, exclude=set())
-                    root = stmt.target
-                    while isinstance(root, (ast.Subscript, ast.Attribute)):
-                        root = root.value
-                    if isinstance(root, ast.Name):
-                        self.containers_written.add(root.id)
-            elif isinstance(stmt, ast.If):
-                self.predicates.append(stmt.test)
-                self._scan_calls(stmt.test)
-                self._read_expr(stmt.test, exclude=set())
-                self._scan(stmt.body, guards + [stmt.test])
-                self._scan(stmt.orelse, guards + [stmt.test])
-            elif isinstance(stmt, (ast.While,)):
-                self.predicates.append(stmt.test)
-                self._scan_calls(stmt.test)
-                self._read_expr(stmt.test, exclude=set())
-                self._scan(stmt.body, guards)
-                self._scan(stmt.orelse, guards)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan_calls(stmt.iter)
-                self._read_expr(stmt.iter, exclude=set())
-                self._collect_targets(stmt.target)
-                self._scan(stmt.body, guards)
-                self._scan(stmt.orelse, guards)
-            elif isinstance(stmt, ast.Expr):
-                self._scan_calls(stmt.value)
-                self._read_expr_skip_mutators(stmt.value)
-            elif isinstance(stmt, ast.Break):
-                self.break_guards.append(list(guards))
-            elif isinstance(stmt, ast.Continue):
-                pass
-            elif isinstance(stmt, (ast.Return, ast.Raise)):
-                if getattr(stmt, "value", None) is not None:
-                    self._scan_calls(stmt.value)
-                    self._read_expr(stmt.value, exclude=set())
-                if getattr(stmt, "exc", None) is not None:
-                    self._scan_calls(stmt.exc)
-                    self._read_expr(stmt.exc, exclude=set())
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                self.written.add(stmt.name)
-            else:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Call):
-                        self._note_call(node)
-                    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        self._read_expr(node, exclude=set())
-
-    def _scan_calls(self, expr: Optional[ast.expr]) -> None:
-        if expr is None:
-            return
-        for node in ast.walk(expr):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Call):
-                self._note_call(node)
-
-    def _read_expr_skip_mutators(self, expr: ast.expr) -> None:
-        """Reads of an expression statement, ignoring mutator receivers
-        (``xs.append(v)`` reads ``v`` but does not *read* ``xs``)."""
-        skip: set[int] = set()
-        for node in ast.walk(expr):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATOR_METHODS
-                and isinstance(node.func.value, ast.Name)
-            ):
-                skip.add(id(node.func.value))
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if self._alias_container(node.func.id) is not None:
-                    skip.add(id(node.func))
-        for node in ast.walk(expr):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and id(node) not in skip
-            ):
-                if node.id not in self.written:
-                    self.first_read.add(node.id)
-                self.reads_elsewhere.add(node.id)
-                if node.id in self.containers_written:
-                    self.containers_read.add(node.id)
-
-
-# shape codes for accumulator updates
-_V, _A, _MA, _AV, _MAV, _OTHER = "V", "A", "MA", "A+V", "MA+V", "?"
-
-
-def _shape(expr: ast.expr, acc: str, defs: dict, visiting: set[str]) -> str:
-    """Shape of ``expr`` relative to accumulator ``acc``.
-
-    ``V``: no dependence on acc; ``A``: exactly acc's previous value;
-    ``MA``: max(acc, value); ``A+V`` / ``MA+V``: that plus/minus a value —
-    the prefix-sum and Lindley shapes; ``?``: anything else.
-    """
-    if isinstance(expr, ast.Name):
-        if expr.id == acc:
-            return _A
-        if expr.id in visiting:
-            return _OTHER
-        rhs_list = defs.get(expr.id)
-        if rhs_list:
-            shapes = {
-                _shape(rhs, acc, defs, visiting | {expr.id}) for rhs in rhs_list
-            }
-            return shapes.pop() if len(shapes) == 1 else _OTHER
-        return _V
-    if isinstance(expr, ast.Constant):
-        return _V
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, _ARITH_OPS):
-        left = _shape(expr.left, acc, defs, visiting)
-        right = _shape(expr.right, acc, defs, visiting)
-        if left == _V and right == _V:
-            return _V
-        if isinstance(expr.op, (ast.Add, ast.Sub)):
-            pair = {left, right}
-            if pair == {_A, _V} or pair == {_A}:
-                return _AV
-            if pair == {_MA, _V} or pair == {_MA}:
-                return _MAV
-        return _OTHER
-    if isinstance(expr, ast.IfExp):
-        body = _shape(expr.body, acc, defs, visiting)
-        orelse = _shape(expr.orelse, acc, defs, visiting)
-        test_ok = (
-            isinstance(expr.test, ast.Compare)
-            and len(expr.test.ops) == 1
-            and isinstance(expr.test.ops[0], (ast.Gt, ast.GtE, ast.Lt, ast.LtE))
-        )
-        if test_ok and {body, orelse} == {_A, _V}:
-            return _MA  # ``acc if acc > t else t`` — the running-max select
-        if body == orelse == _V:
-            return _V
-        return _OTHER
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if isinstance(func, ast.Name) and func.id in ("max", "min") and len(expr.args) == 2:
-            shapes = {_shape(a, acc, defs, visiting) for a in expr.args}
-            if shapes == {_A, _V}:
-                return _MA
-            if shapes == {_V}:
-                return _V
-        if isinstance(func, ast.Name) and func.id in _PURE_BUILTINS:
-            inner = {_shape(a, acc, defs, visiting) for a in expr.args}
-            if inner <= {_V}:
-                return _V
-        return _OTHER
-    if isinstance(expr, (ast.Subscript, ast.Attribute)):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and (node.id == acc or node.id in visiting):
-                return _OTHER
-        return _V
-    if isinstance(expr, (ast.Tuple, ast.List)):
-        shapes = {_shape(e, acc, defs, visiting) for e in expr.elts}
-        return _V if shapes <= {_V} else _OTHER
-    if isinstance(expr, ast.UnaryOp):
-        return _shape(expr.operand, acc, defs, visiting)
-    if isinstance(expr, ast.Compare):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id == acc:
-                return _OTHER
-        return _V
-    return _OTHER
-
-
-def _is_int_step(value: Optional[ast.expr]) -> bool:
-    return (
-        isinstance(value, ast.Constant)
-        and isinstance(value.value, int)
-        and not isinstance(value.value, bool)
-    )
-
-
-def _names_in(expr: ast.expr) -> set[str]:
-    return {
-        n.id
-        for n in ast.walk(expr)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    }
-
-
-def _classify_loop(
-    loop: ast.stmt, env: dict, table: ModuleTable, qualname: str
-) -> Optional[LoopReport]:
-    """Classify one outermost loop; None when it is not an FP-recursion loop."""
-    scan = _LoopScan(loop, env)
-    carried = scan.first_read & scan.written
-
-    # counters: every write is ``n (+|-)= <int literal>``
-    counters: set[str] = set()
-    for name in carried:
-        writes = scan.writes.get(name, [])
-        if writes and all(
-            op is not None and isinstance(op, (ast.Add, ast.Sub)) and _is_int_step(rhs)
-            for rhs, _g, op in writes
-        ):
-            counters.add(name)
-
-    container_names = set(scan.containers_written)
-    fp_accs = carried - counters - container_names
-
-    reasons: list[str] = []
-    accumulators: dict[str, str] = {}
-    unsafe = False
-
-    # containers mutated AND read couple iterations through the structure
-    hot_containers = sorted(scan.containers_read & scan.containers_written)
-    if hot_containers:
-        unsafe = True
-        reasons.append(
-            "loop-carried container mutation: "
-            + ", ".join(repr(c) for c in hot_containers)
-            + " is mutated and read in the same walk (FIFO purge state "
-            "couples iterations)"
-        )
-
-    conditional_accs: set[str] = set()
-    any_arith = False
-    for name in sorted(fp_accs):
-        writes = scan.writes.get(name, [])
-        if not writes:
-            fp_accs.discard(name)
-            continue
-        shapes: set[str] = set()
-        guarded = False
-        for rhs, was_guarded, op in writes:
-            guarded = guarded or was_guarded
-            if op is not None:  # AugAssign
-                if isinstance(op, (ast.Add, ast.Sub)) and rhs is not None:
-                    operand = _shape(rhs, name, scan.body_defs, set())
-                    shapes.add(_AV if operand == _V else _OTHER)
-                else:
-                    shapes.add(_OTHER)
-            elif rhs is None:
-                shapes.add(_OTHER)
-            else:
-                shapes.add(_shape(rhs, name, scan.body_defs, set()))
-        if guarded:
-            conditional_accs.add(name)
-        bad = shapes - {_AV, _MAV, _MA, _A}
-        if bad:
-            unsafe = True
-            accumulators[name] = "unrecognized recursion"
-            reasons.append(
-                f"accumulator {name!r} update is not an accumulate/max "
-                "shape (data-dependent recursion)"
-            )
-            continue
-        any_arith = True
-        if _MAV in shapes or _MA in shapes:
-            label = "max+add (Lindley)" if _MAV in shapes else "running max"
-        else:
-            label = "prefix sum"
-        if guarded:
-            if name in scan.reads_elsewhere:
-                unsafe = True
-                accumulators[name] = f"conditionally-updated {label} (read back)"
-                reasons.append(
-                    f"accumulator {name!r} is updated under a data-dependent "
-                    "branch and read back in the loop — the admission "
-                    "decision feeds the recursion"
-                )
-                continue
-            label = f"masked {label}"
-        accumulators[name] = label
-
-    if not fp_accs or not any_arith and not unsafe:
-        return None  # counters/bookkeeping only: not an FP-recursion loop
-
-    # predicates may read stable inputs, but not conditionally-updated
-    # accumulators (that is the drop-tail feedback shape)
-    for pred in scan.predicates:
-        feedback = sorted(_names_in(pred) & conditional_accs)
-        if feedback:
-            unsafe = True
-            reasons.append(
-                "branch predicate reads conditionally-updated state "
-                + ", ".join(repr(n) for n in feedback)
-                + " (admission feedback)"
-            )
-
-    for guards in scan.break_guards:
-        guard_names = set().union(*(_names_in(g) for g in guards)) if guards else set()
-        acc_dep = sorted(guard_names & (fp_accs | conditional_accs))
-        if acc_dep:
-            unsafe = True
-            reasons.append(
-                "early exit depends on the recursion value "
-                + ", ".join(repr(n) for n in acc_dep)
-            )
-
-    if scan.rng_calls:
-        unsafe = True
-        reasons.append(
-            f"RNG draw at line {scan.rng_calls[0].lineno}: draw order is "
-            "part of the determinism contract"
-        )
-    if scan.opaque_calls:
-        unsafe = True
-        calls = []
-        for call in scan.opaque_calls[:3]:
-            calls.append(attr_chain(call.func) or "<call>")
-        reasons.append(
-            "opaque call(s) may carry cross-iteration state: "
-            + ", ".join(sorted(set(calls)))
-        )
-
-    if not unsafe:
-        gathers = sorted(scan.containers_written - scan.containers_read)
-        parts = [
-            f"{name}: {what}" for name, what in sorted(accumulators.items())
-        ]
-        reason = (
-            "loop-carried state is only ["
-            + "; ".join(parts)
-            + "] — np.maximum.accumulate / np.add.accumulate round "
-            "left-to-right exactly like the scalar chain"
-        )
-        if gathers:
-            reason += (
-                "; remaining effects are write-only gathers ("
-                + ", ".join(gathers)
-                + ")"
-            )
-        reasons = [reason]
-
-    return LoopReport(
-        module=table.name,
-        function=qualname or "<module>",
-        path=table.path,
-        line=loop.lineno,
-        end_line=getattr(loop, "end_lineno", loop.lineno) or loop.lineno,
-        kind="for" if isinstance(loop, (ast.For, ast.AsyncFor)) else "while",
-        label="VECTOR-UNSAFE" if unsafe else "VECTOR-SAFE",
-        reasons=reasons,
-        accumulators=accumulators,
-    )
-
-
-def _loops_in(scope: ast.AST) -> Iterator[ast.stmt]:
-    """Every loop in the scope, outer and nested alike.
-
-    A nested loop is classified twice — as part of its parent's body and
-    standalone — because the vectorization work list needs both answers:
-    the outer per-hop walk of ``plan_stream`` is UNSAFE while its inner
-    per-packet Lindley recursion is exactly the loop worth vectorizing.
-    """
-    for node in walk_scope(scope):
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            yield node
-
-
-def classify_loops(project: ProjectContext) -> list[LoopReport]:
-    """Run the SIM010 classifier over every scope of every module."""
-    reports: list[LoopReport] = []
-    for table in sorted(project.modules.values(), key=lambda t: t.path):
-        markers = project.markers.get(table.path, frozenset())
-        for qualname, scope in table.scopes:
-            reaching = project.reaching(table, scope)
-            for loop in _loops_in(scope):
-                report = _classify_loop(
-                    loop, reaching.env_at(loop), table, qualname
-                )
-                if report is None:
-                    if loop.lineno in markers:
-                        # annotated loop must at least classify
-                        report = LoopReport(
-                            module=table.name,
-                            function=qualname or "<module>",
-                            path=table.path,
-                            line=loop.lineno,
-                            end_line=getattr(loop, "end_lineno", loop.lineno)
-                            or loop.lineno,
-                            kind="for"
-                            if isinstance(loop, (ast.For, ast.AsyncFor))
-                            else "while",
-                            label="VECTOR-UNSAFE",
-                            reasons=[
-                                "annotated vector-safe but no FP recursion "
-                                "shape was recognized"
-                            ],
-                        )
-                    else:
-                        continue
-                report.annotated = loop.lineno in markers
-                reports.append(report)
-    reports.sort(key=lambda r: (r.path, r.line))
-    return reports
-
-
-class VectorizabilityChecker:
-    """SIM010: loops annotated ``# simlint: vector-safe`` must keep
-    classifying VECTOR-SAFE.  The classification itself (every analyzed
-    loop, safe or not) is exported as the ``vectorization.json`` work
-    list for the vectorized-kernels roadmap item.
-    """
-
-    rule_id = "SIM010"
-
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        for report in project.loop_reports():
-            if report.annotated and report.label != "VECTOR-SAFE":
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=report.path,
-                    line=report.line,
-                    col=0,
-                    message=(
-                        f"loop in {report.function}() is annotated "
-                        "vector-safe but classifies VECTOR-UNSAFE: "
-                        + "; ".join(report.reasons)
-                    ),
-                )
-
-
-# ----------------------------------------------------------------------
 # SIM011 — cross-process shared-state hazards in sweep task functions
 # ----------------------------------------------------------------------
 
@@ -1140,7 +544,6 @@ PROJECT_CHECKERS = {
     for checker in (
         RngUnorderedIterationChecker(),
         HookPurityChecker(),
-        VectorizabilityChecker(),
         SweepSharedStateChecker(),
     )
 }

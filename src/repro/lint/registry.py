@@ -151,30 +151,6 @@ ALL_RULES: tuple[Rule, ...] = (
         ),
     ),
     Rule(
-        id="SIM010",
-        name="vectorizability-classifier",
-        summary=(
-            "sequential FP loop classification (VECTOR-SAFE/UNSAFE work "
-            "list for the vectorized-kernels roadmap item); findings fire "
-            "when a '# simlint: vector-safe' annotated loop stops "
-            "classifying safe"
-        ),
-        rationale=(
-            "Vectorizing a loop-carried float recursion is only "
-            "bit-identical when the accumulation order is preserved: "
-            "prefix sums, running maxima, and the Lindley max-then-add "
-            "recursion (``start = max(free_at, t); free_at = start + tx``) "
-            "map exactly onto np.add.accumulate / np.maximum.accumulate, "
-            "which round left-to-right like the scalar chain.  Drop-tail "
-            "admission branches that read the accumulator back, FIFO purge "
-            "state, RNG draws, and opaque calls do not.  The classifier "
-            "proves which loops are which, records the reason per loop in "
-            "vectorization.json, and pins the result: a loop annotated "
-            "``# simlint: vector-safe`` that regresses to VECTOR-UNSAFE "
-            "fails the lint gate before the vectorization PR ever runs."
-        ),
-    ),
-    Rule(
         id="SIM011",
         name="sweep-shared-state",
         summary=(

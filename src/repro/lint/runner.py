@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .dataflow import ProjectContext
-from .pragmas import allowlisted, extract_markers, extract_pragmas
+from .pragmas import allowlisted, extract_pragmas
 from .projectrules import PROJECT_RULE_IDS, run_project_checkers
 from .registry import DEFAULT_ALLOWLIST, Rule, get_rules
 from .report import Finding
@@ -52,23 +52,11 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: list[str] = field(default_factory=list)
-    #: SIM010 loop classification (``LoopReport`` objects) — the
-    #: machine-readable vectorization work list; populated whenever
-    #: SIM010 is among the active rules.
-    loop_reports: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """True when the tree is clean (no findings, everything parsed)."""
         return not self.findings and not self.parse_errors
-
-    def vectorization_payload(self) -> dict:
-        """JSON-ready ``vectorization.json`` content."""
-        return {
-            "generated_by": "repro-lint SIM010",
-            "version": 1,
-            "loops": [r.to_dict() for r in self.loop_reports],
-        }
 
 
 def _split_rules(rules: Sequence[Rule]) -> tuple[list[Rule], list[Rule]]:
@@ -119,7 +107,7 @@ def lint_source(
         if not allowlisted(path, rule.id, allowlist)
     ]
     if active_project:
-        project = ProjectContext.build([(path, tree, extract_markers(source))])
+        project = ProjectContext.build([(path, tree)])
         findings.extend(run_project_checkers(project, active_project))
     if not findings:
         return []
@@ -190,17 +178,13 @@ def lint_paths(
         )
 
     if project_rules and parsed:
-        project = ProjectContext.build(
-            (path, tree, extract_markers(source)) for path, source, tree in parsed
-        )
+        project = ProjectContext.build((path, tree) for path, _source, tree in parsed)
         project_ids = [rule.id for rule in project_rules]
         result.findings.extend(
             f
             for f in run_project_checkers(project, project_ids)
             if not allowlisted(f.path, f.rule_id, allowlist)
         )
-        if any(rule.id == "SIM010" for rule in project_rules):
-            result.loop_reports = project.loop_reports()
 
     # pragma suppression, per file, shared by both passes
     if result.findings:

@@ -64,7 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = ["CrossAggregator"]
 
 #: Consumed-prefix length beyond which the merged arrays are compacted.
-_COMPACT_THRESHOLD = 16384
+#: Small enough that a finished simulation, which waits for a full garbage
+#: collection (its event queue and links form cycles), holds little of its
+#: consumed prefix; compaction drops folded entries only.
+_COMPACT_THRESHOLD = 2048
 
 
 class _Feed:

@@ -29,7 +29,15 @@ class Clock:
     """Base class: maps true simulated time to this host's clock reading."""
 
     def read(self, true_time: float) -> float:
-        """Return the host-clock timestamp for true time ``true_time``."""
+        """Return the host-clock timestamp for true time ``true_time``.
+
+        A clock that draws no random numbers must also accept a float64
+        array and return the elementwise readings, computed with the same
+        operations in the same order as for one float, so that each
+        element is bit-equal to the scalar reading.  The event-elided
+        probe path reads a whole slice of deliveries this way; a clock
+        with an RNG (:class:`NoisyClock`) never reaches it.
+        """
         raise NotImplementedError
 
 

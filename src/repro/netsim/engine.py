@@ -74,8 +74,8 @@ def set_ambient_tracer(tracer):
 
 
 #: Like the ambient tracer: the sampling profiler (repro.obs.profiler)
-#: registers here so its sampler thread can correlate wall-clock samples
-#: with the *simulated* clock of whichever simulator was built last.
+#: registers here so its samples can carry the *simulated* clock of
+#: whichever simulator was built last.
 _ambient_profiler = None
 
 

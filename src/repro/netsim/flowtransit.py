@@ -65,7 +65,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..core.probing import PacketRecord
 from .engine import SimulationError
 from .fastpath import resolve_fast
 from .hopfold import admit, fold
@@ -250,8 +249,6 @@ class _StreamState:
         "n",
         "size",
         "fwd",
-        "sender_read",
-        "receiver_read",
         "bt",
         "bi",
     )
@@ -724,7 +721,7 @@ class FlowTransitDomain:
             _warn_tracer_fallback()
             self.dissolve("tracer")
             return plan_stream(channel, run, done_event)
-        plan = StreamPlan(run)
+        plan = StreamPlan(run, channel.sender_clock.read, channel.receiver_clock.read)
         ss = _StreamState()
         ss.channel = channel
         ss.run = run
@@ -735,8 +732,6 @@ class FlowTransitDomain:
         n = ss.n = run.spec.n_packets
         ss.size = run.spec.packet_size
         ss.fwd = self.network.forward_links
-        ss.sender_read = channel.sender_clock.read
-        ss.receiver_read = channel.receiver_clock.read
         ss.bt = ss.bi = None
         self.streams.append(ss)
         run.plan = plan
@@ -859,32 +854,22 @@ class FlowTransitDomain:
 
     def _deliver_batch(self, ss: _StreamState, xs, xi) -> None:
         """Record deliveries as soon as the last hop yields them: they
-        touch no link, and records are committed only by time, so
+        touch no link, and deliveries are committed only by time, so
         recording ahead of the cap is safe.  So is scheduling the closing
-        ``_fast_complete``, a real event later rounds stop short of."""
+        ``_fast_complete``, a real event later rounds stop short of.  The
+        closing packet of a batched stream is last in send order, and
+        every hop is FIFO, so it can only be the last delivery of a
+        batch."""
         run = ss.run
         if run.done or not xs:
             return  # stragglers after deadline finalization: lost
         plan = ss.plan
-        sched = ss.sched
-        sender_read = ss.sender_read
-        receiver_read = ss.receiver_read
-        rec_append = plan.records.append
-        last = ss.n - 1
-        for x, i in zip(xs, xi):
-            s, seq = sched[i]
-            rec_append(
-                PacketRecord(
-                    seq=seq,
-                    sender_stamp=sender_read(s),
-                    recv_stamp=receiver_read(x),
-                )
-            )
-            if seq == last:
-                plan.complete_call = self.sim.schedule_at(
-                    x, ss.channel._fast_complete, run, ss.done
-                )
+        plan.idx += xi
         plan.rec_times += xs
+        if xi[-1] == ss.n - 1:
+            plan.complete_call = self.sim.schedule_at(
+                xs[-1], ss.channel._fast_complete, run, ss.done
+            )
 
     def _ev_ssend(self, t: float, ss: _StreamState, i: int) -> None:
         # Sends go on after the stream finalizes, as the per-packet
@@ -901,17 +886,10 @@ class FlowTransitDomain:
         run = ss.run
         if run.done:
             return  # straggler after deadline finalization: lost
-        s, seq = ss.sched[i]
         plan = ss.plan
-        plan.records.append(
-            PacketRecord(
-                seq=seq,
-                sender_stamp=ss.sender_read(s),
-                recv_stamp=ss.receiver_read(t),
-            )
-        )
+        plan.idx.append(i)
         plan.rec_times.append(t)
-        if seq == ss.n - 1:
+        if ss.sched[i][1] == ss.n - 1:
             plan.complete_call = self._defer(
                 ss.channel._fast_complete, run, ss.done
             )
@@ -1073,7 +1051,7 @@ class FlowTransitDomain:
             seq=seq,
             kind=PacketKind.PROBE,
             created_at=s,
-            sender_stamp=ss.sender_read(s),
+            sender_stamp=ss.plan.sender_read(s),
         )
         handler = lambda p, run=run, done=done: channel._on_arrival(run, p, done)
         return pkt, handler
@@ -1148,13 +1126,14 @@ class FlowTransitDomain:
                 continue
             plan.commit(now, inclusive=True)
             # Deliveries a batched fold recorded past now arrive per-packet.
-            for rec, x in plan.uncommitted():
+            for i, x in plan.uncommitted():
+                s, seq = ss.sched[i]
                 pkt = Packet(
                     ss.size,
                     flow_id=run.flow_id,
-                    seq=rec.seq,
+                    seq=seq,
                     kind=PacketKind.PROBE,
-                    sender_stamp=rec.sender_stamp,
+                    sender_stamp=plan.sender_read(s),
                 )
                 sim.schedule_at(x, ss.channel._on_arrival, run, pkt, ss.done)
             run.plan = None

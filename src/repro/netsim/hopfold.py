@@ -73,9 +73,9 @@ def fold(
     k = 0
     if buffer_bytes is None:
         accepts = None
-        while True:  # simlint: vector-safe
+        while True:
             stop = fg[k] if k < nfg else until
-            while ci < cn:  # simlint: vector-safe
+            while ci < cn:
                 t = times[ci]
                 if t > stop:
                     break

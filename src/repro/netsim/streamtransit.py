@@ -51,6 +51,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..transport.probe import ProbeChannel, _StreamRun
 
@@ -74,26 +76,39 @@ STREAM_FALLBACK_REASONS: tuple[str, ...] = (
 
 
 class StreamPlan:
-    """The receiver records of one walk-carried probe stream.
+    """The receiver side of one walk-carried probe stream.
 
-    The walk appends a :class:`PacketRecord` per delivery, in delivery
-    order; records are *committed* into the live ``_StreamRun`` at
-    finalize time (or at a dissolve), so straggler accounting matches the
-    per-packet path exactly.  ``complete_call`` is the real event of the
-    stream-closing delivery once the walk has reached it.
+    The walk appends each delivery's schedule index to ``idx`` and its
+    time to ``rec_times``, in delivery order.  Deliveries are *committed*
+    into the live ``_StreamRun`` at finalize time (or at a dissolve), so
+    straggler accounting matches the per-packet path exactly.  A commit
+    takes the slice's seq and send times from the run's schedule and reads
+    each host clock once on the slice's array: the walk only carries pure
+    clocks, whose ``read`` is elementwise.  ``complete_call`` is the real
+    event of the stream-closing delivery once the walk has reached it.
     """
 
-    __slots__ = ("run", "records", "rec_times", "_committed", "complete_call")
+    __slots__ = (
+        "run",
+        "sender_read",
+        "receiver_read",
+        "idx",
+        "rec_times",
+        "_committed",
+        "complete_call",
+    )
 
-    def __init__(self, run):
+    def __init__(self, run, sender_read, receiver_read):
         self.run = run
-        self.records: list = []
+        self.sender_read = sender_read
+        self.receiver_read = receiver_read
+        self.idx: list[int] = []
         self.rec_times: list[float] = []
         self._committed = 0
         self.complete_call = None
 
     def commit(self, limit: float, inclusive: bool) -> None:
-        """Append records with delivery time up to ``limit``.
+        """Append the deliveries with time up to ``limit`` to the run.
 
         ``inclusive`` matches the per-packet event order at the boundary:
         the stream-closing arrival commits itself (<=), while the
@@ -107,13 +122,20 @@ class StreamPlan:
         else:
             q = bisect_left(times, limit, p)
         if q > p:
-            self.run.records.extend(self.records[p:q])
+            run = self.run
+            sched = run.schedule
+            sent = [sched[i] for i in self.idx[p:q]]
+            run.seq += [seq for _s, seq in sent]
+            send_times = np.array([s for s, _seq in sent])
+            run.sender_stamp += self.sender_read(send_times).tolist()
+            run.recv_stamp += self.receiver_read(np.array(times[p:q])).tolist()
             self._committed = q
 
     def uncommitted(self):
-        """``(record, delivery time)`` of every record not yet committed."""
+        """``(schedule index, delivery time)`` of every delivery not yet
+        committed."""
         p = self._committed
-        return zip(self.records[p:], self.rec_times[p:])
+        return zip(self.idx[p:], self.rec_times[p:])
 
 
 def _impure(clock) -> bool:

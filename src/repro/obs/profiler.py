@@ -1,20 +1,38 @@
 """Opt-in sampling profiler with sim-time correlation.
 
-A :class:`Profiler` runs a daemon thread that periodically snapshots the
-target thread's Python stack via ``sys._current_frames()`` — the standard
-low-overhead wall-clock sampling technique (the simulation thread itself
-is never instrumented, so the nil-profiler cost is exactly zero).  Each
-sample additionally records the *simulated* clock of the most recently
+A :class:`Profiler` samples the main thread's Python stack on CPU time:
+``signal.setitimer(signal.ITIMER_PROF, ...)`` makes the kernel send
+``SIGPROF`` after each interval of process CPU time, and Python runs the
+handler in the main thread at the next bytecode boundary, with the frame
+that was running.  A sample therefore lands on the Python frame that is
+using the CPU, or on the frame that called into C: time inside a NumPy
+call is charged to the function that made it.  (A helper thread that
+snapshots ``sys._current_frames()`` cannot do this: it runs only while it
+holds the GIL, which it mostly gets while the main thread is inside a
+NumPy call that released it, so its samples pile up on those frames.)
+
+The kernel tick limits resolution: a 1 ms request gives about one sample
+per 4 ms on a 250 Hz kernel, and timer expiries inside one long C call
+are handled once, after it returns.  Each sample therefore carries the
+process CPU time since the previous one (``cpu_s``), and the speedscope
+export weights samples by it.  The simulation is never instrumented, so a
+stopped profiler costs nothing.
+
+Each sample also records the *simulated* clock of the most recently
 constructed :class:`~repro.netsim.engine.Simulator` (registered through
 the ambient-profiler hook), so a flamegraph can be cross-referenced with
-trace events: "those 40 ms of wall time were spent between sim seconds
-12 and 13, inside the per-packet link path".
+trace events: "those 40 ms of CPU were spent between sim seconds 12 and
+13, inside the per-packet link path".
 
 This module is the *only* place in the repository that is allowed to read
-the wall clock outside ``wall``-labeled sweep telemetry — it observes the
+the host clocks outside ``wall``-labeled sweep telemetry — it observes the
 host, never the simulation, and nothing it records feeds back into any
 simulated quantity (the determinism contract of docs/observability.md is
 untouched; every ``time`` call below carries an explicit SIM001 pragma).
+
+Python delivers signals to the main thread only, so :meth:`Profiler.start`
+raises :class:`RuntimeError` anywhere else, and only one profiler runs at
+a time.
 
 Exports (suffix-dispatched by :meth:`Profiler.write`):
 
@@ -34,7 +52,7 @@ from __future__ import annotations
 
 import json
 import os
-import sys
+import signal
 import threading
 import time
 from typing import Optional
@@ -44,18 +62,21 @@ __all__ = ["Profiler", "ProfileSample", "env_profile_path"]
 #: Environment variable naming a profile output path (CLI fallback).
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Default sampling interval: 5 ms ≈ 200 Hz, coarse enough that the
-#: sampler thread stays invisible next to a running simulation.
+#: Default sampling interval of process CPU time (5 ms requested; the
+#: kernel rounds it up to whole ticks).
 DEFAULT_INTERVAL_S = 0.005
 
 
 class ProfileSample:
-    """One stack snapshot: wall time, correlated sim time, frames."""
+    """One stack snapshot: wall and CPU time, correlated sim time, frames."""
 
-    __slots__ = ("wall_s", "sim_now", "stack")
+    __slots__ = ("wall_s", "cpu_s", "sim_now", "stack")
 
-    def __init__(self, wall_s: float, sim_now: Optional[float], stack: tuple):
+    def __init__(
+        self, wall_s: float, cpu_s: float, sim_now: Optional[float], stack: tuple
+    ):
         self.wall_s = wall_s  #: seconds since Profiler.start()
+        self.cpu_s = cpu_s  #: process CPU seconds since the previous sample
         self.sim_now = sim_now  #: simulated seconds, or None before any sim
         self.stack = stack  #: root-first tuple of "func (file:line)" frames
 
@@ -67,7 +88,7 @@ def _frame_label(frame) -> str:
 
 
 class Profiler:
-    """Wall-clock stack sampler for the thread that starts it.
+    """CPU-time stack sampler for the main thread.
 
     Use as a context manager (or call :meth:`start` / :meth:`stop`)::
 
@@ -84,13 +105,12 @@ class Profiler:
             raise ValueError(f"interval must be positive, got {interval_s}")
         self.interval_s = float(interval_s)
         self.samples: list[ProfileSample] = []
-        self._target_ident: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self._running = False
         self._t0 = 0.0
+        self._cpu = 0.0
+        self._prev_handler = None
         # Most recently constructed simulator (ambient hook); read by the
-        # sampler thread for sim-time correlation.  A plain attribute read
-        # of a float is atomic under the GIL — no lock needed.
+        # signal handler for sim-time correlation.
         self._sim = None
         self._prev_ambient = None
 
@@ -101,29 +121,37 @@ class Profiler:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "Profiler":
-        """Begin sampling the *calling* thread; returns ``self``."""
-        if self._thread is not None:
+        """Begin sampling the main thread; returns ``self``."""
+        if self._running:
             raise RuntimeError("profiler already started")
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(
+                "Profiler samples on SIGPROF, which Python handles in the "
+                "main thread only; start it from the main thread"
+            )
+        # SIGPROF has one handler per process.
+        handler = signal.getsignal(signal.SIGPROF)
+        if isinstance(getattr(handler, "__self__", None), Profiler):
+            raise RuntimeError("another Profiler is already sampling this process")
         from ..netsim.engine import set_ambient_profiler
 
         self._prev_ambient = set_ambient_profiler(self)
-        self._target_ident = threading.get_ident()
-        self._stop.clear()
         self._t0 = time.perf_counter()  # simlint: disable=SIM001 -- host-side profiler timestamps, outside the simulation
-        self._thread = threading.Thread(
-            target=self._run, name="repro-profiler", daemon=True
-        )
-        self._thread.start()
+        self._cpu = time.process_time()  # simlint: disable=SIM001 -- host-side profiler timestamps, outside the simulation
+        self._prev_handler = signal.signal(signal.SIGPROF, self._on_sigprof)
+        signal.setitimer(signal.ITIMER_PROF, self.interval_s, self.interval_s)
+        self._running = True
         return self
 
     def stop(self) -> None:
         """Stop sampling (idempotent)."""
-        thread = self._thread
-        if thread is None:
+        if not self._running:
             return
-        self._stop.set()
-        thread.join()
-        self._thread = None
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        prev = self._prev_handler
+        signal.signal(signal.SIGPROF, prev if prev is not None else signal.SIG_DFL)
+        self._prev_handler = None
+        self._running = False
         from ..netsim.engine import set_ambient_profiler
 
         set_ambient_profiler(self._prev_ambient)
@@ -135,25 +163,20 @@ class Profiler:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- sampler thread -------------------------------------------------
-    def _run(self) -> None:
-        target = self._target_ident
-        interval = self.interval_s
-        samples = self.samples
-        stop = self._stop
-        while not stop.wait(interval):
-            frame = sys._current_frames().get(target)
-            if frame is None:  # pragma: no cover - target thread exited
-                break
-            stack = []
-            while frame is not None:
-                stack.append(_frame_label(frame))
-                frame = frame.f_back
-            stack.reverse()
-            sim = self._sim
-            sim_now = sim._now if sim is not None else None
-            wall = time.perf_counter() - self._t0  # simlint: disable=SIM001 -- host-side profiler timestamps, outside the simulation
-            samples.append(ProfileSample(wall, sim_now, tuple(stack)))
+    # -- signal handler -------------------------------------------------
+    def _on_sigprof(self, _signum, frame) -> None:
+        cpu = time.process_time()  # simlint: disable=SIM001 -- host-side profiler timestamps, outside the simulation
+        cpu_s = cpu - self._cpu
+        self._cpu = cpu
+        stack = []
+        while frame is not None:
+            stack.append(_frame_label(frame))
+            frame = frame.f_back
+        stack.reverse()
+        sim = self._sim
+        sim_now = sim._now if sim is not None else None
+        wall = time.perf_counter() - self._t0  # simlint: disable=SIM001 -- host-side profiler timestamps, outside the simulation
+        self.samples.append(ProfileSample(wall, cpu_s, sim_now, tuple(stack)))
 
     # -- aggregation + export -------------------------------------------
     def collapsed(self) -> str:
@@ -170,6 +193,7 @@ class Profiler:
     def speedscope(self, name: str = "repro-profile") -> dict:
         """The https://www.speedscope.app ``sampled`` JSON document.
 
+        Each sample is weighted by the process CPU seconds it stands for.
         Sim-time correlation rides along: each sample's simulated clock is
         exported as ``simTimes`` (same indexing as ``samples``), a
         documented extension field viewers simply ignore.
@@ -188,9 +212,8 @@ class Profiler:
                     frames.append({"name": label})
                 indexed.append(idx)
             sample_stacks.append(indexed)
-            weights.append(self.interval_s)
+            weights.append(sample.cpu_s)
             sim_times.append(sample.sim_now)
-        end = self.samples[-1].wall_s if self.samples else 0.0
         return {
             "$schema": "https://www.speedscope.app/file-format-schema.json",
             "shared": {"frames": frames},
@@ -200,7 +223,7 @@ class Profiler:
                     "name": name,
                     "unit": "seconds",
                     "startValue": 0.0,
-                    "endValue": end,
+                    "endValue": sum(weights),
                     "samples": sample_stacks,
                     "weights": weights,
                     "simTimes": sim_times,
@@ -221,7 +244,7 @@ class Profiler:
                 fh.write(self.collapsed())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "running" if self._thread is not None else "stopped"
+        state = "running" if self._running else "stopped"
         return f"<Profiler {len(self.samples)} samples ({state})>"
 
 

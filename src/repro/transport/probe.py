@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.pathload import PathloadController, PathloadReport
-from ..core.probing import Idle, PacketRecord, SendStream, StreamMeasurement, StreamSpec
+from ..core.probing import Idle, SendStream, StreamMeasurement, StreamSpec
 from ..netsim.clock import Clock, PerfectClock
 from ..netsim.engine import Event, Process, Simulator
 from ..netsim.fastpath import resolve_fast
@@ -65,7 +65,9 @@ class _StreamRun:
     __slots__ = (
         "spec",
         "flow_id",
-        "records",
+        "seq",
+        "sender_stamp",
+        "recv_stamp",
         "n_sent",
         "t_start",
         "done",
@@ -77,13 +79,16 @@ class _StreamRun:
     def __init__(self, spec: StreamSpec, flow_id: str, t_start: float):
         self.spec = spec
         self.flow_id = flow_id
-        self.records: list[PacketRecord] = []
+        #: received packets, in arrival order: what the measurement holds
+        self.seq: list[int] = []
+        self.sender_stamp: list[float] = []
+        self.recv_stamp: list[float] = []
         self.n_sent = 0
         self.t_start = t_start
         self.done = False
         #: sorted ``(send_time, seq)`` pairs — all jitter drawn up front
         self.schedule: list[tuple[float, int]] = []
-        #: StreamPlan collecting records while the walk carries this stream
+        #: StreamPlan collecting deliveries while the walk carries this stream
         self.plan = None
         #: True while this run holds a network per-packet claim
         self.claimed = False
@@ -253,7 +258,7 @@ class ProbeChannel:
     def _fast_complete(self, run: _StreamRun, done: Event) -> None:
         """Walk-carried delivery of the stream-closing packet (seq K-1).
 
-        Commits every record delivered up to and including now — later
+        Commits every packet delivered up to and including now — later
         deliveries are stragglers, lost exactly as on the per-packet path
         — then finalizes.
         """
@@ -268,13 +273,9 @@ class ProbeChannel:
     def _on_arrival(self, run: _StreamRun, pkt: Packet, done: Event) -> None:
         if run.done:
             return  # straggler after finalization: counted as lost
-        run.records.append(
-            PacketRecord(
-                seq=pkt.seq,
-                sender_stamp=pkt.sender_stamp,
-                recv_stamp=self.receiver_clock.read(self.sim.now),
-            )
-        )
+        run.seq.append(pkt.seq)
+        run.sender_stamp.append(pkt.sender_stamp)
+        run.recv_stamp.append(self.receiver_clock.read(self.sim.now))
         if pkt.seq == run.spec.n_packets - 1:
             # FIFO path ⇒ the last packet is the last arrival.
             self._finalize(run, done)
@@ -296,10 +297,12 @@ class ProbeChannel:
             run.claimed = False
             self.network.release_per_packet()
         measurement = StreamMeasurement(
-            spec=run.spec,
-            records=run.records,
+            run.spec,
             n_sent=max(run.n_sent, run.spec.n_packets),
             t_start=run.t_start,
+            seq=run.seq,
+            sender_stamp=run.sender_stamp,
+            recv_stamp=run.recv_stamp,
         )
         # The receiver reports back over the (uncongested) reverse path.
         report_at = self.sim.now + self.control_delay
@@ -314,7 +317,7 @@ class ProbeChannel:
                 args={
                     "rate_bps": run.spec.rate_bps,
                     "n_sent": measurement.n_sent,
-                    "n_received": len(run.records),
+                    "n_received": measurement.n_received,
                 },
             )
         self.sim.schedule_at(report_at, done.trigger, measurement)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.clock import (
     NoisyClock,
@@ -54,6 +56,40 @@ class TestClocks:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             NoisyClock(np.random.default_rng(0), noise_max=-1e-6)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestArrayReads:
+    """A pure clock reads a float64 array elementwise, bit-equal to one
+    scalar read per element (the event-elided probe path relies on it)."""
+
+    @staticmethod
+    def _assert_elementwise(clock, ts):
+        got = clock.read(np.array(ts, dtype=np.float64))
+        want = [clock.read(t) for t in ts]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    @given(
+        ts=st.lists(st.floats(0.0, 1e9, **_FINITE), min_size=1, max_size=50),
+        offset=st.floats(-1e4, 1e4, **_FINITE),
+        skew_ppm=st.floats(-500.0, 500.0, **_FINITE),
+        origin=st.floats(-1e6, 1e6, **_FINITE),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pure_clocks_read_arrays_elementwise(self, ts, offset, skew_ppm, origin):
+        self._assert_elementwise(PerfectClock(), ts)
+        self._assert_elementwise(OffsetClock(offset), ts)
+        self._assert_elementwise(
+            SkewedClock(offset=offset, skew_ppm=skew_ppm, origin=origin), ts
+        )
+
+    def test_large_times_and_negative_skew(self):
+        ts = [0.0, 1e-9, 2.5, 86_400.123456789, 3.1e7 + 0.1, 1e9 - 1e-3]
+        self._assert_elementwise(
+            SkewedClock(offset=-12.5, skew_ppm=-123.456, origin=1.75e6), ts
+        )
 
 
 class TestFactory:

@@ -18,7 +18,7 @@ from repro.lint import lint_paths, lint_source
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.dataflow import ModuleTable, ProjectContext, module_name_for_path
-from repro.lint.pragmas import extract_markers, extract_pragmas
+from repro.lint.pragmas import extract_pragmas
 from repro.lint.registry import ALL_RULES, DEFAULT_ALLOWLIST, get_rules
 from repro.lint.report import render_sarif
 
@@ -67,10 +67,6 @@ class TestRulesOnFixtures:
 
     def test_sim009_impure_hooks_and_guard_bypass(self):
         assert fire_lines("bad_sim009.py", "SIM009") == [22, 23, 24, 25, 31]
-
-    def test_sim010_annotated_loops_pinned(self):
-        # line 12 (safe Lindley) and line 50 (pragma) must NOT fire
-        assert fire_lines("bad_sim010.py", "SIM010") == [26, 41]
 
     def test_sim011_sweep_shared_state(self):
         assert fire_lines("bad_sim011.py", "SIM011") == [35, 36, 37, 38, 44]
@@ -185,10 +181,6 @@ class TestPragmaSpans:
         )
         findings = lint_source(source, "x.py")
         assert [f.line for f in findings] == [5]
-
-    def test_extract_markers_own_line_governs_next(self):
-        source = "# simlint: vector-safe\nfor_line = 2\nx = 1  # simlint: vector-safe\n"
-        assert extract_markers(source) == frozenset({2, 3})
 
 
 class TestDataflow:
@@ -344,69 +336,11 @@ class TestSarifAndReports:
             assert {r["ruleId"] for r in log["runs"][0]["results"]} == {"SIM001"}
 
     def test_cli_explain(self, capsys):
-        assert lint_main(["--explain", "SIM010"]) == 0
+        assert lint_main(["--explain", "SIM011"]) == 0
         out = capsys.readouterr().out
-        assert "SIM010" in out and "vectoriz" in out.lower()
-        assert "# simlint: disable=SIM010" in out
+        assert "SIM011" in out and "cache key" in out
+        assert "# simlint: disable=SIM011" in out
         assert lint_main(["--explain", "SIM999"]) == 2
-
-
-class TestVectorization:
-    """SIM010 acceptance: the fast-path Lindley loops are provably safe."""
-
-    @pytest.fixture(scope="class")
-    def loops(self):
-        result = lint_paths([REPO_ROOT / "src"])
-        assert result.findings == []
-        return result.loop_reports
-
-    def _find(self, loops, module, function, label):
-        return [
-            l
-            for l in loops
-            if l.module == module and l.function == function and l.label == label
-        ]
-
-    def test_plan_stream_infinite_buffer_loop_is_vector_safe(self, loops):
-        safe = self._find(loops, "repro.netsim.hopfold", "fold", "VECTOR-SAFE")
-        annotated = [l for l in safe if l.annotated]
-        # The infinite-buffer walk that merges a probe stream with the
-        # cross arrivals, plus its inner cross-only fold.
-        assert len(annotated) == 2
-        for report in annotated:
-            assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
-            assert report.reasons and "accumulate" in report.reasons[0]
-
-    def test_bulk_arrivals_fold_loops_are_vector_safe(self, loops):
-        # The bulk-arrivals fold consumes the CrossAggregator's merged
-        # (times, sizes) arrays; Link.sync calls it with no foreground,
-        # and each admission is priced at its fixed or scheduled rate
-        # inline, so both annotated loops carry the same recursion.
-        safe = self._find(loops, "repro.netsim.hopfold", "fold", "VECTOR-SAFE")
-        annotated = [l for l in safe if l.annotated]
-        assert len(annotated) == 2
-        for report in annotated:
-            assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
-
-    def test_drop_tail_counterparts_are_unsafe_with_reasons(self, loops):
-        unsafe = self._find(loops, "repro.netsim.hopfold", "fold", "VECTOR-UNSAFE")
-        assert unsafe, "no UNSAFE loops reported for repro.netsim.hopfold.fold"
-        assert all(l.reasons for l in unsafe)
-
-    def test_committed_report_matches_analysis(self, loops):
-        committed = json.loads((REPO_ROOT / "vectorization.json").read_text())
-        fresh = {
-            (l.module, l.function, l.line): l.label for l in loops
-        }
-        recorded = {
-            (l["module"], l["function"], l["line"]): l["label"]
-            for l in committed["loops"]
-        }
-        assert recorded == fresh, (
-            "vectorization.json is stale — regenerate with "
-            "PYTHONPATH=src python -m repro.lint src "
-            "--vectorization-report vectorization.json"
-        )
 
 
 class TestMutationAcceptance:

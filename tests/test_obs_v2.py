@@ -13,16 +13,19 @@ The contracts under test, in order of importance:
    warning pointing at ``--trace-light``;
 4. the health report derives the right audit (and hints) from merged
    metrics, live or re-read from a JSONL trace;
-5. the profiler records stacks only while enabled and exports both
-   collapsed-stack and speedscope forms.
+5. the profiler records stacks only while enabled, exports both
+   collapsed-stack and speedscope forms, and charges CPU time to the
+   Python frame that spends it, NumPy calls included.
 """
 
 import ast
 import json
 import pathlib
+import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.config import PathloadConfig
@@ -453,3 +456,71 @@ class TestProfiler:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError, match="interval"):
             Profiler(interval_s=0.0)
+
+    def test_refuses_to_start_off_the_main_thread(self):
+        errors = []
+
+        def start():
+            try:
+                Profiler().start()
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=start)
+        worker.start()
+        worker.join()
+        assert errors and "main thread" in errors[0]
+
+    def test_speedscope_weights_are_cpu_seconds(self):
+        with Profiler(interval_s=0.001) as profiler:
+            t_end = time.process_time() + 0.1  # simlint: disable=SIM001 -- host-side CPU budget for the sampler, outside the simulation
+            while time.process_time() < t_end:  # simlint: disable=SIM001 -- host-side CPU budget for the sampler, outside the simulation
+                sum(i * i for i in range(500))
+        weights = profiler.speedscope()["profiles"][0]["weights"]
+        assert weights == [sample.cpu_s for sample in profiler.samples]
+        assert all(w > 0 for w in weights)
+        assert 0.05 < sum(weights) <= 0.2
+
+    def test_cpu_split_matches_process_time(self):
+        """Calibration: CPU split between a pure-Python loop and a NumPy
+        sort, sampled, against the same split timed with
+        ``time.process_time``.  Samples are weighted by their CPU time:
+        timer signals that expire inside one C call are handled once,
+        after it returns.  About 4 s of CPU keeps the sampling error well
+        inside the tolerance."""
+
+        def python_part():
+            total = 0
+            for i in range(150_000):
+                total += i * i
+            return total
+
+        def numpy_part(values):
+            return np.sort(values)
+
+        values = np.random.default_rng(3).random(600_000)
+        timed = {"python": 0.0, "numpy": 0.0}
+        clock = time.process_time
+        with Profiler(interval_s=0.001) as profiler:
+            budget = clock() + 4.0
+            while clock() < budget:
+                t0 = clock()
+                python_part()
+                t1 = clock()
+                numpy_part(values)
+                t2 = clock()
+                timed["python"] += t1 - t0
+                timed["numpy"] += t2 - t1
+        sampled = {"python": 0.0, "numpy": 0.0}
+        n = 0
+        for sample in profiler.samples:
+            names = {label.split(" (", 1)[0] for label in sample.stack}
+            for part in ("numpy", "python"):
+                if f"{part}_part" in names:
+                    sampled[part] += sample.cpu_s
+                    n += 1
+                    break
+        share = sampled["python"] / (sampled["python"] + sampled["numpy"])
+        expected = timed["python"] / (timed["python"] + timed["numpy"])
+        assert n > 400
+        assert abs(share - expected) <= 0.05, (share, expected, sampled, n)

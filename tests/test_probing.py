@@ -1,5 +1,8 @@
 """Tests for the probing primitives (specs, measurements, actions)."""
 
+import operator
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,3 +104,128 @@ class TestActions:
     def test_send_stream_carries_spec(self):
         spec = StreamSpec(rate_bps=1e6, packet_size=200, n_packets=10)
         assert SendStream(spec).spec is spec
+
+
+# ----------------------------------------------------------------------
+# Columnar measurements against the record-based formulas
+# ----------------------------------------------------------------------
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _record_formulas(records, n_sent, packet_size):
+    """Every statistic computed record by record from PacketRecord
+    objects sorted by seq: the reference the arrays must match bit for
+    bit."""
+    recs = sorted(records, key=operator.attrgetter("seq"))
+    owds = np.array([r.recv_stamp - r.sender_stamp for r in recs], dtype=np.float64)
+    arrivals = np.array([r.recv_stamp for r in recs], dtype=np.float64)
+    if len(recs) < 2:
+        gaps = np.empty(0, dtype=np.float64)
+    else:
+        stamps = np.array([r.sender_stamp for r in recs])
+        seqs = np.array([r.seq for r in recs], dtype=np.float64)
+        gaps = np.diff(stamps) / np.diff(seqs)
+    dispersion = None
+    if len(recs) >= 2:
+        span = recs[-1].recv_stamp - recs[0].recv_stamp
+        if span > 0:
+            dispersion = (len(recs) - 1) * packet_size * 8.0 / span
+    loss = 0.0 if n_sent == 0 else 1.0 - len(recs) / n_sent
+    return recs, owds, arrivals, gaps, dispersion, loss
+
+
+_STAMPS = st.floats(
+    min_value=-1e7, max_value=1e7, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _received(draw):
+    """(K, records): a random received subset of K packets, in a random
+    arrival order, with finite random stamps."""
+    k = draw(st.integers(2, 200))
+    order = draw(st.permutations(range(k)))
+    m = draw(st.integers(0, k))
+    stamps = draw(st.lists(st.tuples(_STAMPS, _STAMPS), min_size=m, max_size=m))
+    records = [
+        PacketRecord(seq=seq, sender_stamp=s, recv_stamp=r)
+        for seq, (s, r) in zip(order[:m], stamps)
+    ]
+    return k, records
+
+
+class TestColumnarMeasurement:
+    @given(_received())
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_match_record_formulas(self, received):
+        k, records = received
+        spec = StreamSpec(rate_bps=1e6, packet_size=200, n_packets=k)
+        from_records = StreamMeasurement(spec, records=records, n_sent=k)
+        from_arrays = StreamMeasurement(
+            spec,
+            n_sent=k,
+            seq=np.array([r.seq for r in records], dtype=np.int64),
+            sender_stamp=np.array([r.sender_stamp for r in records]),
+            recv_stamp=np.array([r.recv_stamp for r in records]),
+        )
+        assert (from_records == from_arrays) is True
+        recs, owds, arrivals, gaps, dispersion, loss = _record_formulas(
+            records, k, spec.packet_size
+        )
+        for m in (from_records, from_arrays):
+            assert m.records == recs
+            assert all(
+                type(r.seq) is int
+                and type(r.sender_stamp) is float
+                and type(r.recv_stamp) is float
+                for r in m.records
+            )
+            assert _hex(m.relative_owds()) == _hex(owds)
+            assert _hex(m.arrival_times()) == _hex(arrivals)
+            assert _hex(m.sender_gaps()) == _hex(gaps)
+            if dispersion is None:
+                with pytest.raises(ValueError):
+                    m.dispersion_rate_bps()
+            else:
+                rate = m.dispersion_rate_bps()
+                assert type(rate) is float
+                assert rate.hex() == dispersion.hex()
+            assert m.n_received == len(recs)
+            assert m.loss_rate.hex() == loss.hex()
+
+            data = pickle.dumps(m)
+            assert b"PacketRecord" not in data  # the cached view stays out
+            back = pickle.loads(data)
+            assert (back == m) is True
+            assert back.records == recs
+
+    def test_arrival_times_is_a_copy(self):
+        spec = StreamSpec(rate_bps=1e6, packet_size=200, n_packets=3)
+        m = StreamMeasurement(
+            spec, n_sent=3, seq=[0, 1, 2], sender_stamp=[0.0, 1.0, 2.0],
+            recv_stamp=[0.5, 1.5, 2.5],
+        )
+        m.arrival_times()[0] = 99.0
+        assert m.recv_stamp[0] == 0.5
+
+    def test_equality_is_a_plain_bool(self):
+        spec = StreamSpec(rate_bps=1e6, packet_size=200, n_packets=3)
+
+        def one(recv):
+            return StreamMeasurement(
+                spec, n_sent=3, seq=[0], sender_stamp=[0.0], recv_stamp=[recv]
+            )
+
+        assert (one(0.5) == one(0.6)) is False
+        assert (one(0.5) == one(0.5)) is True
+
+    def test_records_and_arrays_are_exclusive(self):
+        spec = StreamSpec(rate_bps=1e6, packet_size=200, n_packets=3)
+        record = PacketRecord(seq=0, sender_stamp=0.0, recv_stamp=0.1)
+        with pytest.raises(TypeError, match="either"):
+            StreamMeasurement(spec, records=[record], n_sent=3, seq=[0])
+        with pytest.raises(ValueError, match="lengths"):
+            StreamMeasurement(
+                spec, n_sent=3, seq=[0, 1], sender_stamp=[0.0], recv_stamp=[0.1]
+            )

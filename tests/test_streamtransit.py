@@ -270,16 +270,23 @@ class TestCapacitySchedule:
         # Installing a schedule while a stream is in transit is a
         # planning chokepoint: the walk dissolves, revoking its future
         # admissions (they would be priced by the new rate function), and
-        # the remainder continues per-packet.
-        segments = ((2.00791234, 6e6), (2.01321234, 14e6))
-        kwargs = dict(
-            utilization=0.4, cap_install=(2.00512345, segments)
-        )
-        mf, sf, _, chf, _ = run_streams(True, **kwargs)
-        ms, ss, _, _, _ = run_streams(False, **kwargs)
-        assert mf == ms
-        assert sf == ss
-        assert chf.fastpath_fallbacks.get("link-decommission") == 1
+        # the remainder continues per-packet.  The second install comes
+        # after the first stream's first deliveries, so that measurement
+        # holds a committed walk slice, stamped by one array read of each
+        # skewed clock, followed by per-packet arrivals stamped one read
+        # at a time.
+        for at, segments, skewed in (
+            (2.00512345, ((2.00791234, 6e6), (2.01321234, 14e6)), False),
+            (2.01512345, ((2.01791234, 6e6), (2.02321234, 14e6)), True),
+        ):
+            kwargs = dict(
+                utilization=0.4, cap_install=(at, segments), skewed_clocks=skewed
+            )
+            mf, sf, _, chf, _ = run_streams(True, **kwargs)
+            ms, ss, _, _, _ = run_streams(False, **kwargs)
+            assert mf == ms
+            assert sf == ss
+            assert chf.fastpath_fallbacks.get("link-decommission") == 1
 
 
 # ----------------------------------------------------------------------
