@@ -430,6 +430,58 @@ def test_btc_tight_link_wall(benchmark):
     assert res_fast == _btc_tight_link_workload(False)
 
 
+def _tcp_multihop_workload(fast):
+    """TCP over five forward and five reverse hops: four window-limited
+    Reno flows (64 kB windows) and one greedy flow for 20 s.
+
+    Every hop has 20 ms of delay and a 170 kB buffer; the middle forward
+    hop is the 8.2 Mb/s tight link and the others run at 20 Mb/s.  Each
+    segment and ack crosses four intermediate hops, so most of the walk's
+    events are hop admissions rather than deliveries.
+    """
+    sim = Simulator()
+
+    def hops(prefix, tight):
+        return [
+            LinkSpec(
+                8.2e6 if i == tight else 20e6, prop_delay=0.02,
+                buffer_bytes=170_000, name=f"{prefix}{i}",
+            )
+            for i in range(5)
+        ]
+
+    net = build_path(sim, hops("fwd", 2), reverse=hops("rev", None))
+    flows = [
+        open_connection(
+            sim, net,
+            config=TCPConfig(min_rto=0.5, advertised_window_bytes=64 * 1024),
+            start=0.1 * k, fast=fast,
+        )
+        for k in range(4)
+    ]
+    flows.append(
+        open_connection(sim, net, config=TCPConfig(min_rto=0.5), start=0.5, fast=fast)
+    )
+    sim.run(until=20.0)
+    return (
+        tuple(
+            (
+                snd.segments_sent, snd.retransmits, snd.timeouts, snd.srtt,
+                tuple(snd.cwnd_log), tuple(rcv.delivered_log),
+            )
+            for snd, rcv in flows
+        ),
+        tuple(lk.stats.snapshot() for lk in (*net.forward_links, *net.reverse_links)),
+    )
+
+
+def test_tcp_multihop_wall(benchmark):
+    """Multi-hop TCP wall time, with inline bit-equality against the
+    per-packet path, as in ``test_btc_tight_link_wall``."""
+    res_fast = benchmark(lambda: _tcp_multihop_workload(True))
+    assert res_fast == _tcp_multihop_workload(False)
+
+
 def test_flow_transit_speedup_gate():
     """Regression gate: the flow-transit walk stays >= 3x the per-packet
     path on both TCP workloads (the tentpole acceptance target) — the

@@ -7,14 +7,20 @@ callbacks, and the SLoPS probe streams that share the path with it.
 
 This module carries that foreground traffic in a *domain*: a per-network
 virtual event loop that simulates every attached TCP flow and every probe
-stream with cheap tuples on a private heap instead of engine events.
+stream with cheap tuples instead of engine events.
 Each hop admission is :func:`~repro.netsim.hopfold.admit`, the per-hop
 recursion ``start = max(arrival, free_at); done = start + size*8/C``,
 merged against each hop's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, priced by the
 link's capacity schedule if it has one, with exact drop-tail replay on
 finite buffers.  The walk interleaves *feedback* traffic (data -> ack ->
-cwnd growth -> more data) by walking its virtual heap in timestamp order.
+cwnd growth -> more data) by taking its virtual events in ``(time,
+sequence)`` order.  Deliveries -- exits from the last hop of the forward
+or the reverse chain -- wait in two FIFO deques, one per chain, in
+admission order: a hop's completion times never decrease and its
+propagation delay is fixed, so each deque is already sorted, and the
+walk merges their heads with the head of a private heap that holds
+everything else (timers, stream sends, arrivals at later hops).
 A probe stream alone in the domain is *batched* instead: each round folds
 its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold` call
 per hop (see :mod:`repro.netsim.streamtransit`).
@@ -114,17 +120,15 @@ def _warn_tracer_fallback() -> None:
 _HORIZON = 64.0
 
 # Virtual event kinds (tuple tag at index 2; index 1 is a unique sequence
-# so heap comparisons never reach the payload).
+# so event comparisons never reach the payload).  Deliveries -- K_DATA,
+# K_ACK and K_SDELIV -- wait in the domain's two delivery deques, all
+# other kinds on its heap.
 K_ADMIT = 0  # (t, q, K_ADMIT, links, hop, size, tail): arrival at links[hop]
 K_DATA = 1  # (t, q, K_DATA, fs, seq, length): segment delivery at receiver
 K_ACK = 2  # (t, q, K_ACK, fs, ack): cumulative-ACK delivery at sender
 K_TIMER = 3  # (t, q, K_TIMER, vt): shimmed sim.schedule() callback
 K_SSEND = 4  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
 K_SDELIV = 5  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
-
-# transport.tcp imports this module, so its segment bookkeeping class is
-# resolved lazily on first attach.
-_SegmentInfo = None
 
 
 class _VTimer:
@@ -237,7 +241,8 @@ class _StreamState:
     A batched stream keeps its pending hop arrivals in ``bt`` (times) and
     ``bi`` (schedule indices), one pair of lists per forward hop; hop 0
     starts with the whole send schedule.  A stream admitted per packet
-    has ``bt = bi = None`` and lives on the virtual heap instead.
+    has ``bt = bi = None`` and lives on the walk's heap and forward
+    delivery deque instead.
     """
 
     __slots__ = (
@@ -266,6 +271,9 @@ class FlowTransitDomain:
         "streams",
         "vsim",
         "_vheap",
+        "_dfwd",
+        "_drev",
+        "_rev",
         "_vseq",
         "_vnow",
         "_limit",
@@ -284,6 +292,11 @@ class FlowTransitDomain:
         self.streams: list[_StreamState] = []
         self.vsim = _VSim(self)
         self._vheap: list = []
+        # Deliveries, one FIFO per chain in admission order at its last
+        # hop, hence in (t, q) order (see the module docstring).
+        self._dfwd: deque = deque()
+        self._drev: deque = deque()
+        self._rev = network.reverse_links
         self._vseq = 0
         self._vnow = sim._now
         self._limit = 0.0
@@ -370,13 +383,15 @@ class FlowTransitDomain:
                 tracer.on_link_enqueue(link.name, link._backlog_bytes)
         if done is None:
             return  # dropped: the packet silently vanishes, as on a real path
-        t_out = done + link.prop_delay
+        t_out = done + link._prop_delay
         self._vseq = q = self._vseq + 1
         hop += 1
         if hop < len(links):
             heapq.heappush(self._vheap, (t_out, q, K_ADMIT, links, hop, size, tail))
+        elif links is self._rev:
+            self._drev.append((t_out, q) + tail)
         else:
-            heapq.heappush(self._vheap, (t_out, q) + tail)
+            self._dfwd.append((t_out, q) + tail)
 
     # ------------------------------------------------------------------
     # The round: walk up to the cap, reschedule
@@ -387,6 +402,9 @@ class FlowTransitDomain:
         while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
             heapq.heappop(vheap)
         t = vheap[0][0] if vheap else None
+        for dq in (self._dfwd, self._drev):
+            if dq and (t is None or dq[0][0] < t):
+                t = dq[0][0]
         ss = self._batch
         if ss is not None:
             for ts in ss.bt:
@@ -414,6 +432,10 @@ class FlowTransitDomain:
             self._unbatch()
         vheap = self._vheap
         heappop = heapq.heappop
+        dfwd = self._dfwd
+        drev = self._drev
+        pop_fwd = dfwd.popleft
+        pop_rev = drev.popleft
         if self.streams:
             live = [ss for ss in self.streams if not ss.run.done]
             if len(live) != len(self.streams):
@@ -458,15 +480,24 @@ class FlowTransitDomain:
         ev_data = self._ev_data
         try:
             while True:
-                if vheap:
-                    ev = vheap[0]
-                    t = ev[0]
-                else:
-                    ev = None
-                    t = _INF
+                # The earliest of the heap head and the two delivery
+                # heads; (t, q) tuples compare on t, then the unique q.
+                ev = vheap[0] if vheap else None
+                pop = heappop
+                if dfwd:
+                    e = dfwd[0]
+                    if ev is None or e < ev:
+                        ev = e
+                        pop = pop_fwd
+                if drev:
+                    e = drev[0]
+                    if ev is None or e < ev:
+                        ev = e
+                        pop = pop_rev
+                t = _INF if ev is None else ev[0]
                 if self._pmin <= t:
                     if self._pmin == _INF:
-                        break  # heap empty, no timers postponed
+                        break  # nothing queued, no timers postponed
                     # A postponed RTO timer is due at or before the head
                     # event; surface it with its original tiebreak so the
                     # heap restores exact eager-push dispatch order.
@@ -474,7 +505,10 @@ class FlowTransitDomain:
                     continue
                 if ev is None or (t > now and t >= self._limit):
                     break
-                heappop(vheap)
+                if pop is heappop:
+                    heappop(vheap)
+                else:
+                    pop()
                 k = ev[2]
                 self._vnow = t
                 if k == K_ACK:
@@ -557,9 +591,9 @@ class FlowTransitDomain:
                 break
             if seq0 >= ack:
                 break
-            info = infl.pop(seq0)
-            if not info.retransmitted:
-                sample = t - info.send_time
+            sent_at = infl.pop(seq0)
+            if sent_at is not None:  # Karn: no sample from a retransmission
+                sample = t - sent_at
                 base = snd.base_rtt
                 if base is None or sample < base:
                     snd.base_rtt = sample
@@ -633,16 +667,10 @@ class FlowTransitDomain:
             else:
                 length = mss
             if snd_nxt < high:  # retransmission (go-back-N refill)
-                info = infl.get(snd_nxt)
-                if info is None:
-                    info = _SegmentInfo(snd_nxt, length, t)
-                    infl[snd_nxt] = info
-                else:
-                    info.send_time = t
-                info.retransmitted = True
+                infl[snd_nxt] = None
                 snd.retransmits += 1
             else:  # fresh segment: cannot already be tracked
-                infl[snd_nxt] = _SegmentInfo(snd_nxt, length, t)
+                infl[snd_nxt] = t
             sent += 1
             self._hop_admit(fwd, 0, t, length + hdr, (K_DATA, fs, snd_nxt, length))
             if rto_timer is None:
@@ -837,7 +865,7 @@ class FlowTransitDomain:
                     (link, t, size, d if accepts is None or accepts[j] else None)
                     for j, (t, d) in enumerate(zip(fg, dones))
                 )
-            prop = link.prop_delay
+            prop = link._prop_delay
             if accepts is None:
                 xs = [d + prop for d in dones]
                 xi = ix
@@ -999,27 +1027,31 @@ class FlowTransitDomain:
 
     def _drain_flow_events(self, fs: _FlowState) -> None:
         """Materialize this flow's pending virtual events as real ones."""
-        kept: list = []
+        queues = (self._vheap, self._dfwd, self._drev)
+        kept: list = [[] for _ in queues]
         owned: list = []
-        for ev in self._vheap:
-            k = ev[2]
-            if k == K_DATA or k == K_ACK:
-                (owned if ev[3] is fs else kept).append(ev)
-            elif k == K_ADMIT:
-                tail = ev[6]
-                (owned if tail[0] != K_SDELIV and tail[1] is fs else kept).append(ev)
-            else:
-                kept.append(ev)
+        for queue, rest in zip(queues, kept):
+            for ev in queue:
+                k = ev[2]
+                if k == K_DATA or k == K_ACK:
+                    (owned if ev[3] is fs else rest).append(ev)
+                elif k == K_ADMIT:
+                    tail = ev[6]
+                    (owned if tail[0] != K_SDELIV and tail[1] is fs else rest).append(ev)
+                else:
+                    rest.append(ev)
         if not owned:
             return
         owned.sort()
         for ev in owned:
             self._materialize(ev)
         # In place: _round's walk loop (and a mid-walk completion path
-        # reaching here through _complete_flow) hold aliases to the list.
-        vheap = self._vheap
-        vheap[:] = kept
-        heapq.heapify(vheap)
+        # reaching here through _complete_flow) hold aliases to the heap
+        # and the deques.  The deques keep the order of what remains.
+        for queue, rest in zip(queues, kept):
+            queue.clear()
+            queue.extend(rest)
+        heapq.heapify(self._vheap)
 
     def _pkt_from_tail(self, tail):
         k = tail[0]
@@ -1104,9 +1136,10 @@ class FlowTransitDomain:
         for link in self.links:
             if link._domain is self:
                 link._domain = None
-        vheap = self._vheap
-        drained = sorted(vheap)
-        vheap.clear()  # in place: walk-loop aliases must observe the drain
+        queues = (self._vheap, self._dfwd, self._drev)
+        drained = sorted(ev for queue in queues for ev in queue)
+        for queue in queues:
+            queue.clear()  # in place: walk-loop aliases must observe the drain
         sends = []
         for ev in drained:
             k = ev[2]
@@ -1278,11 +1311,6 @@ def try_attach_flow(sender: "TCPSender") -> bool:
         ):
             _note_flow_fallback(network, sim, "link-config")
             return False
-    global _SegmentInfo
-    if _SegmentInfo is None:
-        from ..transport.tcp import _SegmentInfo as seg
-
-        _SegmentInfo = seg
     domain = network._flow_domain
     if domain is None:
         domain = network._flow_domain = FlowTransitDomain(sim, network)

@@ -100,6 +100,10 @@ class Link:
         Transmission rate in bits per second (the paper's ``C_i``).
     prop_delay:
         Propagation delay in seconds appended after transmission completes.
+        It is fixed at construction (the attribute is read-only): every
+        path through the link, batched stream folds and the flow-transit
+        walk's FIFO delivery queues included, relies on exits leaving in
+        the order their transmissions complete.
     buffer_bytes:
         Drop-tail buffer size in bytes, or ``None`` for an infinite buffer
         (the paper's "adequately buffered to avoid losses" setting).
@@ -119,7 +123,7 @@ class Link:
     __slots__ = (
         "sim",
         "capacity_bps",
-        "prop_delay",
+        "_prop_delay",
         "buffer_bytes",
         "name",
         "_deliver",
@@ -162,7 +166,7 @@ class Link:
             )
         self.sim = sim
         self.capacity_bps = float(capacity_bps)
-        self.prop_delay = float(prop_delay)
+        self._prop_delay = float(prop_delay)
         self.buffer_bytes = buffer_bytes
         self.name = name
         self._deliver = deliver
@@ -183,6 +187,11 @@ class Link:
         tracer = sim.tracer
         if tracer is not None:
             tracer.register_link(self)
+
+    @property
+    def prop_delay(self) -> float:
+        """Propagation delay in seconds, fixed at construction."""
+        return self._prop_delay
 
     # ------------------------------------------------------------------
     # Wired callbacks and policies (rebinding reverts bulk traffic)
@@ -438,7 +447,7 @@ class Link:
         stats.packets_forwarded += 1
         if self._tracer is not None:
             self._tracer.on_link_enqueue(self.name, backlog)
-        sim.schedule_at(done + self.prop_delay, self._exit, pkt)
+        sim.schedule_at(done + self._prop_delay, self._exit, pkt)
         return True
 
     def _exit(self, pkt: Packet) -> None:

@@ -205,8 +205,8 @@ def build_single_hop_path(
 
     ``modulation`` optionally adds slow non-stationary load variation
     (see :class:`repro.netsim.crosstraffic.CrossTrafficSource`); ``bulk``
-    selects the cross-traffic data path (modulated sources always run
-    per-packet).
+    selects the cross-traffic data path (modulated sources run bulk too
+    when eligible).
     """
     network = build_path(
         sim,

@@ -121,16 +121,6 @@ class TCPConfig:
             raise ValueError("need 0 < vegas_alpha <= vegas_beta")
 
 
-@dataclass
-class _SegmentInfo:
-    """Sender bookkeeping for one in-flight segment."""
-
-    seq: int  # first byte
-    length: int
-    send_time: float
-    retransmitted: bool = False
-
-
 class TCPReceiver:
     """Receiving side: cumulative ACKs plus out-of-order buffering.
 
@@ -300,7 +290,9 @@ class TCPSender:
         self._vegas_ss_grow = True  # slow start doubles every *other* RTT
         self.rto = cfg.initial_rto
         self._rto_timer: Optional[ScheduledCall] = None
-        self._in_flight: dict[int, _SegmentInfo] = {}
+        # In-flight segments: first byte -> send time, or None once the
+        # segment was retransmitted (Karn's rule takes no RTT sample).
+        self._in_flight: dict[int, Optional[float]] = {}
         self._stopped = False
         self._completed = False
         self._pp_claimed = False  # holds a network per-packet claim while active
@@ -409,15 +401,13 @@ class TCPSender:
             payload=length,
             created_at=self.sim.now,
         )
-        info = self._in_flight.get(seq)
-        if info is None:
-            info = _SegmentInfo(seq=seq, length=length, send_time=self.sim.now)
-            self._in_flight[seq] = info
-        else:
-            info.send_time = self.sim.now
+        # A tracked key keeps its dict position: the flow-transit ack
+        # kernel pops acked segments as a prefix in insertion order.
         if retransmission:
-            info.retransmitted = True
+            self._in_flight[seq] = None
             self.retransmits += 1
+        else:
+            self._in_flight[seq] = self.sim.now
         self.segments_sent += 1
         self.network.send_forward(pkt, self.receiver.on_segment)
         if self._rto_timer is None:
@@ -455,9 +445,9 @@ class TCPSender:
         for seq in sorted(self._in_flight):
             if seq >= ack:
                 break
-            info = self._in_flight.pop(seq)
-            if not info.retransmitted:
-                self._update_rtt(self.sim.now - info.send_time)
+            sent_at = self._in_flight.pop(seq)
+            if sent_at is not None:
+                self._update_rtt(self.sim.now - sent_at)
         newly_acked = ack - self.snd_una
         self.snd_una = ack
         self.dupacks = 0

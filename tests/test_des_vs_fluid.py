@@ -1,11 +1,13 @@
 """Cross-validation: the discrete-event simulator against the analytic
-fluid model.
+fluid model, and against queueing theory.
 
 The Appendix's fluid model has closed forms for the OWD slope and the
 stream exit rate.  With near-fluid cross traffic (CBR with small packets),
 the packet-level simulator must converge to those predictions — a strong
 end-to-end consistency check between two completely independent
-implementations of the same physics.
+implementations of the same physics.  A Poisson-fed hop with an infinite
+buffer is an M/G/1 queue, so its mean wait must match the
+Pollaczek–Khinchine formula.
 """
 
 import numpy as np
@@ -81,3 +83,48 @@ class TestExitRate:
     def test_transparent_below_avail_bw(self):
         measurement, _spec = des_stream(3e6, n_packets=200)
         assert measurement.dispersion_rate_bps() == pytest.approx(3e6, rel=0.05)
+
+
+class TestPollaczekKhinchine:
+    """Mean queueing delay on a Poisson-fed, infinite-buffer hop.
+
+    Four Poisson sources with the paper's packet mix superpose into one
+    Poisson stream with i.i.d. sizes, so the hop is M/G/1 and the mean
+    wait is ``W = lam * E[S^2] / (2 * (1 - rho))``, with ``S`` the mix's
+    service time.  ``queueing_delay()`` is the work in the system, and
+    reads at Poisson instants see its time average (PASTA), so their mean
+    estimates ``W``.  Each run reads 20,000 times over 100 s after a 5 s
+    warm-up; the tolerance is four standard errors of 20 batch means.
+    """
+
+    N_READS = 20_000
+    N_BATCHES = 20
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    @pytest.mark.parametrize("rho", [0.5, 0.8])
+    def test_mean_wait_matches_pk(self, rho, bulk):
+        sim = Simulator()
+        setup = build_single_hop_path(
+            sim, CAPACITY, rho, np.random.default_rng(1), buffer_bytes=None,
+            traffic_model="poisson", n_sources=4, bulk=bulk,
+        )
+        link = setup.tight_link
+        mix = PacketMix()
+        sizes = mix.sizes.astype(float)
+        lam = rho * CAPACITY / (8.0 * float(mix.probs @ sizes))
+        service_sq = float(mix.probs @ (sizes * 8.0 / CAPACITY) ** 2)
+        expected = lam * service_sq / (2.0 * (1.0 - rho))
+
+        gaps = np.random.default_rng(2).exponential(100.0 / self.N_READS, self.N_READS)
+        instants = (5.0 + np.cumsum(gaps)).tolist()
+        reads = []
+        for t in instants:
+            sim.schedule_at(t, lambda: reads.append(link.queueing_delay()))
+        sim.run(until=instants[-1] + 1.0)
+        assert len(reads) == self.N_READS
+
+        batches = np.array(reads).reshape(self.N_BATCHES, -1).mean(axis=1)
+        mean = float(batches.mean())
+        stderr = float(batches.std(ddof=1)) / np.sqrt(self.N_BATCHES)
+        assert stderr < 0.1 * expected, "too few reads to test the mean"
+        assert abs(mean - expected) <= 4.0 * stderr, (mean, expected, stderr)

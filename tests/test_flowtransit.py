@@ -396,6 +396,44 @@ class TestRevocation:
 
         assert run(True) == run(False)
 
+        # Two flows, the first stopped at an off-grid instant while both
+        # have segments and acks queued for delivery: its deliveries leave
+        # the walk for real events, and the other flow's stay queued in
+        # order behind them.
+        def run_two(fast):
+            sim = Simulator()
+            net = build_path(
+                sim, [LinkSpec(10e6, prop_delay=0.02, buffer_bytes=30_000)]
+            )
+            flows = [
+                open_connection(
+                    sim, net, config=TCPConfig(min_rto=0.5),
+                    total_bytes=10_000_000, start=start, fast=fast,
+                )
+                for start in (0.0, 0.2000345)
+            ]
+            queued = []
+
+            def stop():
+                domain = net._flow_domain
+                if domain is not None:
+                    for dq in (domain._dfwd, domain._drev):
+                        queued.append({ev[3].sender.flow_id for ev in dq})
+                flows[0][0].stop()
+
+            sim.schedule_at(1.5000123, stop)
+            sim.run(until=5.0)
+            states = tuple(flow_state(s, r) for s, r in flows)
+            stats = tuple(
+                lk.stats.snapshot() for lk in (*net.forward_links, *net.reverse_links)
+            )
+            return states, stats, queued, net._ft_flows
+
+        states, stats, queued, planned = run_two(True)
+        assert queued == [{"tcp-0", "tcp-1"}] * 2
+        assert planned == 2
+        assert (states, stats) == run_two(False)[:2]
+
     @pytest.mark.parametrize("hops", [1, 2])
     @pytest.mark.parametrize("n_streams", [0, 3])
     @pytest.mark.parametrize("util", [0.0, 0.4])

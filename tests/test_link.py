@@ -231,6 +231,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Link(sim, 1e6, buffer_bytes=0)
 
+    def test_prop_delay_is_read_only(self):
+        # Exits leave a hop in the order their transmissions complete only
+        # while its delay is constant: a batched stream's pending arrivals
+        # at the next hop and the walk's delivery queues rely on that.
+        link = Link(Simulator(), 1e6, prop_delay=0.02)
+        with pytest.raises(AttributeError):
+            link.prop_delay = 0.0
+        assert link.prop_delay == 0.02
+
     @pytest.mark.parametrize("arg", ["capacity_bps", "prop_delay", "buffer_bytes"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_argument_rejected(self, arg, value):

@@ -139,6 +139,27 @@ class TestRTTEstimation:
         sim.run(until=5.0)
         assert snd.rto >= 1.0
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_karn_rule_keeps_samples_physical(self, fast):
+        # Greedy Reno over the Fig. 15 tight link retransmits often.  An
+        # ack for an earlier copy of a retransmitted segment arrives soon
+        # after the retransmission, so a sample taken from it reads far
+        # below the path's physical minimum; Karn's rule takes none.  The
+        # smallest sample is the first segment's, on empty queues.
+        sim = Simulator()
+        net = bottleneck(sim, capacity=8.2e6, prop=0.1, buffer_bytes=170_000)
+        cfg = TCPConfig(min_rto=0.5)
+        snd, _rcv = open_connection(sim, net, config=cfg, start=0.0, fast=fast)
+        sim.run(until=60.0)
+        fwd, rev = net.forward_links[0], net.reverse_links[0]
+        floor = (
+            fwd.transmission_time(cfg.mss + cfg.header_bytes) + fwd.prop_delay
+            + rev.transmission_time(cfg.header_bytes) + rev.prop_delay
+        )
+        assert snd.retransmits > 0
+        assert snd.base_rtt >= floor * (1 - 1e-9)
+        assert snd.base_rtt == pytest.approx(floor, rel=1e-9)
+
 
 class TestDelayedAck:
     def test_delayed_ack_halves_ack_count(self):
