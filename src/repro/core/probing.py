@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Optional
 
 import numpy as np
@@ -39,12 +40,18 @@ class StreamSpec:
     n_packets: int
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise ValueError(f"stream rate must be positive, got {self.rate_bps}")
-        if self.packet_size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.packet_size}")
-        if self.n_packets < 2:
-            raise ValueError(f"a stream needs >= 2 packets, got {self.n_packets}")
+        if not 0 < self.rate_bps < math.inf:
+            raise ValueError(
+                f"rate_bps must be finite and positive, got {self.rate_bps}"
+            )
+        if not isinstance(self.packet_size, Integral) or self.packet_size < 1:
+            raise ValueError(
+                f"packet_size must be an integer >= 1, got {self.packet_size!r}"
+            )
+        if not isinstance(self.n_packets, Integral) or self.n_packets < 2:
+            raise ValueError(
+                f"n_packets must be an integer >= 2, got {self.n_packets!r}"
+            )
 
     @property
     def period(self) -> float:

@@ -155,15 +155,15 @@ class RngUnorderedIterationChecker:
 _HOOK_ATTRS = frozenset({"deliver", "drop_hook", "qdisc"})
 _PRIVATE_HOOK_ATTRS = frozenset({"_deliver", "_drop_hook", "_qdisc"})
 _LINK_MODULE = "repro.netsim.link"
-_STREAMTRANSIT_MODULE = "repro.netsim.streamtransit"
+_FLOWTRANSIT_MODULE = "repro.netsim.flowtransit"
 _BULKARRIVALS_MODULE = "repro.netsim.bulkarrivals"
 
 #: Simulator / link state movers: a hook calling any of these reschedules
 #: or re-enters the data path from inside the data path.
 _STATE_MOVER_METHODS = frozenset({
     "schedule", "schedule_at", "process", "send", "inject_at",
-    "send_forward", "send_reverse", "claim_per_packet", "release_per_packet",
-    "interrupt", "decommission", "_decommission", "sync", "dissolve",
+    "send_forward", "send_reverse", "interrupt", "decommission",
+    "_decommission", "sync", "dissolve",
 })
 
 
@@ -323,31 +323,35 @@ class HookPurityChecker:
                             "fast-path eligibility tables go silently stale"
                         ),
                     )
-        stream = project.modules.get(_STREAMTRANSIT_MODULE)
-        if stream is not None:
-            plan = stream.functions.get("plan_stream")
-            if plan is not None:
+        flow = project.modules.get(_FLOWTRANSIT_MODULE)
+        if flow is not None:
+            gate = flow.functions.get("_domain_for")
+            if gate is None:
+                yield self._missing_target(flow, "_domain_for()")
+            else:
                 attrs = {
-                    n.attr for n in ast.walk(plan.node) if isinstance(n, ast.Attribute)
+                    n.attr for n in ast.walk(gate.node) if isinstance(n, ast.Attribute)
                 }
                 missing = sorted(_PRIVATE_HOOK_ATTRS - attrs)
                 if missing:
                     yield Finding(
                         rule_id=self.rule_id,
-                        path=stream.path,
-                        line=plan.lineno,
+                        path=flow.path,
+                        line=gate.lineno,
                         col=0,
                         message=(
-                            "plan_stream() eligibility check no longer "
+                            "_domain_for() eligibility check no longer "
                             f"consults {', '.join(missing)} — a hooked link "
-                            "would be planned analytically and the hook "
-                            "callbacks silently skipped"
+                            "would be carried by the flow-transit walk and "
+                            "the hook callbacks silently skipped"
                         ),
                     )
         bulk = project.modules.get(_BULKARRIVALS_MODULE)
         if bulk is not None:
             register = bulk.functions.get("CrossAggregator.register")
-            if register is not None:
+            if register is None:
+                yield self._missing_target(bulk, "CrossAggregator.register()")
+            else:
                 calls = {
                     n.func.attr
                     for n in ast.walk(register.node)
@@ -366,6 +370,19 @@ class HookPurityChecker:
                             "the arrivals already due"
                         ),
                     )
+
+    def _missing_target(self, table: ModuleTable, target: str) -> Finding:
+        return Finding(
+            rule_id=self.rule_id,
+            path=table.path,
+            line=1,
+            col=0,
+            message=(
+                f"{table.name} no longer defines {target}, whose guard "
+                "SIM009 cross-checks — a refactor moved the guard, so the "
+                "rule no longer sees it; point the rule at its new home"
+            ),
+        )
 
     @staticmethod
     def _find_setter(table: ModuleTable, hook: str) -> Optional[FunctionInfo]:

@@ -146,8 +146,9 @@ ALL_RULES: tuple[Rule, ...] = (
             "sides of that contract project-wide: every hook installation "
             "site is resolved to its function body and checked for purity, "
             "and the decommission guards themselves (Link setters, "
-            "plan_stream eligibility, the link sync in CrossAggregator."
-            "register) are cross-checked so they cannot silently go stale."
+            "the flow-transit gate _domain_for, the link sync in "
+            "CrossAggregator.register) are cross-checked so they cannot "
+            "silently go stale or go missing."
         ),
     ),
     Rule(

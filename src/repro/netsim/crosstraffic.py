@@ -258,7 +258,6 @@ class CrossTrafficSource:
                     f"modulation needs interval > 0 and sigma >= 0, got {modulation}"
                 )
             self._mod_next_b = float(start)
-        self._pp_claimed = False
         if rate_bps > 0 and bulk is not False and self._bulk_eligible():
             # Bulk sources consume boundary draws inside _bulk_fill; no
             # per-boundary events exist until a decommission restarts the
@@ -268,21 +267,8 @@ class CrossTrafficSource:
             if modulation is not None:
                 sim.schedule_at(start, self._modulate)
             if rate_bps > 0:
-                self._claim_per_packet()
                 first_gap = self._warmup_offset()
                 sim.schedule_at(start + first_gap, self._arrival)
-
-    def _claim_per_packet(self) -> None:
-        """Register as a per-packet foreground participant on the network.
-
-        Per-packet cross arrivals go through ``link.send()`` like any
-        foreground flow; while the network has no flow-transit walk yet,
-        the claim keeps new probe streams per-packet as well.  Held for
-        the source's lifetime — a per-packet source never reverts to bulk.
-        """
-        if not self._pp_claimed:
-            self._pp_claimed = True
-            self.network.claim_per_packet()
 
     @property
     def is_bulk(self) -> bool:
@@ -616,7 +602,6 @@ class CrossTrafficSource:
         would have reached.
         """
         self._feed = None
-        self._claim_per_packet()
         # Everything generated minus the returned tail has been folded into
         # the link; resume the eager per-packet counters from there.
         self._packets_sent = self._gen_packets - len(times)

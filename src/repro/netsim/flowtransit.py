@@ -1,13 +1,13 @@
-"""Event-elided foreground traffic: the flow-transit domain.
+"""Event-elided foreground traffic: the flow-transit walk.
 
-PR 4 elided per-packet events for background cross traffic.  What remains
-on the hot path of the Section VII experiments (fig15-18) is TCP itself:
-every segment of the BTC transfer costs two link events and two endpoint
-callbacks, and the SLoPS probe streams that share the path with it.
+Bulk cross traffic (:mod:`repro.netsim.bulkarrivals`) costs no event per
+packet; the foreground does.  A SLoPS probe stream costs K send events
+plus K x H per-hop delivery events, and every segment of a Section VII
+(fig15-18) TCP transfer two link events and two endpoint callbacks.
 
 This module carries that foreground traffic in a *domain*: a per-network
-virtual event loop that simulates every attached TCP flow and every probe
-stream with cheap tuples instead of engine events.
+virtual event loop, *the walk*, that simulates every attached TCP flow
+and every probe stream with cheap tuples instead of engine events.
 Each hop admission is :func:`~repro.netsim.hopfold.admit`, the per-hop
 recursion ``start = max(arrival, free_at); done = start + size*8/C``,
 merged against each hop's
@@ -23,7 +23,16 @@ walk merges their heads with the head of a private heap that holds
 everything else (timers, stream sends, arrivals at later hops).
 A probe stream alone in the domain is *batched* instead: each round folds
 its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold` call
-per hop (see :mod:`repro.netsim.streamtransit`).
+per hop.  Any other stream is admitted per packet, interleaved with the
+flows.
+
+Streams (:func:`plan_stream`) and flows (:func:`try_attach_flow`) enter
+through one gate, :func:`_domain_for`, which refuses a path whose links
+carry a qdisc, a drop hook or a rebound ``deliver`` callback.  Per-packet
+traffic on the same path (ping, a ``fast=False`` flow or stream,
+per-packet cross traffic) keeps nothing out: each of its sends is a real
+engine event, and by the invariant below a real ``Link.send`` finds
+every earlier admission already in the link's state.
 
 Correctness rests on one invariant — the **cap-bounded walk**:
 
@@ -51,14 +60,28 @@ and ``TCPReceiver.on_segment``); everything else — Vegas, delayed ACKs,
 recovery episodes, RTO — executes the *real* transport code under the
 shims, so there is exactly one implementation of the tricky parts.
 
-Ineligible flows (full tracer attached, qdisc/drop hook/rebound deliver,
-``fast=False``/``REPRO_NO_FAST``) never attach.  A mid-flight
-ineligibility (link decommission, full tracer attached while flows are
-carried) *dissolves* the domain — every in-flight virtual packet
-materializes as an ordinary engine event at its already-committed time,
-flows re-claim the per-packet path, streams resume their unsent suffix
-per-packet — so the sample path equals a never-planned run.  Nothing
-else is ever taken back: every admission is final when it is made.
+Determinism contract
+--------------------
+Every observable is bit-identical to the per-packet path: the folds use
+the same floating-point expressions in the same order as
+``Link.send()``, ``LinkStats`` and monitor samples agree at every read
+instant, and clock/jitter RNG draw *order* is unchanged.  Engine digests
+are reproducible within a mode; across modes they necessarily differ
+(events are elided), exactly as for bulk cross traffic.  See
+``docs/performance.md``.
+
+Fallback
+--------
+A stream takes the per-packet path (same sample path) when its channel
+is disabled, when a clock carries an RNG (draw timing would move), or on
+``link-config``; a flow when disabled, under a full tracer, or on
+``link-config``.  A mid-flight ineligibility (link decommission, full
+tracer attached while flows are carried) *dissolves* the domain — every
+in-flight virtual packet materializes as an ordinary engine event at its
+already-committed time, flows return to the per-packet path, streams
+resume their unsent suffix per-packet — so the sample path equals a
+never-planned run.  Nothing else is ever taken back: every admission is
+final when it is made.
 ``Simulator(sanitize=True)`` shadow-replays every round's admissions per
 hop, batched ones included, and raises on any divergence.
 """
@@ -69,19 +92,26 @@ import heapq
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from .engine import SimulationError
 from .fastpath import resolve_fast
 from .hopfold import admit, fold
 from .packet import Packet, PacketKind
-from .streamtransit import StreamPlan, plan_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..transport.probe import ProbeChannel, _StreamRun
     from ..transport.tcp import TCPSender
 
-__all__ = ["FlowTransitDomain", "FLOW_FALLBACK_REASONS", "try_attach_flow"]
+__all__ = [
+    "FlowTransitDomain",
+    "FLOW_FALLBACK_REASONS",
+    "STREAM_FALLBACK_REASONS",
+    "plan_stream",
+    "try_attach_flow",
+]
 
 #: Every reason ``repro_fastpath_flow_fallback_total`` may carry, for
 #: declared-but-zero metric export (docs/observability.md).
@@ -90,6 +120,17 @@ FLOW_FALLBACK_REASONS: tuple[str, ...] = (
     "tracer",
     "link-config",
     "link-decommission",
+)
+
+#: Every reason ``repro_fastpath_fallback_total`` may carry — refusals at
+#: send time plus walk dissolves — for declared-but-zero metric export
+#: (docs/observability.md).
+STREAM_FALLBACK_REASONS: tuple[str, ...] = (
+    "disabled",
+    "impure-clock",
+    "link-config",
+    "link-decommission",
+    "tracer",
 )
 
 _INF = float("inf")
@@ -199,14 +240,6 @@ class _FlowVNet:
         self.domain._send(fs.rev, pkt.size, (K_ACK, fs, pkt.seq))
         return True
 
-    # Claim bookkeeping is a planner heuristic; attached flows hold no
-    # claim, but delegate defensively in case transport code reaches it.
-    def claim_per_packet(self) -> None:  # pragma: no cover - defensive
-        self.domain.network.claim_per_packet()
-
-    def release_per_packet(self) -> None:  # pragma: no cover - defensive
-        self.domain.network.release_per_packet()
-
 
 class _FlowState:
     """Domain-side bookkeeping for one attached TCP flow."""
@@ -243,20 +276,57 @@ class _StreamState:
     starts with the whole send schedule.  A stream admitted per packet
     has ``bt = bi = None`` and lives on the walk's heap and forward
     delivery deque instead.
+
+    Each delivery appends its schedule index to ``idx`` and its time to
+    ``rec_times``; the first ``committed`` of them are in the live
+    ``_StreamRun`` (see :meth:`commit`).  ``complete_call`` is the real
+    event of the stream-closing delivery once the walk has reached it.
     """
 
     __slots__ = (
         "channel",
         "run",
         "done",
-        "plan",
         "sched",
         "n",
         "size",
         "fwd",
         "bt",
         "bi",
+        "idx",
+        "rec_times",
+        "committed",
+        "complete_call",
     )
+
+    def commit(self, limit: float, inclusive: bool) -> None:
+        """Append the deliveries with time up to ``limit`` to the run, at
+        finalize time or at a dissolve, so straggler accounting matches
+        the per-packet path exactly.
+
+        ``inclusive`` matches the per-packet event order at the boundary:
+        the stream-closing arrival commits itself (<=), while the
+        deadline event — inserted at stream start, hence popped first on
+        an exact tie — cuts strictly (<).  Each host clock is read once
+        on the slice's array: the walk only carries pure clocks, whose
+        ``read`` is elementwise.
+        """
+        times = self.rec_times
+        p = self.committed
+        if inclusive:
+            q = bisect_right(times, limit, p)
+        else:
+            q = bisect_left(times, limit, p)
+        if q > p:
+            run = self.run
+            sched = self.sched
+            channel = self.channel
+            sent = [sched[i] for i in self.idx[p:q]]
+            run.seq += [seq for _s, seq in sent]
+            send_times = np.array([s for s, _seq in sent])
+            run.sender_stamp += channel.sender_clock.read(send_times).tolist()
+            run.recv_stamp += channel.receiver_clock.read(np.array(times[p:q])).tolist()
+            self.committed = q
 
 
 class FlowTransitDomain:
@@ -732,42 +802,37 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Probe streams
     # ------------------------------------------------------------------
-    def adopt_stream(self, channel: "ProbeChannel", run: "_StreamRun", done_event):
-        """Carry one probe stream inside the domain walk.
+    def adopt_stream(
+        self, channel: "ProbeChannel", run: "_StreamRun", done_event
+    ) -> _StreamState:
+        """Carry one probe stream inside the domain walk; return its state.
 
-        Called from :func:`~repro.netsim.streamtransit.plan_stream`.
-        Returns the familiar ``(plan, reason)`` pair.  The stream is
-        batched when it is the only foreground traffic the walk carries
-        (no flow, no other stream's admission pending) and its closing
-        packet is last in send order, so no admission of it follows its
-        completion event.  Any other stream is admitted per packet, and
-        so is a batched one once :meth:`_round` finds a full tracer on
-        its hops.
+        Called from :func:`plan_stream`.  The stream is batched when it
+        is the only foreground traffic the walk carries (no flow, no
+        other stream's admission pending) and its closing packet is last
+        in send order, so no admission of it follows its completion
+        event.  Any other stream is admitted per packet, and so is a
+        batched one once :meth:`_round` finds a full tracer on its hops.
         """
-        tracer = self.sim.tracer
-        if self.flows and tracer is not None and not tracer.light:
-            _warn_tracer_fallback()
-            self.dissolve("tracer")
-            return plan_stream(channel, run, done_event)
-        plan = StreamPlan(run, channel.sender_clock.read, channel.receiver_clock.read)
         ss = _StreamState()
         ss.channel = channel
         ss.run = run
         ss.done = done_event
-        ss.plan = plan
         sched = run.schedule
         ss.sched = sched
         n = ss.n = run.spec.n_packets
         ss.size = run.spec.packet_size
         ss.fwd = self.network.forward_links
         ss.bt = ss.bi = None
+        ss.idx = []
+        ss.rec_times = []
+        ss.committed = 0
+        ss.complete_call = None
         self.streams.append(ss)
-        run.plan = plan
+        run.plan = ss
         run.n_sent = n
         channel.packets_sent += n
         channel.bytes_sent += n * ss.size
-        if not sched:
-            return plan, None
         if (
             self.flows
             or self._batch is not None
@@ -783,7 +848,7 @@ class FlowTransitDomain:
             ss.bi = [list(range(len(sched)))] + [[] for _ in rest]
             self._batch = ss
         self._kick(sched[0][0])
-        return plan, None
+        return ss
 
     def _unbatch(self) -> None:
         """Move the batched stream's pending arrivals onto per-packet
@@ -891,11 +956,10 @@ class FlowTransitDomain:
         run = ss.run
         if run.done or not xs:
             return  # stragglers after deadline finalization: lost
-        plan = ss.plan
-        plan.idx += xi
-        plan.rec_times += xs
+        ss.idx += xi
+        ss.rec_times += xs
         if xi[-1] == ss.n - 1:
-            plan.complete_call = self.sim.schedule_at(
+            ss.complete_call = self.sim.schedule_at(
                 xs[-1], ss.channel._fast_complete, run, ss.done
             )
 
@@ -914,11 +978,10 @@ class FlowTransitDomain:
         run = ss.run
         if run.done:
             return  # straggler after deadline finalization: lost
-        plan = ss.plan
-        plan.idx.append(i)
-        plan.rec_times.append(t)
+        ss.idx.append(i)
+        ss.rec_times.append(t)
         if ss.sched[i][1] == ss.n - 1:
-            plan.complete_call = self._defer(
+            ss.complete_call = self._defer(
                 ss.channel._fast_complete, run, ss.done
             )
 
@@ -1083,7 +1146,7 @@ class FlowTransitDomain:
             seq=seq,
             kind=PacketKind.PROBE,
             created_at=s,
-            sender_stamp=ss.plan.sender_read(s),
+            sender_stamp=channel.sender_clock.read(s),
         )
         handler = lambda p, run=run, done=done: channel._on_arrival(run, p, done)
         return pkt, handler
@@ -1152,28 +1215,26 @@ class FlowTransitDomain:
             run = ss.run
             if run.done:
                 continue
-            plan = ss.plan
-            if plan.complete_call is not None:
+            if ss.complete_call is not None:
                 # Virtually complete: the pending _fast_complete event
                 # will commit and finalize; nothing to rewind.
                 continue
-            plan.commit(now, inclusive=True)
+            ss.commit(now, inclusive=True)
             # Deliveries a batched fold recorded past now arrive per-packet.
-            for i, x in plan.uncommitted():
+            p = ss.committed
+            channel = ss.channel
+            for i, x in zip(ss.idx[p:], ss.rec_times[p:]):
                 s, seq = ss.sched[i]
                 pkt = Packet(
                     ss.size,
                     flow_id=run.flow_id,
                     seq=seq,
                     kind=PacketKind.PROBE,
-                    sender_stamp=plan.sender_read(s),
+                    sender_stamp=channel.sender_clock.read(s),
                 )
-                sim.schedule_at(x, ss.channel._on_arrival, run, pkt, ss.done)
+                sim.schedule_at(x, channel._on_arrival, run, pkt, ss.done)
             run.plan = None
-            ss.channel._note_fallback(reason)
-            if not run.claimed:
-                run.claimed = True
-                network.claim_per_packet()
+            channel._note_fallback(reason)
         self.streams = []
         # Every stream with a pending send resumes its unsent suffix on
         # the per-packet sender, finalized or not, as per-packet sends on.
@@ -1187,11 +1248,7 @@ class FlowTransitDomain:
             if fs.completing:
                 continue
             self._detach(fs)
-            snd = fs.sender
             _note_flow_fallback(network, sim, reason)
-            if not snd._stopped and not snd._completed and not snd._pp_claimed:
-                snd._pp_claimed = True
-                network.claim_per_packet()
         self.flows = [fs for fs in self.flows if fs.completing]
 
     # ------------------------------------------------------------------
@@ -1286,12 +1343,64 @@ class FlowTransitDomain:
 # ----------------------------------------------------------------------
 # Module-level seams
 # ----------------------------------------------------------------------
+def _domain_for(network, sim) -> Optional[FlowTransitDomain]:
+    """The one gate into the walk: ``network``'s domain, created on first
+    use, or None when a forward or reverse link has a qdisc, a drop hook
+    or a rebound ``deliver`` callback.  A live domain is trusted without a
+    re-check: it names itself on every link it crosses, and every hook
+    setter and ``set_capacity_segments`` dissolve it."""
+    domain = network._flow_domain
+    if domain is not None:
+        return domain
+    advance = network._advance
+    for link in (*network.forward_links, *network.reverse_links):
+        if (
+            link._deliver != advance
+            or link._qdisc is not None
+            or link._drop_hook is not None
+        ):
+            return None
+    domain = network._flow_domain = FlowTransitDomain(sim, network)
+    return domain
+
+
+def _impure(clock) -> bool:
+    """A clock that consumes an RNG per read cannot be batch-read."""
+    return (
+        getattr(clock, "_rng", None) is not None
+        or getattr(clock, "rng", None) is not None
+    )
+
+
+def plan_stream(
+    channel: "ProbeChannel", run: "_StreamRun", done_event
+) -> tuple[Optional[_StreamState], Optional[str]]:
+    """``ProbeChannel.send_stream`` seam: hand ``run`` to the network's
+    walk and return ``(state, None)``, or ``(None, reason)`` when the
+    caller must take the per-packet path (same sample path).  A walk
+    carrying flows under a full tracer is dissolved first, and the stream
+    rides a fresh walk without them."""
+    if _impure(channel.sender_clock) or _impure(channel.receiver_clock):
+        return None, "impure-clock"
+    network = channel.network
+    sim = channel.sim
+    domain = _domain_for(network, sim)
+    if domain is not None and domain.flows:
+        tracer = sim.tracer
+        if tracer is not None and not tracer.light:
+            _warn_tracer_fallback()
+            domain.dissolve("tracer")
+            domain = _domain_for(network, sim)
+    if domain is None:
+        return None, "link-config"
+    return domain.adopt_stream(channel, run, done_event), None
+
+
 def try_attach_flow(sender: "TCPSender") -> bool:
     """``TCPSender._begin`` seam: attach to (or create) this network's
     flow-transit domain.  Returns True when attached; on False the caller
-    takes the per-packet path (claiming as before).  The flow's own
-    eligibility is checked first, since a probe stream may have created
-    the domain."""
+    takes the per-packet path.  The flow's own eligibility is checked
+    before the gate, since a probe stream may have created the domain."""
     network = sender.network
     sim = sender.sim
     if not resolve_fast(sender._fast):
@@ -1302,18 +1411,10 @@ def try_attach_flow(sender: "TCPSender") -> bool:
         _warn_tracer_fallback()
         _note_flow_fallback(network, sim, "tracer")
         return False
-    advance = network._advance
-    for link in (*network.forward_links, *network.reverse_links):
-        if (
-            link._deliver != advance
-            or link._qdisc is not None
-            or link._drop_hook is not None
-        ):
-            _note_flow_fallback(network, sim, "link-config")
-            return False
-    domain = network._flow_domain
+    domain = _domain_for(network, sim)
     if domain is None:
-        domain = network._flow_domain = FlowTransitDomain(sim, network)
+        _note_flow_fallback(network, sim, "link-config")
+        return False
     domain.attach_flow(sender)
     return True
 

@@ -58,12 +58,6 @@ class PathNetwork:
         self.sim = sim
         self.forward_links = tuple(forward_links)
         self.reverse_links = tuple(reverse_links)
-        # Stream-transit support (repro.netsim.streamtransit): a count of
-        # per-packet foreground participants (TCP flows, pings, per-packet
-        # streams/cross sources).  While the network has no walk yet, a
-        # positive count keeps new probe streams per-packet; correctness
-        # never depends on it, since the walk never runs past a real send.
-        self._pp_claims = 0
         # Flow-transit support (repro.netsim.flowtransit): the live domain
         # carrying planned TCP flows (and adopted probe streams), plus
         # programmatic counters — flows planned, per-packet fallbacks by
@@ -138,17 +132,6 @@ class PathNetwork:
         pkt.handler = handler
         pkt.created_at = self.sim.now
         return route[0].send(pkt)
-
-    def claim_per_packet(self) -> None:
-        """Note a per-packet foreground participant (TCP, ping, per-packet
-        probe stream or cross source) as active on this network.  While any
-        claim is held and no walk carries this network yet, new probe
-        streams take the per-packet path too (``foreground-active``)."""
-        self._pp_claims += 1
-
-    def release_per_packet(self) -> None:
-        """Release a :meth:`claim_per_packet` claim."""
-        self._pp_claims -= 1
 
     def flush(self) -> None:
         """Fold any pending bulk cross-traffic arrivals into every link.

@@ -334,8 +334,7 @@ class Tracer:
         Idempotent in the sense that gauges are set (not accumulated) and
         the per-link counters are set from the links' cumulative stats.
         """
-        from ..netsim.flowtransit import FLOW_FALLBACK_REASONS
-        from ..netsim.streamtransit import STREAM_FALLBACK_REASONS
+        from ..netsim.flowtransit import FLOW_FALLBACK_REASONS, STREAM_FALLBACK_REASONS
 
         m = self.metrics
         m.gauge(

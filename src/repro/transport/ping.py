@@ -11,6 +11,7 @@ timeout.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 from ..netsim.engine import Simulator
@@ -34,6 +35,9 @@ class Pinger:
         Echo request/reply size in bytes (classic ping payload ≈ 64 B).
     timeout:
         After this long an unanswered probe is recorded as lost.
+    start / stop:
+        First send time (not before ``sim.now``) and the time from which
+        no more probes are sent (``None``: never stop).
     """
 
     def __init__(
@@ -46,10 +50,16 @@ class Pinger:
         start: float = 0.0,
         stop: Optional[float] = None,
     ):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        if not 0 < interval < math.inf:
+            raise ValueError(f"interval must be finite and positive, got {interval}")
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and positive, got {timeout}")
+        if not sim.now <= start < math.inf:
+            raise ValueError(
+                f"start must be finite and >= sim.now ({sim.now}), got {start}"
+            )
+        if stop is not None and math.isnan(stop):
+            raise ValueError("stop must be None or a number, got nan")
         self.sim = sim
         self.network = network
         self.interval = float(interval)
@@ -62,23 +72,13 @@ class Pinger:
         self.sent = 0
         self.lost = 0
         self._outstanding: dict[int, float] = {}  # seq -> send time
-        self._pp_claimed = False  # network per-packet claim while probing
         sim.schedule_at(start, self._send_probe)
 
     # ------------------------------------------------------------------
     def _send_probe(self) -> None:
         now = self.sim.now
         if self.stop is not None and now >= self.stop:
-            if self._pp_claimed:
-                self._pp_claimed = False
-                self.network.release_per_packet()
             return
-        if not self._pp_claimed:
-            # Ping probes are per-packet foreground traffic; while probing,
-            # a network with no flow-transit walk yet sends new probe
-            # streams per-packet too.
-            self._pp_claimed = True
-            self.network.claim_per_packet()
         seq = self.sent
         self.sent += 1
         self._outstanding[seq] = now

@@ -16,11 +16,19 @@ Host imperfections are explicit and optional:
 * Sender/receiver clocks may be any :class:`~repro.netsim.clock.Clock`
   (offset, skew, noise); SLoPS verdicts must be invariant to offset and to
   realistic skew, and the test suite checks that.
+
+A stream normally costs no event per packet: :func:`plan_stream` hands it
+to the network's flow-transit walk (:mod:`repro.netsim.flowtransit`),
+which carries it beside any planned TCP flow and any per-packet traffic
+on the path, with the same sample path.  The channel sends per packet
+only when it is disabled, when a clock draws from an RNG, or when a link
+on the path has a qdisc, a drop hook or a rebound delivery callback.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 import numpy as np
@@ -32,7 +40,7 @@ from ..netsim.engine import Event, Process, Simulator
 from ..netsim.fastpath import resolve_fast
 from ..netsim.packet import Packet, PacketKind
 from ..netsim.path import PathNetwork
-from ..netsim.streamtransit import plan_stream
+from ..netsim.flowtransit import plan_stream
 
 __all__ = ["SendJitter", "ProbeChannel", "drive_controller", "run_pathload"]
 
@@ -44,8 +52,8 @@ class SendJitter:
     def __init__(self, rng: np.random.Generator, prob: float = 0.0, max_delay: float = 0.0):
         if not 0 <= prob <= 1:
             raise ValueError(f"prob must be in [0,1], got {prob}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
+        if not 0 <= max_delay < math.inf:
+            raise ValueError(f"max_delay must be finite and >= 0, got {max_delay}")
         self.rng = rng
         self.prob = prob
         self.max_delay = max_delay
@@ -73,7 +81,6 @@ class _StreamRun:
         "done",
         "schedule",
         "plan",
-        "claimed",
     )
 
     def __init__(self, spec: StreamSpec, flow_id: str, t_start: float):
@@ -88,10 +95,8 @@ class _StreamRun:
         self.done = False
         #: sorted ``(send_time, seq)`` pairs — all jitter drawn up front
         self.schedule: list[tuple[float, int]] = []
-        #: StreamPlan collecting deliveries while the walk carries this stream
+        #: the walk's state for this stream while the walk carries it
         self.plan = None
-        #: True while this run holds a network per-packet claim
-        self.claimed = False
 
 
 class ProbeChannel:
@@ -110,7 +115,7 @@ class ProbeChannel:
         defaults to half the path's queueing-free RTT.
     fast:
         Whether eligible streams ride the network's event-elided walk
-        (:mod:`repro.netsim.streamtransit`) instead of costing one event
+        (:mod:`repro.netsim.flowtransit`) instead of costing one event
         per packet per hop, with bit-identical results.
         ``None`` (default) enables it unless the ``REPRO_NO_FAST``
         environment variable is set.
@@ -132,6 +137,10 @@ class ProbeChannel:
         self.receiver_clock = (
             receiver_clock if receiver_clock is not None else PerfectClock()
         )
+        if control_delay is not None and not 0 <= control_delay < math.inf:
+            raise ValueError(
+                f"control_delay must be None or finite and >= 0, got {control_delay}"
+            )
         self.jitter = jitter
         self.control_delay = (
             control_delay if control_delay is not None else network.min_rtt() / 2.0
@@ -200,17 +209,15 @@ class ProbeChannel:
                     ).inc()
         else:
             self._note_fallback("disabled")
-        if self._tracer is not None and spec.n_packets:
+        if self._tracer is not None:
             self._tracer.metrics.counter(
                 "repro_probe_packets_total",
                 labels={"path": "elided" if plan is not None else "per-packet"},
                 help="probe packets by transit path at send time",
             ).inc(spec.n_packets)
-        if plan is None and schedule:
+        if plan is None:
             # Per-packet path: one self-rescheduling sender callback — a
             # single outstanding heap entry per in-flight stream, not K.
-            run.claimed = True
-            self.network.claim_per_packet()
             self.sim.schedule_at(schedule[0][0], self._send_next, run, 0, done)
         # Deadline: everything should have drained well before
         # last send + slack; stragglers after it count as lost.
@@ -293,9 +300,6 @@ class ProbeChannel:
             plan.commit(self.sim.now, inclusive=False)
             run.plan = None
         run.done = True
-        if run.claimed:
-            run.claimed = False
-            self.network.release_per_packet()
         measurement = StreamMeasurement(
             run.spec,
             n_sent=max(run.n_sent, run.spec.n_packets),

@@ -12,10 +12,9 @@ eligibility breaks (link decommission while an RTO timer is pending)
 must land on a sample path identical to a run that never planned.
 
 The headline regression here is intrusiveness (paper Section VII /
-figs 17-18): a *planned* foreground TCP flow no longer claims the
-network for per-packet operation, so concurrent SLoPS probe streams are
-adopted into the domain's walk instead of being refused with
-``foreground-active``.
+figs 17-18): concurrent SLoPS probe streams ride the domain's walk
+beside the foreground TCP flow, whether the walk carries that flow or
+the flow runs per-packet.
 """
 
 import importlib
@@ -277,35 +276,96 @@ class TestShadow:
 # ----------------------------------------------------------------------
 class TestProbeCoexistence:
     def test_probe_not_refused_while_flow_planned(self):
-        # The regression this PR exists for: with the foreground flow
-        # planner-managed, probe streams are adopted, not refused.
+        # With the foreground flow planner-managed, probe streams are
+        # adopted into the same walk, not refused.
         kwargs = dict(n_streams=3, utilization=0.3, total_bytes=2_000_000)
         stf, sf, mf, netf, chf = run_flow(True, **kwargs)
         assert chf.fastpath_streams == 3
-        assert "foreground-active" not in chf.fastpath_fallbacks
+        assert chf.fastpath_fallbacks == {}
         assert netf._ft_flows == 1
         sts, ss, ms, _, chs = run_flow(False, **kwargs)
         assert stf == sts
         assert sf == ss
         assert mf == ms
 
-    def test_per_packet_flow_still_refuses_probes(self):
-        # A flow that genuinely runs per-packet (fast=False) claims the
-        # network, so probe planning must still fall back.
-        sim = Simulator()
-        rng = np.random.default_rng(7)
-        setup = build_single_hop_path(sim, 10e6, 0.3, rng)
-        net = setup.network
-        open_connection(
-            sim, net, config=TCPConfig(min_rto=0.5), total_bytes=2_000_000,
-            start=0.0, fast=False,
-        )
-        chan = ProbeChannel(sim, net, fast=True)
-        spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
-        sim.schedule_at(0.05, lambda: chan.send_stream(spec))
-        sim.run(until=5.0)
-        assert chan.fastpath_streams == 0
-        assert chan.fastpath_fallbacks == {"foreground-active": 1}
+    def test_probes_ride_the_walk_beside_a_per_packet_flow(self):
+        # A flow that runs per-packet (fast=False) sends through real
+        # Link.send events, which the walk never runs past: the streams
+        # ride the walk and every observable equals the per-packet run.
+        def run(fast):
+            sim = Simulator()
+            rng = np.random.default_rng(7)
+            setup = build_single_hop_path(sim, 10e6, 0.3, rng)
+            net = setup.network
+            snd, rcv = open_connection(
+                sim, net, config=TCPConfig(min_rto=0.5), total_bytes=2_000_000,
+                start=0.0, fast=False,
+            )
+            chan = ProbeChannel(sim, net, fast=fast)
+            spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
+            out = []
+
+            def launch():
+                chan.send_stream(spec).add_callback(out.append)
+
+            for t in (0.05, 0.1013):
+                sim.schedule_at(t, launch)
+            sim.run(until=5.0)
+            links = (*net.forward_links, *net.reverse_links)
+            return (
+                out, flow_state(snd, rcv), [lk.stats.snapshot() for lk in links]
+            ), chan
+
+        fast, chf = run(True)
+        slow, chs = run(False)
+        assert chf.fastpath_streams == 2
+        assert chf.fastpath_fallbacks == {}
+        assert chs.fastpath_streams == 0
+        assert len(fast[0]) == 2
+        assert fast == slow
+
+    def test_full_tracer_at_stream_send_leaves_the_stream_in_a_fresh_walk(
+        self, monkeypatch
+    ):
+        # A full tracer attached in the callback that sends a stream,
+        # before the walk's next round: plan_stream dissolves the walk
+        # carrying the flow (reason tracer) and the stream rides a fresh
+        # walk of its own, with the per-packet sample path.
+        import repro.netsim.flowtransit as ft
+        from repro.obs import Tracer
+
+        def run(fast):
+            sim = Simulator()
+            net = build_path(sim, [LinkSpec(10e6, prop_delay=1e-3)])
+            snd, rcv = open_connection(
+                sim, net, config=TCPConfig(min_rto=0.5), total_bytes=400_000,
+                start=0.0, fast=fast,
+            )
+            chan = ProbeChannel(sim, net, fast=fast)
+            spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
+            out = []
+
+            def trace_and_send():
+                tracer = Tracer()
+                tracer.attach(sim)
+                tracer.register_network(net)
+                chan.send_stream(spec).add_callback(out.append)
+
+            sim.schedule_at(0.0513, trace_and_send)
+            sim.run(until=5.0)
+            stats = [lk.stats.snapshot() for lk in (*net.forward_links, *net.reverse_links)]
+            return (out, flow_state(snd, rcv), stats), chan, net
+
+        monkeypatch.setattr(ft, "_warned_tracer", False)
+        with pytest.warns(RuntimeWarning, match="trace-light"):
+            fast, chf, netf = run(True)
+        slow, _, _ = run(False)
+        assert netf._ft_flows == 1
+        assert netf._ft_fallbacks == {"tracer": 1}
+        assert chf.fastpath_streams == 1
+        assert chf.fastpath_fallbacks == {}
+        assert len(fast[0]) == 1
+        assert fast == slow
 
     def test_flow_attach_revokes_solo_stream_plan(self):
         # The probe stream starts alone, so the walk batches it; the TCP

@@ -371,6 +371,39 @@ class TestMutationAcceptance:
         findings = lint_source(source, str(path))
         assert any(f.rule_id == "SIM007" for f in findings)
 
+    @staticmethod
+    def _sim009(source, path):
+        return [
+            f.message for f in lint_source(source, str(path)) if f.rule_id == "SIM009"
+        ]
+
+    def test_domain_gate_without_qdisc_check_is_caught(self):
+        path = REPO_ROOT / "src" / "repro" / "netsim" / "flowtransit.py"
+        source = path.read_text()
+        mutant = source.replace("            or link._qdisc is not None\n", "", 1)
+        assert mutant != source
+        assert self._sim009(source, path) == []
+        messages = self._sim009(mutant, path)
+        assert any("_domain_for()" in m and "_qdisc" in m for m in messages)
+
+    def test_renamed_domain_gate_is_caught(self):
+        # A guard the rule cannot find is a finding, not a silent skip.
+        path = REPO_ROOT / "src" / "repro" / "netsim" / "flowtransit.py"
+        mutant = path.read_text().replace("_domain_for", "_gate_for")
+        messages = self._sim009(mutant, path)
+        assert any("no longer defines _domain_for()" in m for m in messages)
+
+    def test_renamed_aggregator_register_is_caught(self):
+        path = REPO_ROOT / "src" / "repro" / "netsim" / "bulkarrivals.py"
+        source = path.read_text()
+        mutant = source.replace("    def register(", "    def enrol(", 1)
+        assert mutant != source
+        assert self._sim009(source, path) == []
+        messages = self._sim009(mutant, path)
+        assert any(
+            "no longer defines CrossAggregator.register()" in m for m in messages
+        )
+
     def test_shipped_tree_is_clean(self):
         result = lint_paths(
             [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "examples"]

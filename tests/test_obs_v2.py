@@ -235,7 +235,7 @@ class TestDeclaredZeroSeries:
     def test_known_reason_labels_present_at_zero(self):
         from repro.netsim.flowtransit import FLOW_FALLBACK_REASONS
         from repro.netsim.kernels import KERNEL_FALLBACK_REASONS, KERNELS
-        from repro.netsim.streamtransit import STREAM_FALLBACK_REASONS
+        from repro.netsim.flowtransit import STREAM_FALLBACK_REASONS
 
         text = Tracer().collect_metrics().to_prometheus()
         for reason in FLOW_FALLBACK_REASONS:
@@ -311,7 +311,7 @@ class TestDeclaredReasons:
         # An undeclared reason is never exported as a declared zero, so a
         # dashboard cannot tell "never happened" from "not instrumented".
         from repro.netsim.flowtransit import FLOW_FALLBACK_REASONS
-        from repro.netsim.streamtransit import STREAM_FALLBACK_REASONS
+        from repro.netsim.flowtransit import STREAM_FALLBACK_REASONS
 
         found = _emitted_reasons()
         assert found["stream"] and found["flow"] and found["both"]

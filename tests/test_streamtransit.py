@@ -5,12 +5,14 @@ eligible configuration, :class:`PacketRecord` stamps, link stats, monitor
 samples, and pathload reports must equal — with ``==``, not ``approx`` —
 what the per-packet path produces, because the walk evaluates the same
 per-hop Lindley recursion in the same floating-point order.  Ineligible
-configurations (qdiscs, RNG-bearing clocks, active foreground flows) must
-fall back automatically.  Mid-stream interference (a TCP flow attaching, a
-per-packet flow sending, a monitor read) takes nothing back — the walk
-never runs past the next real event — while a link decommission
-dissolves the walk onto the per-packet machinery; either way the sample
-path is identical.
+configurations (qdiscs or hooks on a forward or reverse link, RNG-bearing
+clocks) must fall back automatically.  Per-packet neighbours (a
+``fast=False`` TCP flow, a pinger, per-packet cross traffic) keep no
+stream out of the walk, and mid-stream interference (a TCP flow
+attaching, a per-packet flow sending, a monitor read) takes nothing back
+— the walk never runs past the next real event — while a link
+decommission dissolves the walk onto the per-packet machinery; either
+way the sample path is identical.
 
 Exact-time ties (documented in docs/performance.md): a real event at
 exactly a probe-send instant runs before that send on both paths when it
@@ -27,11 +29,15 @@ import pytest
 from repro.core.probing import StreamSpec
 from repro.netsim import LinkSpec, Simulator, build_path
 from repro.netsim.clock import NoisyClock, SkewedClock
+from repro.netsim.crosstraffic import CrossTrafficSource
 from repro.netsim.engine import SimulationError
 from repro.netsim.qdisc import REDQueue
 from repro.netsim.topologies import build_single_hop_path
+from repro.transport.ping import Pinger
 from repro.transport.probe import ProbeChannel, SendJitter, run_pathload
 from repro.transport.tcp import open_connection
+
+from .test_flowtransit import flow_state
 
 
 # ----------------------------------------------------------------------
@@ -58,10 +64,12 @@ def run_streams(
     qdisc_hop=None,
     clocks=None,
     cap_install=None,
+    prepare=None,
 ):
     """Send ``n_streams`` probe streams; return every observable series.
 
     ``capacities`` sets each hop's rate (default 10 Mb/s on every hop).
+    ``prepare(sim, net)`` runs once the path is built, before the channel.
     """
     sim = Simulator(sanitize=sanitize)
     if utilization > 0.0:
@@ -85,6 +93,8 @@ def run_streams(
         sim.schedule_at(
             at, lambda: net.forward_links[0].set_capacity_segments(segments)
         )
+    if prepare is not None:
+        prepare(sim, net)
     if clocks is not None:
         sender_clock, receiver_clock = clocks(sim)
     elif skewed_clocks:
@@ -321,20 +331,81 @@ class TestRefusal:
         assert chan.fastpath_streams == 0
         assert chan.fastpath_fallbacks == {"impure-clock": 2}
 
-    def test_active_foreground_flow_refuses_planning(self):
-        # A *per-packet* TCP flow attached before the first stream claims
-        # the network the whole time, so planning is refused.  (A planner-
-        # managed flow no longer claims — probe coexistence with planned
-        # flows is covered in tests/test_flowtransit.py.)
-        kwargs = dict(
-            tcp_at=1.50007, tcp_bytes=30_000_000, tcp_fast=False,
-            n_streams=2, utilization=0.3,
-        )
+    def test_reverse_link_hook_forces_per_packet(self):
+        # The gate checks the reverse chain too: a drop hook there keeps
+        # every stream per-packet, with the same sample path.
+        kwargs = dict(hops=2, n_streams=2, prepare=_reverse_drop_hook)
         mf, sf, _, chan, _ = run_streams(True, **kwargs)
         assert chan.fastpath_streams == 0
-        assert "foreground-active" in chan.fastpath_fallbacks
+        assert chan.fastpath_fallbacks == {"link-config": 2}
         ms, ss, _, _, _ = run_streams(False, **kwargs)
         assert mf == ms and sf == ss
+
+
+def _observe_drop(pkt):
+    """A pure drop hook."""
+
+
+def _reverse_drop_hook(sim, net):
+    net.reverse_links[0].drop_hook = _observe_drop
+
+
+# ----------------------------------------------------------------------
+# Per-packet neighbours: streams still ride the walk
+# ----------------------------------------------------------------------
+def _per_packet_flow(sim, net):
+    snd, rcv = open_connection(
+        sim, net, total_bytes=30_000_000, start=1.50007, fast=False
+    )
+    return lambda: flow_state(snd, rcv)
+
+
+def _pinger(sim, net):
+    ping = Pinger(sim, net, interval=0.00313, start=1.50007)
+    return lambda: (tuple(ping.rtts), ping.sent, ping.lost)
+
+
+def _per_packet_cross(sim, net):
+    src = CrossTrafficSource(
+        sim, net, net.forward_links[0], 1e6, np.random.default_rng(3),
+        model="poisson", start=1.50007, bulk=False,
+    )
+    return lambda: (src.packets_sent, src.bytes_sent, src.is_bulk)
+
+
+NEIGHBOURS = {
+    "per-packet-tcp": _per_packet_flow,
+    "pinger": _pinger,
+    "per-packet-cross": _per_packet_cross,
+}
+
+
+def run_beside(fast, neighbour):
+    """Three streams over a 30 %-loaded hop while the per-packet
+    ``neighbour`` shares the path from before the first stream; returns
+    the measurements, the hop stats, what the neighbour observed and the
+    channel."""
+    observers = []
+    mf, sf, _, chan, _ = run_streams(
+        fast, utilization=0.3,
+        prepare=lambda sim, net: observers.append(NEIGHBOURS[neighbour](sim, net)),
+    )
+    return mf, sf, observers[0](), chan
+
+
+class TestPerPacketNeighbours:
+    @pytest.mark.parametrize("neighbour", list(NEIGHBOURS))
+    def test_streams_ride_the_walk_beside(self, neighbour):
+        # Every send of the neighbour is a real event the walk stops
+        # short of, so no stream falls back and nothing differs.
+        mf, sf, of, chf = run_beside(True, neighbour)
+        ms, ss, os_, chs = run_beside(False, neighbour)
+        assert chf.fastpath_streams == len(mf) == 3
+        assert chf.fastpath_fallbacks == {}
+        assert mf == ms
+        assert of == os_
+        assert sf == ss
+        assert chs.fastpath_streams == 0
 
 
 # ----------------------------------------------------------------------
