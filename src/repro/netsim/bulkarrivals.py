@@ -24,6 +24,14 @@ transmitter/backlog ledger lazily, at its sync points (foreground
 packets observe exactly the queue state the per-packet path would have
 produced.
 
+Arrivals stay in NumPy arrays from the RNG draw through the merge: the
+feeds hold float64 times and int64 sizes, and
+:func:`~repro.netsim.kernels.merge_parts` turns the merged prefix into
+the Python lists ``times`` and ``sizes`` that the folds read element by
+element.  Beside them, ``owners`` is an int array of each entry's feed
+``order``; only the rare paths read it (a source's counters, a mid-run
+registration, a decommission), each with one NumPy comparison per feed.
+
 Determinism contract
 --------------------
 The merged arrival sequence is byte-for-byte the sequence the per-packet
@@ -50,9 +58,10 @@ full contract and the fallback conditions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from . import kernels
 
@@ -69,16 +78,25 @@ __all__ = ["CrossAggregator"]
 #: consumed prefix; compaction drops folded entries only.
 _COMPACT_THRESHOLD = 2048
 
+# Empty starting arrays; never written in place, so they can be shared.
+_NO_TIMES = np.empty(0, dtype=np.float64)
+_NO_SIZES = np.empty(0, dtype=np.int64)
+_NO_OWNERS = np.empty(0, dtype=np.intp)
+
 
 class _Feed:
-    """One source's buffered future arrivals (absolute times, sizes)."""
+    """One source's buffered future arrivals (absolute times, sizes).
+
+    Both are NumPy arrays (float64, int64), replaced, never written in
+    place: a merge cuts them at the safe horizon, a top-up concatenates.
+    """
 
     __slots__ = ("source", "times", "sizes", "done", "order")
 
     def __init__(self, source: "CrossTrafficSource", order: int):
         self.source = source
-        self.times: list[float] = []
-        self.sizes: list[int] = []
+        self.times: np.ndarray = _NO_TIMES
+        self.sizes: np.ndarray = _NO_SIZES
         self.done = False  # True once the source's stop time truncated a batch
         self.order = order  # registration order, breaks exact-time ties
 
@@ -88,10 +106,14 @@ class CrossAggregator:
 
     The aggregator owns the link's flat admission queue (``times`` /
     ``sizes`` / ``owners``, consumed by :meth:`Link.sync` via ``idx``) and
-    the single refill-horizon event that extends it.  Entries are merged
-    only up to the *safe horizon* — the earliest last-buffered time over
-    all still-active sources — so a source refilling later can never
-    insert an arrival behind one already merged.
+    the single refill-horizon event that extends it.  ``times`` and
+    ``sizes`` are Python lists, which the folds read element by element;
+    ``owners`` is an int array holding each entry's feed ``order``, read
+    only by the rare paths that route entries back to their sources.
+    Entries are merged only up to the *safe horizon* — the earliest
+    last-buffered time over all still-active sources — so a source
+    refilling later can never insert an arrival behind one already
+    merged.
     """
 
     __slots__ = (
@@ -114,7 +136,7 @@ class CrossAggregator:
         #: merged admission queue; ``idx`` is the first not-yet-admitted entry
         self.times: list[float] = []
         self.sizes: list[int] = []
-        self.owners: list["CrossTrafficSource"] = []
+        self.owners: np.ndarray = _NO_OWNERS
         self.idx = 0
         self._event = None  # pending refill-horizon ScheduledCall
         self._merge_pending = False  # a coalescing merge event is queued
@@ -162,25 +184,19 @@ class CrossAggregator:
 
     def _unmerge(self) -> None:
         """Return unadmitted merged entries to their feeds (rare path)."""
-        times, sizes, owners, idx = self.times, self.sizes, self.owners, self.idx
+        times, sizes, idx = self.times, self.sizes, self.idx
         self._horizon = -math.inf  # a new source invalidates merged coverage
-        if idx >= len(times):
-            del times[:], sizes[:], owners[:]
-            self.idx = 0
-            return
-        rollback: dict[_Feed, tuple[list[float], list[int]]] = {
-            feed: ([], []) for feed in self.feeds
-        }
-        for i in range(idx, len(times)):
-            feed = owners[i]._feed
-            ts, ss = rollback[feed]
-            ts.append(times[i])
-            ss.append(sizes[i])
-        for feed, (ts, ss) in rollback.items():
-            if ts:
-                feed.times[:0] = ts
-                feed.sizes[:0] = ss
-        del times[:], sizes[:], owners[:]
+        if idx < len(times):
+            owners = self.owners[idx:]
+            tail_t = np.array(times[idx:], dtype=np.float64)
+            tail_s = np.array(sizes[idx:], dtype=np.int64)
+            for feed in self.feeds:
+                mine = owners == feed.order
+                if mine.any():
+                    feed.times = np.concatenate((tail_t[mine], feed.times))
+                    feed.sizes = np.concatenate((tail_s[mine], feed.sizes))
+        del times[:], sizes[:]
+        self.owners = _NO_OWNERS
         self.idx = 0
 
     # ------------------------------------------------------------------
@@ -201,32 +217,31 @@ class CrossAggregator:
             if not feed.done:
                 feed.source._bulk_fill(feed)
         horizons = [feed.times[-1] for feed in self.feeds if not feed.done]
-        safe = min(horizons) if horizons else math.inf
+        safe = float(min(horizons)) if horizons else math.inf
         self._horizon = safe
-        parts_t: list[list[float]] = []
-        parts_s: list[list[int]] = []
-        part_feeds: list[_Feed] = []
-        times, sizes, owners = self.times, self.sizes, self.owners
+        parts_t: list[np.ndarray] = []
+        parts_s: list[np.ndarray] = []
+        orders: list[int] = []
         for feed in self.feeds:
-            if feed.times and feed.times[0] <= safe:
-                cut = bisect.bisect_right(feed.times, safe)
+            cut = int(feed.times.searchsorted(safe, "right"))
+            if cut:
                 parts_t.append(feed.times[:cut])
                 parts_s.append(feed.sizes[:cut])
-                part_feeds.append(feed)
-                del feed.times[:cut]
-                del feed.sizes[:cut]
+                orders.append(feed.order)
+                feed.times = feed.times[cut:]
+                feed.sizes = feed.sizes[cut:]
         if parts_t:
             mt, ms, part_idx = kernels.merge_parts(parts_t, parts_s)
-            times.extend(mt)
-            sizes.extend(ms)
+            self.times.extend(mt)
+            self.sizes.extend(ms)
             if part_idx is None:
                 # Single contributing source (single-source links, and
                 # every horizon where only the binding feed refilled past
                 # the others' heads): its due prefix spliced wholesale.
-                owners.extend([part_feeds[0].source] * len(mt))
+                new = np.full(len(mt), orders[0], dtype=np.intp)
             else:
-                srcs = [feed.source for feed in part_feeds]
-                owners.extend([srcs[i] for i in part_idx])
+                new = np.array(orders, dtype=np.intp)[part_idx]
+            self.owners = np.concatenate((self.owners, new))
         self._reschedule(safe if horizons else None)
 
     def _reschedule(self, safe: Optional[float]) -> None:
@@ -275,7 +290,7 @@ class CrossAggregator:
         if idx > _COMPACT_THRESHOLD:
             del self.times[:idx]
             del self.sizes[:idx]
-            del self.owners[:idx]
+            self.owners = self.owners[idx:]
             self.idx = 0
 
     def release(self) -> None:
@@ -293,23 +308,12 @@ class CrossAggregator:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        pending: dict[_Feed, tuple[list[float], list[int]]] = {
-            feed: ([], []) for feed in self.feeds
-        }
-        times, sizes, owners = self.times, self.sizes, self.owners
-        for i in range(self.idx, len(times)):
-            feed = owners[i]._feed
-            ts, ss = pending[feed]
-            ts.append(times[i])
-            ss.append(sizes[i])
-        del times[:], sizes[:], owners[:]
-        self.idx = 0
+        self._unmerge()
         feeds, self.feeds = self.feeds, []
         for feed in feeds:
-            ts, ss = pending[feed]
-            ts.extend(feed.times)
-            ss.extend(feed.sizes)
-            feed.source._resume_per_packet(ts, ss, feed.done)
+            feed.source._resume_per_packet(
+                feed.times.tolist(), feed.sizes.tolist(), feed.done
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,10 +18,12 @@ source:
 
 * **Bulk (default when eligible).**  The source's gap and size draws are
   converted, one RNG chunk (``_CHUNK`` = 512 arrivals) at a time, into
-  absolute arrival-time/size arrays — a cumulative sum over the very same
+  absolute arrival-time/size arrays — an ``np.cumsum`` over the very same
   vectorized draws, RNG order untouched — and handed to the link's
   :class:`~repro.netsim.bulkarrivals.CrossAggregator`, which keeps every
-  source topped up to one chunk ahead of the fold.  The link folds the
+  source topped up to one chunk ahead of the fold.  The arrivals stay
+  NumPy arrays from the draw to the aggregator's k-way merge, which turns
+  them into the Python lists the fold reads.  The link folds the
   merged arrivals into its queue state lazily at its sync points, so
   open-loop background load costs **zero scheduler events per packet**
   (one per refill horizon), while every foreground packet observes a
@@ -31,7 +33,7 @@ source:
   per-packet interaction: a link with a ``qdisc`` (AQM must see every
   packet), a ``drop_hook``, or a rebound delivery callback (taps must see
   every packet).  ``bulk=False`` forces this path, e.g. for equivalence
-  tests.
+  tests; ``REPRO_NO_FAST`` does not (it governs the foreground walk).
 
 Modulated sources and the bulk path
 -----------------------------------
@@ -60,8 +62,7 @@ probability zero, matching the exact-tie merge caveat documented in
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import accumulate
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,6 +89,23 @@ PAPER_PACKET_MIX: tuple[tuple[int, float], ...] = (
 
 _BATCH = 4096  # samples buffered per refill of a modulated source
 _CHUNK = 512  # RNG draw granularity; one stationary refill (see _refill)
+#: Largest packet size a mix accepts.  float64 holds every integer up to
+#: here exactly (links price a packet as ``size * 8.0 / capacity``), and
+#: the int64 byte count of one chunk, at most ``_CHUNK`` sizes, cannot wrap.
+_MAX_PACKET_SIZE = 2**53
+
+
+def _arrival_times(t: float, gaps: np.ndarray) -> np.ndarray:
+    """``[t, t + g0, t + g0 + g1, ...]`` as one float64 array.
+
+    ``np.cumsum`` (``np.add.accumulate``) adds left to right, one element
+    at a time, so each entry is the previous one plus one gap: the
+    per-packet path's running ``t += gap``, bit for bit.
+    """
+    out = np.empty(len(gaps) + 1)
+    out[0] = t
+    out[1:] = gaps
+    return np.cumsum(out, out=out)
 
 
 class PacketMix:
@@ -96,8 +114,9 @@ class PacketMix:
     Parameters
     ----------
     sizes_probs:
-        Sequence of ``(size_bytes, probability)`` pairs.  Probabilities must
-        sum to 1 (within float tolerance).
+        Sequence of ``(size_bytes, probability)`` pairs.  Sizes must be
+        integers from 1 to 2**53; probabilities must be finite,
+        non-negative and sum to 1 (within float tolerance).
     """
 
     def __init__(self, sizes_probs: Sequence[tuple[int, float]] = PAPER_PACKET_MIX):
@@ -113,8 +132,12 @@ class PacketMix:
         total = sum(p for _s, p in sizes_probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"packet mix probabilities sum to {total}, expected 1")
-        if not all(0 < s < math.inf for s, _p in sizes_probs):
-            raise ValueError("packet sizes must be positive and finite")
+        for s, _p in sizes_probs:
+            # The int64 size array would truncate a float size silently.
+            if not isinstance(s, numbers.Integral) or not 1 <= s <= _MAX_PACKET_SIZE:
+                raise ValueError(
+                    f"packet sizes must be integers in [1, 2**53], got {s!r}"
+                )
         self.sizes = np.array([s for s, _p in sizes_probs], dtype=np.int64)
         self.probs = np.array([p for _s, p in sizes_probs], dtype=np.float64)
 
@@ -156,7 +179,12 @@ class CrossTrafficSource:
         This models the minutes-scale *non-stationarity* of real Internet
         load on top of the packet-scale burstiness — without it, the
         avail-bw process is stationary at every timescale, which real paths
-        (Section VI) are not.  The long-run average rate stays ``rate_bps``.
+        (Section VI) are not.  The long-run average rate is *not*
+        ``rate_bps``: the log-factor follows ``x' = x/2 + N(0, sigma**2)``,
+        whose stationary variance is ``4 sigma**2 / 3``, so the mean rate
+        is about ``exp(2 sigma**2 / 3) * rate_bps`` — 1.0425× at Fig. 11's
+        ``sigma = 0.25`` (1.04× measured) — and lower where the clamp
+        binds (1.12× measured at ``sigma = 0.5``, against 1.18× unclamped).
         Modulation is piecewise-constant between boundaries, so a modulated
         source is bulk-eligible: arrivals are batch-generated per
         rate-factor segment (see the module docstring).
@@ -219,11 +247,12 @@ class CrossTrafficSource:
         self.name = name
         self._packets_sent = 0
         self._bytes_sent = 0
-        # Refilled in vectorized batches, then walked as plain Python lists:
-        # indexing an ndarray yields numpy scalars, whose arithmetic in the
-        # per-packet path is several times slower than float/int.
-        self._sizes: list[int] = []
-        self._gaps: list[float] = []
+        # Refill buffers (float64 gaps, int64 sizes), read at the cursor
+        # ``_idx``.  The bulk path converts whole slices of them; the
+        # per-packet readers convert one entry at a time to float/int, so
+        # the clock and packets never carry NumPy scalars.
+        self._sizes: np.ndarray = np.empty(0, dtype=np.int64)
+        self._gaps: np.ndarray = np.empty(0, dtype=np.float64)
         self._idx = 0
         #: mean interarrival implied by the rate and mean packet size
         self.mean_gap = (
@@ -279,37 +308,40 @@ class CrossTrafficSource:
     def packets_sent(self) -> int:
         """Packets offered to the link so far (reading folds bulk arrivals)."""
         if self._feed is not None:
-            return self._gen_packets - self._pending_counts()[0]
+            buffered, merged = self._pending()
+            return self._gen_packets - len(buffered) - len(merged)
         return self._packets_sent
 
     @property
     def bytes_sent(self) -> int:
         """Bytes offered to the link so far (reading folds bulk arrivals)."""
         if self._feed is not None:
-            return self._gen_bytes - self._pending_counts()[1]
+            buffered, merged = self._pending()
+            sizes = self.link._agg.sizes
+            return (
+                self._gen_bytes
+                - sum(buffered.tolist())
+                - sum([sizes[i] for i in merged.tolist()])
+            )
         return self._bytes_sent
 
-    def _pending_counts(self) -> tuple[int, int]:
-        """(packets, bytes) generated but not yet offered to the link.
+    def _pending(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrivals generated but not yet offered to the link: the sizes
+        in this source's feed buffer, and the indices of its entries in
+        the aggregator's unadmitted merged tail.
 
         The fold loop deliberately does no per-source bookkeeping; a
         counter read instead folds due arrivals and subtracts what is
-        still pending — this source's share of the aggregator's merged
-        tail plus its own unmerged feed buffer.  Reads are rare (tests,
-        end-of-run accounting); folds are the hot path.
+        still pending.  The merged entries are those whose ``owners``
+        value is this feed's ``order``, found in one NumPy comparison.
+        Reads are rare (tests, end-of-run accounting); folds are the hot
+        path.
         """
         self.link.sync()
-        feed = self._feed
-        n = len(feed.sizes)
-        nbytes = sum(feed.sizes)
         agg = self.link._agg
-        if agg is not None:
-            owners, sizes = agg.owners, agg.sizes
-            for i in range(agg.idx, len(owners)):
-                if owners[i] is self:
-                    n += 1
-                    nbytes += sizes[i]
-        return n, nbytes
+        idx = agg.idx
+        merged = np.flatnonzero(agg.owners[idx:] == self._feed.order) + idx
+        return self._feed.sizes, merged
 
     def _bulk_eligible(self) -> bool:
         """Whether the event-elided path reproduces this source exactly.
@@ -333,7 +365,7 @@ class CrossTrafficSource:
         """Randomize the first arrival so sources are not phase-aligned."""
         if self.model == "cbr":
             return float(self.rng.uniform(0.0, self.mean_gap))
-        return float(self._next_gap())
+        return self._next_gap()
 
     def _refill(self) -> None:
         """Draw the next buffer of gaps and sizes; reset the cursor ``_idx``.
@@ -346,23 +378,25 @@ class CrossTrafficSource:
         the batch size is part of the sample path (Figs. 11-14).
         """
         mean = self.mean_gap
-        gaps: list[float] = []
-        sizes: list[int] = []
+        rng = self.rng
+        gaps: list[np.ndarray] = []
+        sizes: list[np.ndarray] = []
         for _ in range(1 if self.modulation is None else _BATCH // _CHUNK):
             if self.model == "poisson":
-                chunk = self.rng.exponential(mean, size=_CHUNK)
+                gaps.append(rng.exponential(mean, size=_CHUNK))
             elif self.model == "pareto":
                 # numpy's Generator.pareto draws Lomax samples (x_m = 1
                 # shifted to zero); interarrival = x_m * (1 + lomax) has
                 # mean x_m * alpha / (alpha - 1).
                 xm = mean * (self.alpha - 1.0) / self.alpha
-                chunk = xm * (1.0 + self.rng.pareto(self.alpha, size=_CHUNK))
+                gaps.append(xm * (1.0 + rng.pareto(self.alpha, size=_CHUNK)))
             else:  # cbr
-                chunk = np.full(_CHUNK, mean)
-            gaps.extend(chunk.tolist())
-            sizes.extend(self.mix.sample(self.rng, _CHUNK).tolist())
-        self._gaps = gaps
-        self._sizes = sizes
+                gaps.append(np.full(_CHUNK, mean))
+            sizes.append(self.mix.sample(rng, _CHUNK))
+        if len(gaps) == 1:
+            self._gaps, self._sizes = gaps[0], sizes[0]
+        else:
+            self._gaps, self._sizes = np.concatenate(gaps), np.concatenate(sizes)
         self._idx = 0
 
     def _ensure_buffered(self) -> None:
@@ -373,7 +407,7 @@ class CrossTrafficSource:
 
     def _next_gap(self) -> float:
         self._ensure_buffered()
-        return self._gaps[self._idx]
+        return float(self._gaps[self._idx])
 
     # ------------------------------------------------------------------
     # Per-packet data path
@@ -383,7 +417,7 @@ class CrossTrafficSource:
         if self.stop is not None and now >= self.stop:
             return
         self._ensure_buffered()
-        size = self._sizes[self._idx]
+        size = int(self._sizes[self._idx])
         pkt = Packet(size, flow_id=self.name, kind=PacketKind.CROSS)
         self.network.inject_at(self.link, pkt)
         self._packets_sent += 1
@@ -455,11 +489,12 @@ class CrossTrafficSource:
 
         The arrival times are the identical floating-point sums the
         per-packet path computes: ``Simulator.schedule(gap, ...)`` adds
-        ``gap`` to the current arrival's timestamp, and so does the
-        running ``t += gap`` here.  RNG consumption order — warmup draw,
-        then alternating gap/size chunks per refill, with modulation
-        boundary draws interleaved at their event positions — is
-        byte-identical.
+        ``gap`` to the current arrival's timestamp, and so does each step
+        of the ``np.cumsum`` in :func:`_arrival_times`.  RNG consumption
+        order — warmup draw, then alternating gap/size chunks per refill,
+        with modulation boundary draws interleaved at their event
+        positions — is byte-identical.  Times and sizes stay float64 and
+        int64 arrays up to the merge, which turns them into lists.
         """
         if len(feed.times) >= _CHUNK:
             return
@@ -468,19 +503,19 @@ class CrossTrafficSource:
         else:
             times, sizes = self._stationary_times()
         stop = self.stop
-        if stop is not None and times and times[-1] >= stop:
+        if stop is not None and times[-1] >= stop:
             # The per-packet path returns (without rescheduling) at the
             # first arrival >= stop; truncate there and finish the feed.
-            keep = bisect_left(times, stop)
-            del times[keep:]
+            keep = int(times.searchsorted(stop, "left"))
+            times = times[:keep]
             sizes = sizes[:keep]
             feed.done = True
         self._gen_packets += len(times)
-        self._gen_bytes += sum(sizes)
-        feed.times.extend(times)
-        feed.sizes.extend(sizes)
+        self._gen_bytes += int(sizes.sum())  # exact: see _MAX_PACKET_SIZE
+        feed.times = np.concatenate((feed.times, times))
+        feed.sizes = np.concatenate((feed.sizes, sizes))
 
-    def _stationary_times(self) -> tuple[list[float], list[int]]:
+    def _stationary_times(self) -> tuple[np.ndarray, np.ndarray]:
         """The next chunk of unmodulated absolute arrival times and sizes.
 
         A stationary refill is one chunk; each call draws a fresh one and
@@ -496,20 +531,15 @@ class CrossTrafficSource:
                 self._bulk_clock += float(self.rng.uniform(0.0, self.mean_gap))
                 skip_first_gap = True
         self._refill()
-        gaps = self._gaps
-        sizes = self._sizes
-        self._idx = len(sizes)  # the whole chunk is consumed by this call
-        # ``accumulate`` adds left to right, one addition per element —
-        # bit-identical to the per-packet path's running ``t += gap``.
+        self._idx = _CHUNK  # the whole chunk is consumed by this call
         if skip_first_gap:
-            times = list(accumulate(gaps[1:], initial=self._bulk_clock))
+            times = _arrival_times(self._bulk_clock, self._gaps[1:])
         else:
-            times = list(accumulate(gaps, initial=self._bulk_clock))
-            del times[0]
-        self._bulk_clock = times[-1]
-        return times, sizes
+            times = _arrival_times(self._bulk_clock, self._gaps)[1:]
+        self._bulk_clock = float(times[-1])
+        return times, self._sizes
 
-    def _segmented_times(self) -> tuple[list[float], list[int]]:
+    def _segmented_times(self) -> tuple[np.ndarray, np.ndarray]:
         """The next chunk of modulated arrivals, generated per rate-factor
         segment.
 
@@ -521,13 +551,14 @@ class CrossTrafficSource:
         boundary's factor draw is consumed once the walk reaches it — the
         same position in the RNG stream the ``_modulate`` event occupies.
         Within a segment the arrival times are one seeded prefix sum over
-        ``gap / factor`` (scalar division per gap, then left-to-right adds
-        — the identical float expressions, in order).  Where a call stops
+        ``gap / factor`` (one array division, correctly rounded per gap
+        like the scalar one, then left-to-right adds — the identical float
+        expressions, in order).  Where a call stops
         inside the buffer does not matter: the next one resumes the walk
         at the same cursor, clock and boundary.
         """
         t = self._bulk_clock
-        times: list[float] = []
+        parts: list[np.ndarray] = []
         if self._bulk_first:
             self._bulk_first = False
             if self.model == "cbr":
@@ -543,8 +574,8 @@ class CrossTrafficSource:
                 # The first arrival is scheduled at construction from the
                 # raw first gap — never factor-divided (no boundary has
                 # fired when it is computed).
-                t = t + self._gaps[0]
-            times.append(t)
+                t = t + float(self._gaps[0])
+            parts.append(np.array([t]))
         elif self._idx >= len(self._sizes):
             # A boundary at or before the previous batch's last arrival
             # may be unconsumed (its crossing arrival closed that batch);
@@ -555,7 +586,7 @@ class CrossTrafficSource:
         gaps = self._gaps
         first = self._idx
         end = min(first + _CHUNK, len(gaps))
-        idx = first + len(times)  # the first arrival took buffer index 0
+        idx = first + len(parts)  # the first arrival took buffer index 0
         mean_gap = self.mean_gap
         while idx < end:
             # Boundaries at or before the last emitted arrival have fired
@@ -565,9 +596,9 @@ class CrossTrafficSource:
             b = self._mod_next_b
             if b == float("inf"):
                 # Chain dead (stop reached): the factor is frozen.
-                seg = list(accumulate([g / f for g in gaps[idx:end]], initial=t))
-                times.extend(seg[1:])
-                t = seg[-1]
+                seg = _arrival_times(t, gaps[idx:end] / f)
+                parts.append(seg[1:])
+                t = float(seg[-1])
                 break
             # Generate this segment's window: everything up to and
             # including the first arrival at or past the boundary (that
@@ -577,15 +608,15 @@ class CrossTrafficSource:
             remaining = end - idx
             if est > remaining:
                 est = remaining
-            seg = list(accumulate([g / f for g in gaps[idx:idx + est]], initial=t))
-            cut = bisect_left(seg, b, 1)  # seg[0] == t < b
+            seg = _arrival_times(t, gaps[idx:idx + est] / f)
+            cut = int(seg.searchsorted(b, "left"))  # >= 1: seg[0] == t < b
             keep = cut if cut <= est else est
-            times.extend(seg[1:keep + 1])
-            t = seg[keep]
+            parts.append(seg[1:keep + 1])
+            t = float(seg[keep])
             idx += keep
         self._idx = end
         self._bulk_clock = t
-        return times, self._sizes[first:end]
+        return np.concatenate(parts), self._sizes[first:end]
 
     def _resume_per_packet(
         self, times: list[float], sizes: list[int], exhausted: bool

@@ -1,8 +1,7 @@
 """Shared fast-path / NumPy-merge opt-out resolution.
 
-Every event-elided data path (bulk cross traffic, and the flow-transit
-walk that carries probe streams and TCP flows) honors the same
-three-level opt-out:
+The event-elided foreground path (the flow-transit walk that carries
+probe streams and TCP flows) honors a three-level opt-out:
 
 1. an explicit ``fast=`` argument on the component (``ProbeChannel``,
    ``TCPSender``, ``Pinger``, ``run_pathload``, ...) wins outright;
@@ -16,6 +15,12 @@ The NumPy merge of the bulk cross-traffic feeds
 under its own switch, ``REPRO_NO_VECTOR`` (CLI flag ``--no-vector``),
 which selects its stable-sort Python twin.  The two axes are
 independent; every fold is a scalar loop under either setting.
+
+Bulk cross traffic honors neither switch.  A cross-traffic source goes
+per packet only when built with ``bulk=False`` or when its link is
+ineligible (a qdisc, a drop hook or a rebound delivery callback; see
+:mod:`repro.netsim.crosstraffic`); under ``REPRO_NO_FAST=1`` it stays
+bulk.
 
 Results are bit-identical either way; the switches exist for A/B timing
 and for debugging with per-packet event granularity.  This helper is the

@@ -2,15 +2,16 @@
 
 One kernel is left here: :func:`merge_parts`, the stable k-way merge of
 the per-source cross-traffic feeds behind
-:class:`~repro.netsim.bulkarrivals.CrossAggregator`.  Its NumPy path is a
-stable argsort over the concatenated feeds; its twin, a stable Python
-sort, is the ``REPRO_NO_VECTOR`` reference (resolved through
+:class:`~repro.netsim.bulkarrivals.CrossAggregator`.  The feeds arrive as
+NumPy arrays (float64 times, int64 sizes), and the merge is where they
+become the Python lists the folds walk.  Its NumPy path is a stable
+argsort over the concatenated feeds; its twin, a stable Python sort, is
+the ``REPRO_NO_VECTOR`` reference (resolved through
 :func:`repro.netsim.fastpath.resolve_vector`, CLI flag ``--no-vector``).
-Both only reorder, so they return ``==`` results.  The FIFO folds
-(``Link.sync``, the stream and flow planners) are plain scalar loops in
-:mod:`repro.netsim.hopfold`, and the arrival prefix sums are scalar
-loops at their call sites: their NumPy twins never paid end to end
-(``docs/performance.md``).
+Both take and return the same types and only reorder, so they return
+``==`` results.  The FIFO folds (``Link.sync``, the stream and flow
+planners) are plain scalar loops in :mod:`repro.netsim.hopfold`: their
+NumPy twins never paid end to end (``docs/performance.md``).
 
 Selection is observable: ``kernel_calls`` / ``kernel_fallbacks`` are
 process-wide counters, published into every tracer's registry as
@@ -137,47 +138,45 @@ def enabled() -> bool:
     return False
 
 
-def merge_parts(parts_t: Sequence[list], parts_s: Sequence[list]):
-    """Stable k-way merge of per-feed arrival lists.
+def merge_parts(parts_t: Sequence[np.ndarray], parts_s: Sequence[np.ndarray]):
+    """Stable k-way merge of per-feed arrival arrays.
 
-    Returns ``(times, sizes, part_idx)``: merged lists ordered by time
+    ``parts_t`` holds one sorted float64 array of arrival times per part,
+    ``parts_s`` the matching int64 size arrays.  Returns ``(times, sizes,
+    part_idx)``: the merged times and sizes as Python lists (the
+    admission queue the folds walk element by element), ordered by time
     with exact-time ties broken by part order (then within-part order) —
-    the order a ``(time, part, index)``-keyed heap would produce.
-    ``part_idx`` is ``None`` for a single part (the order is the part
-    itself, returned uncopied).  The NumPy path is a stable argsort over
-    the concatenation; the ``REPRO_NO_VECTOR`` twin is a stable Python
-    sort.  Pure reordering, no arithmetic, so both paths are bit-exact.
+    the order a ``(time, part, index)``-keyed heap would produce — and
+    ``part_idx``, an int array naming each entry's part, or ``None`` for
+    a single part (the order is the part itself).  The NumPy path is a
+    stable argsort over the concatenation; the ``REPRO_NO_VECTOR`` twin
+    is a stable Python sort taking and returning the same types.  Pure
+    reordering, no arithmetic, so both paths are bit-exact.
     """
     if enabled():
         _count("merge")
         if len(parts_t) == 1:
-            return parts_t[0], parts_s[0], None
-        cat_t = np.concatenate(
-            [np.asarray(p, dtype=np.float64) for p in parts_t]
-        )
+            return parts_t[0].tolist(), parts_s[0].tolist(), None
+        cat_t = np.concatenate(parts_t)
         order = np.argsort(cat_t, kind="stable")
-        cat_s = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in parts_s]
-        )
-        part_idx = np.concatenate(
-            [np.full(len(p), k, dtype=np.intp) for k, p in enumerate(parts_t)]
+        part_idx = np.repeat(
+            np.arange(len(parts_t)), [len(p) for p in parts_t]
         )
         return (
             cat_t[order].tolist(),
-            cat_s[order].tolist(),
-            part_idx[order].tolist(),
+            np.concatenate(parts_s)[order].tolist(),
+            part_idx[order],
         )
     if len(parts_t) == 1:
-        return parts_t[0], parts_s[0], None
+        return parts_t[0].tolist(), parts_s[0].tolist(), None
     entries = []
     for k, (ts, ss) in enumerate(zip(parts_t, parts_s)):
-        for j in range(len(ts)):
-            entries.append((ts[j], k, ss[j]))
+        entries.extend(zip(ts.tolist(), [k] * len(ts), ss.tolist()))
     entries.sort(key=lambda e: e[0])  # stable: ties keep (part, index) order
     return (
         [e[0] for e in entries],
         [e[2] for e in entries],
-        [e[1] for e in entries],
+        np.array([e[1] for e in entries], dtype=np.intp),
     )
 
 

@@ -32,10 +32,11 @@ def run_pathload_on_path(
     """Run one pathload measurement over an already-built network.
 
     ``fast`` follows the shared resolution in
-    :func:`repro.netsim.fastpath.resolve_fast`, the same three-level
-    opt-out every event-elided path (stream transit, flow transit, bulk
-    cross traffic) honors: an explicit argument wins, else
-    ``REPRO_NO_FAST`` disables, else on.  Results are bit-identical
+    :func:`repro.netsim.fastpath.resolve_fast`, the three-level opt-out
+    of the flow-transit walk that carries probe streams and TCP flows:
+    an explicit argument wins, else ``REPRO_NO_FAST`` disables, else on.
+    It does not reach cross traffic, which goes per packet only with
+    ``bulk=False`` or on an ineligible link.  Results are bit-identical
     either way.
     """
     return run_pathload(

@@ -28,7 +28,7 @@ from repro.netsim import (
     attach_cross_traffic,
     build_path,
 )
-from repro.netsim.crosstraffic import _CHUNK
+from repro.netsim.crosstraffic import _CHUNK, CrossTrafficSource
 
 
 def run_experiment(
@@ -520,6 +520,40 @@ class TestDecommission:
         bulk, per_packet = run(None), run(False)
         assert bulk[0][0][0]["packets_forwarded"] > 0
         assert bulk == per_packet
+
+
+class TestPythonScalars:
+    @pytest.mark.parametrize(
+        "modulation", [None, (0.5, 0.25)], ids=["stationary", "modulated"]
+    )
+    @pytest.mark.parametrize("bulk", [None, False], ids=["bulk", "per-packet"])
+    def test_no_numpy_scalar_reaches_the_simulator(self, bulk, modulation):
+        """Arrivals live in NumPy arrays until the merge, but the clock,
+        the merged admission queue and the counters hold float and int:
+        a NumPy scalar there would slow every fold and could leak into
+        reports."""
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(10e6, buffer_bytes=20_000, name="L")])
+        link = net.forward_links[0]
+        src = CrossTrafficSource(
+            sim, net, link, 6e6, np.random.default_rng(5),
+            stop=3.0, modulation=modulation, bulk=bulk,
+        )
+        assert src.is_bulk == (bulk is None)
+        agg = link._agg
+        for until in (1.5, None):
+            sim.run(until=until)
+            # Mid-run the next event is an arrival, a delivery or a
+            # refill; drained, the clock stops at the last of them.
+            now = sim.now if until is None else sim.peek_time()
+            assert type(now) is float, type(now)
+            if agg is not None:
+                assert type(agg._horizon) is float
+                assert all(type(t) is float for t in agg.times)
+                assert all(type(s) is int for s in agg.sizes)
+            assert type(src.packets_sent) is int
+            assert type(src.bytes_sent) is int
+        assert src.packets_sent > 1000
 
 
 class TestLookAhead:

@@ -145,11 +145,16 @@ _MIX_SIZES = st.sampled_from([40, 550, 1500])
 def _mixes(draw):
     """None (the paper's mix) or a two-size mix whose first weight is
     fuzzed and whose second is its complement (so NaN, infinite and
-    negative weights can still sum to 1)."""
+    negative weights can still sum to 1).  The first size is a mix size,
+    an integer, or odd: one of :data:`_ODD` or a fractional size."""
     if draw(st.booleans()):
         return None
     p = draw(_numbers(st.floats(0.0, 1.0)))
-    size = draw(st.one_of(_MIX_SIZES, _numbers(st.integers(1, 9000))))
+    size = draw(
+        st.one_of(
+            _MIX_SIZES, st.sampled_from(_ODD + [550.5]), st.integers(1, 9000)
+        )
+    )
     return ((size, p), (draw(_MIX_SIZES), 1.0 - p))
 
 
@@ -183,6 +188,8 @@ def test_cross_traffic_source(
         )
 
     src = _constructs(build)
+    if mix is not None and not (isinstance(mix[0][0], int) and mix[0][0] >= 1):
+        assert src is None, f"packet size {mix[0][0]!r} accepted"
     if src is None:
         return
     with _deadline():

@@ -64,6 +64,20 @@ class TestPacketMix:
         with pytest.raises(ValueError):
             PacketMix(())
 
+    @pytest.mark.parametrize(
+        "sizes_probs",
+        [
+            # Once truncated to [40, 1500] with mean_size 770.0.
+            ((40.5, 0.5), (1500.9, 0.5)),
+            # Once an OverflowError from the int64 size array.
+            ((1e30, 1.0),),
+        ],
+        ids=["fractional", "past-int64"],
+    )
+    def test_non_integer_size_rejected(self, sizes_probs):
+        with pytest.raises(ValueError, match="packet sizes"):
+            PacketMix(sizes_probs)
+
 
 class TestOfferedRate:
     @pytest.mark.parametrize("model", ["poisson", "pareto", "cbr"])
@@ -133,7 +147,9 @@ class TestBurstiness:
 
 class TestModulation:
     def test_long_run_rate_preserved(self):
-        """The mean-reverting walk must not bias the average offered load."""
+        """The mean-reverting walk keeps the average offered load near
+        ``rate_bps`` (it raises it by about exp(2 sigma**2 / 3), 1.06x
+        here; see ``CrossTrafficSource``)."""
         sim = Simulator()
         net = build_path(sim, [LinkSpec(1e9)])
         rng = np.random.default_rng(7)
@@ -228,6 +244,90 @@ class TestModulation:
                 sim, net, net.forward_links[0], 1e6,
                 np.random.default_rng(0), modulation=(0.0, 0.1),
             )
+
+
+def _reference_arrivals(model, seed, horizon, rate, sigma=None, alpha=1.9):
+    """Arrivals of one source, from NumPy's draws alone.
+
+    The draw order is the documented one: the phase draw for ``cbr``;
+    then per refill its gap and size chunks of 512, alternating (``cbr``
+    draws no gaps), 4,096 draws per refill for a modulated source; and,
+    for a modulated source started at 0, the start boundary's factor
+    draw after its first refill.  Times are a running ``t += gap``.  The
+    arrivals come in whole chunks of 512 up to the first chunk whose last
+    arrival reaches ``horizon``: what one source's feed holds then.
+    """
+    rng = np.random.default_rng(seed)
+    sizes_of = np.array([40, 550, 1500])
+    probs = [0.4, 0.5, 0.1]
+    mean = float(np.dot(sizes_of, probs)) * 8.0 / rate
+    per_refill = 4096 if sigma is not None else 512
+    gaps, sizes = [], []
+
+    def refill():
+        for _ in range(per_refill // 512):
+            if model == "poisson":
+                gaps.extend(rng.exponential(mean, size=512).tolist())
+            elif model == "pareto":
+                xm = mean * (alpha - 1.0) / alpha
+                gaps.extend((xm * (1.0 + rng.pareto(alpha, size=512))).tolist())
+            else:
+                gaps.extend([mean] * 512)
+            sizes.extend(rng.choice(sizes_of, size=512, p=probs).tolist())
+
+    t = 0.0
+    if model == "cbr":
+        t += float(rng.uniform(0.0, mean))
+        refill()
+    else:
+        refill()
+        t += gaps[0]
+    factor = 1.0
+    if sigma is not None:
+        z = float(rng.normal(0.0, sigma))
+        factor = float(np.clip(np.exp(0.5 * float(np.log(1.0)) + z), 0.25, 2.5))
+    times = [t]
+    while len(times) % 512 or times[-1] < horizon:
+        if len(times) == len(gaps):
+            refill()
+        # A modulated gap is divided by the factor in force at the
+        # previous arrival: the start boundary's, from the second on.
+        t += gaps[len(times)] / factor
+        times.append(t)
+    return times, sizes[: len(times)]
+
+
+class TestDrawOrder:
+    """One source's merged arrivals against an independent reference.
+
+    The equality suites compare the bulk path with ``bulk=False``, and
+    both read the same refill buffers, so a change of draw order or
+    chunking would move both and pass there.  Here nothing is folded or
+    compacted: ``extend_until`` merges without syncing the link.
+    """
+
+    @pytest.mark.parametrize(
+        "model, sigma",
+        [("poisson", None), ("pareto", None), ("cbr", None), ("pareto", 0.25)],
+    )
+    def test_arrivals_follow_the_documented_draw_order(self, model, sigma):
+        horizon, rate = 3.0, 6e6
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(10e6, name="L")])
+        link = net.forward_links[0]
+        src = CrossTrafficSource(
+            sim, net, link, rate, np.random.default_rng(2024), model=model,
+            # The interval exceeds the horizon: only the start boundary.
+            modulation=None if sigma is None else (2 * horizon, sigma),
+        )
+        assert src.is_bulk
+        agg = link._agg
+        agg.extend_until(horizon)
+        times, sizes = _reference_arrivals(model, 2024, horizon, rate, sigma)
+        assert len(times) > 4096 if sigma is not None else len(times) > 1024
+        assert agg.idx == 0
+        assert agg.times == times
+        assert agg.sizes == sizes
 
 
 class TestValidation:

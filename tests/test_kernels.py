@@ -1,14 +1,16 @@
 """Bit-equality and opt-out tests for the NumPy merge kernel.
 
 ``repro.netsim.kernels.merge_parts`` has a NumPy path and a stable-sort
-Python twin (selected by ``REPRO_NO_VECTOR``).  Both must return results
-``==``-equal to a ``(time, part, index)`` sort for any input; the opt-out
-and the selection counters are checked here too.
+Python twin (selected by ``REPRO_NO_VECTOR``).  Both take float64 time and
+int64 size arrays and must return lists ``==``-equal to a ``(time, part,
+index)`` sort for any input, with the part index as an int array; the
+opt-out and the selection counters are checked here too.
 """
 
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,14 @@ def _parts(draw):
     return parts_t, parts_s
 
 
+def _arrays(parts_t, parts_s):
+    """The parts as the feeds hold them: float64 times, int64 sizes."""
+    return (
+        [np.array(ts, dtype=np.float64) for ts in parts_t],
+        [np.array(ss, dtype=np.int64) for ss in parts_s],
+    )
+
+
 class TestMergeParts:
     # The autouse fixture only resets counters; every example sets the
     # environment it needs itself.
@@ -70,27 +80,32 @@ class TestMergeParts:
         )
         for env in ({}, {NO_VECTOR_ENV: "1"}):
             with mock.patch.dict(os.environ, env):
-                mt, ms, pidx = kernels.merge_parts(parts_t, parts_s)
+                mt, ms, pidx = kernels.merge_parts(*_arrays(parts_t, parts_s))
             if pidx is None:  # single part: its own order
                 assert len(parts_t) == 1
-                pidx = [0] * len(mt)
-            assert (mt, ms, pidx) == want, env
+                pidx = np.zeros(len(mt), dtype=np.intp)
+            assert pidx.dtype.kind == "i", env
+            assert (mt, ms, pidx.tolist()) == want, env
+            # The merged lists hold Python scalars: the folds read them.
+            assert all(type(t) is float for t in mt), env
+            assert all(type(s) is int for s in ms), env
 
-    def test_single_part_uncopied(self):
-        ts, ss = [1.0, 2.0], [100, 200]
-        mt, ms, pidx = kernels.merge_parts([ts], [ss])
-        assert mt is ts and ms is ss and pidx is None
+    def test_single_part_in_its_own_order(self):
+        for env in ({}, {NO_VECTOR_ENV: "1"}):
+            with mock.patch.dict(os.environ, env):
+                mt, ms, pidx = kernels.merge_parts(
+                    *_arrays([[1.0, 2.0]], [[100, 200]])
+                )
+            assert (mt, ms, pidx) == ([1.0, 2.0], [100, 200], None), env
+            assert type(mt[0]) is float and type(ms[0]) is int, env
 
 
 class TestDegradation:
     def test_no_vector_env_disables(self, monkeypatch):
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
         assert not kernels.enabled()
-        assert kernels.merge_parts([[1.0], [0.5]], [[100], [200]]) == (
-            [0.5, 1.0],
-            [200, 100],
-            [1, 0],
-        )
+        mt, ms, pidx = kernels.merge_parts(*_arrays([[1.0], [0.5]], [[100], [200]]))
+        assert (mt, ms, pidx.tolist()) == ([0.5, 1.0], [200, 100], [1, 0])
         assert not kernels.enabled()
         assert kernels.kernel_fallbacks.get("disabled") == 1  # noted once
         assert kernels.kernel_calls == {}
@@ -98,7 +113,7 @@ class TestDegradation:
     def test_counters_and_publish(self):
         from repro.obs.metrics import MetricsRegistry
 
-        kernels.merge_parts([[0.0, 2.0], [1.0]], [[40, 40], [1500]])
+        kernels.merge_parts(*_arrays([[0.0, 2.0], [1.0]], [[40, 40], [1500]]))
         assert kernels.kernel_calls.get("merge") == 1
         m = MetricsRegistry()
         kernels.publish(m)
@@ -108,7 +123,7 @@ class TestDegradation:
         from repro.netsim.engine import Simulator
         from repro.obs import Tracer
 
-        kernels.merge_parts([[1.0]], [[40]])
+        kernels.merge_parts(*_arrays([[1.0]], [[40]]))
         tracer = Tracer()
         tracer.attach(Simulator())
         m = tracer.collect_metrics()
