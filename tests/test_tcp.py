@@ -1,5 +1,6 @@
 """Tests for the TCP Reno/NewReno implementation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from repro.netsim import LinkSpec, Simulator, build_path, attach_cross_traffic
 from repro.transport.tcp import TCPConfig, open_connection
+
+from .test_flowtransit import run_flow
 
 
 def bottleneck(sim, capacity=8e6, prop=0.05, buffer_bytes=100_000):
@@ -159,6 +162,63 @@ class TestRTTEstimation:
         assert snd.retransmits > 0
         assert snd.base_rtt >= floor * (1 - 1e-9)
         assert snd.base_rtt == pytest.approx(floor, rel=1e-9)
+
+
+#: 600 kB transfers over 10 Mb/s, 1 ms hops without cross traffic, as
+#: ``run_flow`` keyword arguments.  The comments give the counts the
+#: recorded trajectories carry.
+PINNED_ROWS = {
+    "reno": {},
+    # 20 retransmits, no timeout: fast recovery only
+    "reno-25k": dict(buffer_bytes=25_000),
+    # 183 retransmits and one timeout: go-back-N after the RTO
+    "reno-25k-2hop": dict(buffer_bytes=25_000, hops=2, min_rto=0.2),
+    "reno-delack-25k-2hop": dict(
+        delayed_ack=True, buffer_bytes=25_000, hops=2, min_rto=0.2
+    ),
+    "vegas": dict(cc="vegas"),
+    # one timeout
+    "vegas-delack-12k": dict(
+        cc="vegas", delayed_ack=True, buffer_bytes=12_000, min_rto=0.2
+    ),
+    # a 300 kB second flow from t = 0.31003 s shares the walk
+    "two-flows": dict(second_flow_at=0.31003),
+}
+
+#: blake2b-128 of ``repr((flow states, forward link stats))`` per row.
+PINNED_DIGESTS = {
+    "reno": "658abfd0f2c53707922103afd8394055",
+    "reno-25k": "2d21fb0d3834ab4ca108257657342591",
+    "reno-25k-2hop": "140468f56f65a6bbef0212df02ea26a6",
+    "reno-delack-25k-2hop": "e00bc57c4075cc1c68444e8893df5565",
+    "vegas": "064b90eafa2035036695f00c2d02d116",
+    "vegas-delack-12k": "7ec9b2f66ff022d9aa46a89839ad3ee0",
+    "two-flows": "e6722fd07fe36beb1f5f8435209a0e58",
+}
+
+
+class TestPinnedTrajectories:
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_trajectories_match_recorded_digests(self, fast):
+        # Both layouts run one Reno, so an equality test between them
+        # cannot see a change in the congestion-control arithmetic; these
+        # digests were recorded before the two layouts shared their code.
+        # No row draws a random number.
+        digests = {}
+        timeouts = fast_recoveries = 0
+        for name, kwargs in sorted(PINNED_ROWS.items()):
+            states, stats, _, _, _ = run_flow(fast, **kwargs)
+            digests[name] = hashlib.blake2b(
+                repr((states, stats)).encode(), digest_size=16
+            ).hexdigest()
+            for state in states:
+                retransmits, n_timeouts = state[9], state[10]
+                timeouts += n_timeouts
+                # Without a timeout, only fast retransmit resends data.
+                fast_recoveries += retransmits > 0 and n_timeouts == 0
+        assert digests == PINNED_DIGESTS
+        assert timeouts >= 1
+        assert fast_recoveries >= 1
 
 
 class TestDelayedAck:
