@@ -101,7 +101,9 @@ class TCPConfig:
             )
         # Comparisons with NaN are False, so these also reject NaN.  A zero
         # initial RTO re-fires at the same instant forever; NaN timers and
-        # negative delays split the planned and per-packet paths.
+        # negative delays split the planned and per-packet paths, and an
+        # infinite RTO bound arms a timer that the per-packet path refuses
+        # under sanitize while the walk runs on.
         if not 0 < self.initial_rto < math.inf:
             raise ValueError(
                 f"initial_rto must be finite and > 0, got {self.initial_rto}"
@@ -110,15 +112,31 @@ class TCPConfig:
             raise ValueError(
                 f"delack_timeout must be finite and >= 0, got {self.delack_timeout}"
             )
-        if not 0 < self.min_rto <= self.max_rto:
-            raise ValueError("need 0 < min_rto <= max_rto")
+        if not 0 < self.min_rto < math.inf:
+            raise ValueError(f"min_rto must be finite and > 0, got {self.min_rto}")
+        if not self.min_rto <= self.max_rto < math.inf:
+            raise ValueError(
+                f"max_rto must be finite and >= min_rto ({self.min_rto}), "
+                f"got {self.max_rto}"
+            )
         if self.congestion_control not in ("reno", "vegas"):
             raise ValueError(
                 f"congestion_control must be 'reno' or 'vegas', got "
                 f"{self.congestion_control!r}"
             )
-        if not 0 < self.vegas_alpha <= self.vegas_beta:
-            raise ValueError("need 0 < vegas_alpha <= vegas_beta")
+        if not 0 < self.vegas_alpha < math.inf:
+            raise ValueError(
+                f"vegas_alpha must be finite and > 0, got {self.vegas_alpha}"
+            )
+        if not self.vegas_alpha <= self.vegas_beta < math.inf:
+            raise ValueError(
+                f"vegas_beta must be finite and >= vegas_alpha "
+                f"({self.vegas_alpha}), got {self.vegas_beta}"
+            )
+        if not 0 <= self.vegas_gamma < math.inf:
+            raise ValueError(
+                f"vegas_gamma must be finite and >= 0, got {self.vegas_gamma}"
+            )
 
 
 class TCPReceiver:

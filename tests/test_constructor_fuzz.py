@@ -269,6 +269,12 @@ _TCP_ORDINARY = {
     "initial_rto": st.floats(0.01, 3.0),
     "delayed_ack": st.booleans(),
     "delack_timeout": st.floats(0.0, 0.5),
+    "min_rto": st.floats(0.05, 1.0),
+    "max_rto": st.floats(1.0, 60.0),
+    "congestion_control": st.sampled_from(["reno", "vegas"]),
+    "vegas_alpha": st.floats(0.5, 2.0),
+    "vegas_beta": st.floats(2.0, 6.0),
+    "vegas_gamma": st.floats(0.0, 3.0),
 }
 
 #: Odd values per field; 0 and 499 are windows below any ordinary mss.
@@ -281,6 +287,12 @@ _TCP_ODD = {
     "dupack_threshold": _ODD + [2.5],
     "initial_rto": _ODD,
     "delack_timeout": _ODD + [-0.1],
+    "min_rto": _ODD,
+    "max_rto": _ODD,
+    "congestion_control": _ODD + ["cubic", "Reno"],
+    "vegas_alpha": _ODD,
+    "vegas_beta": _ODD,
+    "vegas_gamma": _ODD + [-0.5],
 }
 
 

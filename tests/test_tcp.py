@@ -264,11 +264,30 @@ class TestValidation:
             ("initial_ssthresh_bytes", 0),
             ("initial_ssthresh_bytes", math.nan),
             ("initial_ssthresh_bytes", 1500.5),
+            # an infinite RTO: per-packet raised under sanitize, walk ran on
+            ("max_rto", math.inf),
+            ("vegas_beta", math.inf),
+            ("vegas_gamma", math.nan),
+            ("vegas_gamma", -1.0),
+            ("vegas_gamma", math.inf),
         ],
     )
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TCPConfig(delayed_ack=True, **{field: value})
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            (dict(min_rto=math.inf, max_rto=math.inf), "min_rto"),
+            (dict(vegas_alpha=math.inf, vegas_beta=math.inf), "vegas_alpha"),
+        ],
+        ids=["min_rto-max_rto", "vegas_alpha-vegas_beta"],
+    )
+    def test_infinite_bound_pair_rejected(self, fields, named):
+        # Each pair is ordered, so only the finiteness check can see it.
+        with pytest.raises(ValueError, match=named):
+            TCPConfig(**fields)
 
     def test_edge_values_accepted(self):
         cfg = TCPConfig(
