@@ -49,16 +49,17 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   per-packet state at its own instant, with nothing left to replay; a
   ping simply queues behind the flow's packets.
 * Flow state (cwnd, RTT estimators, receiver buffers) is mutated
-  directly on the real ``TCPSender``/``TCPReceiver`` objects while their
-  ``sim``/``network`` attributes are shimmed; because of the cap
-  invariant, any real read at a run boundary sees exactly the per-packet
-  values.
+  directly on the real ``TCPSender``/``TCPReceiver`` objects, by their
+  own methods; because of the cap invariant, any real read at a run
+  boundary sees exactly the per-packet values.
 
-Reno flows without delayed ACKs run through inlined transmit/ack kernels
-(bit-identical mirrors of ``TCPSender._process_new_ack``/``_try_send``
-and ``TCPReceiver.on_segment``); everything else — Vegas, delayed ACKs,
-recovery episodes, RTO — executes the *real* transport code under the
-shims, so there is exactly one implementation of the tricky parts.
+The TCP endpoints are sans-IO (:mod:`repro.transport.tcp`): they take
+the time and plain ints and do all I/O through a port.  While the walk
+carries a flow, both endpoints hold its :class:`_FlowPort`, which turns
+each segment and ACK into a hop admission and keeps the RTO timer off
+the heap until it can fire.  The walk hands deliveries straight to
+``on_segment`` and ``on_ack``, so Reno, Vegas, delayed ACKs, recovery
+and the RTO run the one implementation in ``tcp.py`` on both paths.
 
 Determinism contract
 --------------------
@@ -167,25 +168,29 @@ _HORIZON = 64.0
 K_ADMIT = 0  # (t, q, K_ADMIT, links, hop, size, tail): arrival at links[hop]
 K_DATA = 1  # (t, q, K_DATA, fs, seq, length): segment delivery at receiver
 K_ACK = 2  # (t, q, K_ACK, fs, ack): cumulative-ACK delivery at sender
-K_TIMER = 3  # (t, q, K_TIMER, vt): shimmed sim.schedule() callback
+K_TIMER = 3  # (t, q, K_TIMER, vt): RTO or delayed-ACK timer of a flow
 K_SSEND = 4  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
 K_SDELIV = 5  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
 
 
 class _VTimer:
-    """Virtual-heap stand-in for a :class:`ScheduledCall` (lazy cancel)."""
+    """Virtual-heap stand-in for a :class:`ScheduledCall` (lazy cancel).
 
-    __slots__ = ("time", "fn", "args", "cancelled", "q", "pending")
+    ``fn`` receives the deadline as its time, as an engine timer of the
+    per-packet port does.
+    """
 
-    def __init__(self, time, fn, args):
+    __slots__ = ("time", "fn", "cancelled", "q", "pending")
+
+    def __init__(self, time, fn):
         self.time = time
         self.fn = fn
-        self.args = args
         self.cancelled = False
-        # RTO timers the ack kernel creates stay off the heap (pending=True,
+        # RTO timers armed inside a walk stay off the heap (pending=True,
         # with their would-have-been heap tiebreak in ``q``) until either
         # the walk clock reaches them or the walk ends; almost all are
-        # cancelled by the next ack before ever touching the heap.
+        # restarted or cancelled by the next ack before ever touching the
+        # heap.
         self.q = 0
         self.pending = False
 
@@ -193,79 +198,89 @@ class _VTimer:
         self.cancelled = True
 
 
-class _VSim:
-    """``sim`` shim installed on attached endpoints.
+class _FlowPort:
+    """The walk's port for one attached TCP connection, plus its
+    domain-side bookkeeping.
 
-    ``now`` reads the walk's virtual clock while a round is in progress
-    and the real clock otherwise; ``schedule``/``schedule_at`` land on
-    the domain's virtual heap as :class:`_VTimer` entries.
+    While the walk carries the flow, both endpoints hold this object as
+    their ``port`` (see :mod:`repro.transport.tcp`): a segment or an ACK
+    becomes a hop admission, the RTO timer stays off the heap, and a
+    delayed-ACK timer goes on it.  ``pp`` is the connection's per-packet
+    port, which the endpoints get back at detach.
     """
 
-    __slots__ = ("domain",)
-
-    def __init__(self, domain):
-        self.domain = domain
-
-    @property
-    def now(self):
-        d = self.domain
-        return d._vnow if d._walking else d.sim._now
-
-    def schedule(self, delay, fn, *args):
-        d = self.domain
-        t = (d._vnow if d._walking else d.sim._now) + delay
-        return d._vtimer(t, fn, args)
-
-    def schedule_at(self, time, fn, *args):
-        return self.domain._vtimer(time, fn, args)
-
-
-class _FlowVNet:
-    """``network`` shim installed on attached endpoints: sends become
-    virtual hop admissions instead of real ``Link.send`` calls."""
-
-    __slots__ = ("domain", "fs")
-
-    def __init__(self, domain, fs):
-        self.domain = domain
-        self.fs = fs
-
-    def send_forward(self, pkt, handler) -> bool:
-        fs = self.fs
-        self.domain._send(fs.fwd, pkt.size, (K_DATA, fs, pkt.seq, pkt.payload))
-        return True
-
-    def send_reverse(self, pkt, handler) -> bool:
-        fs = self.fs
-        self.domain._send(fs.rev, pkt.size, (K_ACK, fs, pkt.seq))
-        return True
-
-
-class _FlowState:
-    """Domain-side bookkeeping for one attached TCP flow."""
-
     __slots__ = (
+        "domain",
+        "pp",
         "sender",
         "receiver",
         "fwd",
         "rev",
         "hdr",
         "ack_size",
-        "flow_id",
-        "tx_kernel",
-        "rx_kernel",
-        "vnet",
-        "user_on_complete",
         "completing",
         "detached",
         "t0",
         "seg0",
-        # kernel-cached config (config objects are not mutated mid-flow)
-        "mss",
-        "adv",
-        "min_rto",
-        "max_rto",
     )
+
+    def send_data(self, t: float, seq: int, length: int) -> None:
+        d = self.domain
+        tail = (K_DATA, self, seq, length)
+        if d._walking:
+            d._hop_admit(self.fwd, 0, t, length + self.hdr, tail)
+        else:
+            d._send(self.fwd, length + self.hdr, tail)
+
+    def send_ack(self, t: float, ack: int) -> None:
+        # Only the delayed-ACK timer sends through the port, and it fires
+        # inside a walk; _round sends the ACKs on_segment returns.
+        self.domain._hop_admit(self.rev, 0, t, self.ack_size, (K_ACK, self, ack))
+
+    def rto(self, vt: Optional[_VTimer], deadline: float) -> _VTimer:
+        """Cancel ``vt`` (if any) and arm the RTO for ``deadline``.
+
+        Inside a walk the timer is postponed: it takes its heap tiebreak
+        now but joins the heap only when the walk reaches its time or
+        ends (:meth:`FlowTransitDomain._flush_pending`).  A timer still
+        postponed from the previous ack is restarted in place.
+        Cancel-then-replace would allocate a timer per ack for one that
+        almost never fires; mutating time and tiebreak is
+        indistinguishable, since the ``q`` taken here is the one a
+        replacement would get.
+        """
+        d = self.domain
+        if not d._walking:
+            if vt is not None:
+                vt.cancel()
+            return d._vtimer(deadline, self.sender._on_rto)
+        d._vseq = q = d._vseq + 1
+        if vt is not None and vt.pending and not vt.cancelled:
+            vt.time = deadline
+        else:
+            if vt is not None:
+                vt.cancel()
+            vt = _VTimer(deadline, self.sender._on_rto)
+            vt.pending = True
+        vt.q = q
+        if deadline < d._pmin:
+            d._pmin = deadline
+        return vt
+
+    def delack(self, deadline: float) -> _VTimer:
+        return self.domain._vtimer(deadline, self.receiver._on_delack)
+
+    def complete(self) -> None:
+        """The transfer is acknowledged, always inside a walk: detach
+        and run the user's callback as a real event at this instant."""
+        self.completing = True
+        d = self.domain
+        d._defer(d._complete_flow, self)
+
+    def stop(self) -> None:
+        """``TCPSender.stop()``: hand the flow back to the real path."""
+        if not (self.detached or self.completing):
+            self.domain._detach(self)
 
 
 class _StreamState:
@@ -339,7 +354,6 @@ class FlowTransitDomain:
         "alive",
         "flows",
         "streams",
-        "vsim",
         "_vheap",
         "_dfwd",
         "_drev",
@@ -358,9 +372,8 @@ class FlowTransitDomain:
         self.sim = sim
         self.network = network
         self.alive = True
-        self.flows: list[_FlowState] = []
+        self.flows: list[_FlowPort] = []
         self.streams: list[_StreamState] = []
-        self.vsim = _VSim(self)
         self._vheap: list = []
         # Deliveries, one FIFO per chain in admission order at its last
         # hop, hence in (t, q) order (see the module docstring).
@@ -388,8 +401,8 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Virtual scheduling
     # ------------------------------------------------------------------
-    def _vtimer(self, time, fn, args) -> _VTimer:
-        vt = _VTimer(time, fn, args)
+    def _vtimer(self, time, fn) -> _VTimer:
+        vt = _VTimer(time, fn)
         self._vseq = q = self._vseq + 1
         heapq.heappush(self._vheap, (time, q, K_TIMER, vt))
         if not self._walking:
@@ -397,16 +410,13 @@ class FlowTransitDomain:
         return vt
 
     def _send(self, links, size, tail) -> None:
-        if self._walking:
-            self._hop_admit(links, 0, self._vnow, size, tail)
-        else:
-            # Out-of-walk send (e.g. the initial burst from ``start()``):
-            # defer admission into a round at the same instant, so the
-            # walk's cap invariant covers it like every other admission.
-            t = self.sim._now
-            self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (t, q, K_ADMIT, links, 0, size, tail))
-            self._kick(t)
+        """Out-of-walk send (e.g. the initial burst from ``start()``):
+        defer admission into a round at the same instant, so the walk's
+        cap invariant covers it like every other admission."""
+        t = self.sim._now
+        self._vseq = q = self._vseq + 1
+        heapq.heappush(self._vheap, (t, q, K_ADMIT, links, 0, size, tail))
+        self._kick(t)
 
     def _defer(self, fn, *args):
         """Schedule ``fn`` as a *real* event at the walk's current instant
@@ -546,8 +556,6 @@ class FlowTransitDomain:
         self._walking = True
         self._vnow = now
         self._limit = cap
-        ev_ack = self._ev_ack
-        ev_data = self._ev_data
         try:
             while True:
                 # The earliest of the heap head and the two delivery
@@ -582,13 +590,16 @@ class FlowTransitDomain:
                 k = ev[2]
                 self._vnow = t
                 if k == K_ACK:
-                    ev_ack(t, ev[3], ev[4])
+                    ev[3].sender.on_ack(t, ev[4])
                 elif k == K_DATA:
-                    ev_data(t, ev[3], ev[4], ev[5])
+                    fs = ev[3]
+                    ack = fs.receiver.on_segment(t, ev[4], ev[5])
+                    if ack is not None:
+                        self._hop_admit(fs.rev, 0, t, fs.ack_size, (K_ACK, fs, ack))
                 elif k == K_TIMER:
                     vt = ev[3]
                     if not vt.cancelled:
-                        vt.fn(*vt.args)
+                        vt.fn(t)
                 elif k == K_ADMIT:
                     self._hop_admit(ev[3], ev[4], t, ev[5], ev[6])
                 elif k == K_SSEND:
@@ -628,176 +639,11 @@ class FlowTransitDomain:
         vheap = self._vheap
         for fs in self.flows:
             vt = fs.sender._rto_timer
-            if type(vt) is _VTimer and vt.pending:
+            if vt is not None and vt.pending:
                 vt.pending = False
                 if not vt.cancelled:
                     heapq.heappush(vheap, (vt.time, vt.q, K_TIMER, vt))
         self._pmin = _INF
-
-    # ------------------------------------------------------------------
-    # TCP kernels (bit-identical inlines of the transport hot path)
-    # ------------------------------------------------------------------
-    def _ev_ack(self, t: float, fs: _FlowState, ack: int) -> None:
-        snd = fs.sender
-        if snd._stopped or snd._completed:
-            return
-        if not (fs.tx_kernel and not snd.in_recovery and ack > snd.snd_una):
-            # Dup-acks, recovery episodes, Vegas, traced flows: run the
-            # real transport code under the shims.
-            pkt = Packet(fs.ack_size, flow_id=fs.flow_id, seq=ack, kind=PacketKind.ACK)
-            snd.on_ack(pkt)
-            return
-        # Inline of _process_new_ack (non-recovery reno) + the on_ack tail.
-        mss = fs.mss
-        infl = snd._in_flight
-        srtt = snd.srtt
-        rttvar = snd.rttvar
-        rto = snd.rto
-        # _in_flight insertion order is ascending seq (new sends are
-        # monotone, retransmits update in place, RTO clears the dict), so
-        # the sorted() walk in _process_new_ack is a prefix pop here.
-        while infl:
-            for seq0 in infl:  # cheap "first key" (ascending-order dict)
-                break
-            if seq0 >= ack:
-                break
-            sent_at = infl.pop(seq0)
-            if sent_at is not None:  # Karn: no sample from a retransmission
-                sample = t - sent_at
-                base = snd.base_rtt
-                if base is None or sample < base:
-                    snd.base_rtt = sample
-                snd._last_rtt_sample = sample
-                if srtt is None:
-                    srtt = sample
-                    rttvar = sample / 2.0
-                else:
-                    d = srtt - sample
-                    rttvar = 0.75 * rttvar + 0.25 * (d if d >= 0.0 else -d)
-                    srtt = 0.875 * srtt + 0.125 * sample
-                rto = srtt + 4.0 * rttvar
-                if rto < fs.min_rto:
-                    rto = fs.min_rto
-                elif rto > fs.max_rto:
-                    rto = fs.max_rto
-        snd.srtt = srtt
-        snd.rttvar = rttvar
-        snd.rto = rto
-        snd.snd_una = ack
-        snd.dupacks = 0
-        cwnd = snd.cwnd
-        if cwnd < snd.ssthresh:
-            cwnd += float(mss)
-        else:
-            cwnd += float(mss) * mss / cwnd
-        snd.cwnd = cwnd
-        snd.cwnd_log.append((t, cwnd))
-        # _restart_rto: flight measured before the refill below.
-        vt = snd._rto_timer
-        snd_nxt = snd.snd_nxt
-        rto_timer = None
-        if snd_nxt - ack > 0:
-            tp = t + rto
-            self._vseq = q = self._vseq + 1
-            if vt is not None and type(vt) is _VTimer and vt.pending and not vt.cancelled:
-                # Still postponed off-heap from the previous ack: restart
-                # it in place.  Cancel-then-replace would allocate a fresh
-                # tuple-of-slots per ack for a timer that almost never
-                # fires; mutating time and tiebreak is indistinguishable
-                # (the ``q`` consumed here is the same one an eager
-                # replacement would have been created with).
-                rto_timer = vt
-                rto_timer.time = tp
-                rto_timer.q = q
-            else:
-                if vt is not None:
-                    vt.cancel()
-                snd._rto_timer = rto_timer = _VTimer(tp, snd._on_rto, ())
-                rto_timer.q = q
-                rto_timer.pending = True
-            if tp < self._pmin:
-                self._pmin = tp
-        elif vt is not None:
-            vt.cancel()
-            snd._rto_timer = None
-        # Inline of _try_send/_transmit.
-        adv = fs.adv
-        window = cwnd if cwnd <= adv else adv
-        total = snd.total_bytes
-        high = snd.high_water
-        hdr = fs.hdr
-        fwd = fs.fwd
-        sent = 0
-        while snd_nxt - ack + mss <= window:
-            if total is not None:
-                remaining = total - snd_nxt
-                if remaining <= 0:
-                    break
-                length = mss if mss < remaining else remaining
-            else:
-                length = mss
-            if snd_nxt < high:  # retransmission (go-back-N refill)
-                infl[snd_nxt] = None
-                snd.retransmits += 1
-            else:  # fresh segment: cannot already be tracked
-                infl[snd_nxt] = t
-            sent += 1
-            self._hop_admit(fwd, 0, t, length + hdr, (K_DATA, fs, snd_nxt, length))
-            if rto_timer is None:
-                tp = t + rto
-                snd._rto_timer = rto_timer = _VTimer(tp, snd._on_rto, ())
-                self._vseq = q = self._vseq + 1
-                rto_timer.q = q
-                rto_timer.pending = True
-                if tp < self._pmin:
-                    self._pmin = tp
-            snd_nxt += length
-            if snd_nxt > high:
-                high = snd_nxt
-        if sent:
-            snd.segments_sent += sent
-        snd.snd_nxt = snd_nxt
-        snd.high_water = high
-        if total is not None and ack >= total and not snd._completed:
-            snd._completed = True
-            vt = snd._rto_timer
-            if vt is not None:
-                vt.cancel()
-                snd._rto_timer = None
-            if snd.on_complete is not None:
-                snd.on_complete(snd)
-
-    def _ev_data(self, t: float, fs: _FlowState, seq: int, length: int) -> None:
-        rcv = fs.receiver
-        if not fs.rx_kernel:
-            pkt = Packet(
-                length + fs.hdr,
-                flow_id=fs.flow_id,
-                seq=seq,
-                kind=PacketKind.DATA,
-                payload=length,
-            )
-            rcv.on_segment(pkt)
-            return
-        # Inline of TCPReceiver.on_segment + _emit_ack(force=True).
-        rcv_nxt = rcv.rcv_nxt
-        if seq + length <= rcv_nxt:
-            pass  # pure duplicate: re-ACK below
-        elif seq > rcv_nxt:
-            oob = rcv._out_of_order
-            prev = oob.get(seq, 0)
-            if length > prev:
-                oob[seq] = length
-        else:
-            rcv_nxt = seq + length
-            oob = rcv._out_of_order
-            if oob:
-                while rcv_nxt in oob:
-                    rcv_nxt += oob.pop(rcv_nxt)
-            rcv.rcv_nxt = rcv_nxt
-            rcv.delivered_log.append((t, rcv_nxt))
-        rcv.acks_sent += 1
-        self._hop_admit(fs.rev, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
 
     # ------------------------------------------------------------------
     # Probe streams
@@ -989,63 +835,35 @@ class FlowTransitDomain:
     # Flow lifecycle
     # ------------------------------------------------------------------
     def attach_flow(self, sender: "TCPSender") -> None:
+        """Carry ``sender``'s connection in the walk: both endpoints take
+        this flow's port in place of their per-packet one."""
         self._unbatch()
-        fs = _FlowState()
+        fs = _FlowPort()
         receiver = sender.receiver
-        cfg = sender.config
         network = self.network
+        fs.domain = self
+        fs.pp = sender.port
         fs.sender = sender
         fs.receiver = receiver
         fs.fwd = network.forward_links
         fs.rev = network.reverse_links
-        fs.hdr = cfg.header_bytes
-        fs.mss = cfg.mss
-        fs.adv = float(cfg.advertised_window_bytes)
-        fs.min_rto = cfg.min_rto
-        fs.max_rto = cfg.max_rto
+        fs.hdr = sender.config.header_bytes
         fs.ack_size = receiver.config.header_bytes
-        fs.flow_id = sender.flow_id
-        fs.tx_kernel = cfg.congestion_control == "reno" and sender._tracer is None
-        fs.rx_kernel = not receiver.config.delayed_ack
-        fs.vnet = _FlowVNet(self, fs)
-        fs.user_on_complete = sender.on_complete
         fs.completing = False
         fs.detached = False
         fs.t0 = self.sim._now
         fs.seg0 = sender.segments_sent
-
-        def _wrapped_complete(_snd, fs=fs, domain=self):
-            fs.completing = True
-            if domain._walking:
-                domain._defer(domain._complete_flow, fs)
-            else:  # pragma: no cover - completion always lands in a walk
-                domain._complete_flow(fs)
-
-        sender.on_complete = _wrapped_complete
-        sender.sim = self.vsim
-        receiver.sim = self.vsim
-        sender.network = fs.vnet
-        receiver.network = fs.vnet
-        sender._ft = self
-        sender._ft_fs = fs
+        sender.port = receiver.port = fs
         self.flows.append(fs)
         _note_flow_planned(network, self.sim)
 
-    def on_flow_stop(self, sender: "TCPSender") -> None:
-        """``TCPSender.stop()`` seam: hand the flow back to the real path."""
-        fs = sender._ft_fs
-        if fs is None or fs.detached or fs.completing:
-            return
-        self._detach(fs)
-
-    def _complete_flow(self, fs: _FlowState) -> None:
+    def _complete_flow(self, fs: _FlowPort) -> None:
         fs.completing = False
         if not fs.detached:
             self._detach(fs)
-        if fs.user_on_complete is not None:
-            fs.user_on_complete(fs.sender)
+        fs.pp.complete()
 
-    def _detach(self, fs: _FlowState) -> None:
+    def _detach(self, fs: _FlowPort) -> None:
         if fs.detached:
             return
         fs.detached = True
@@ -1056,39 +874,32 @@ class FlowTransitDomain:
         self._drain_flow_events(fs)
         snd = fs.sender
         rcv = fs.receiver
-        sim = self.sim
-        snd.sim = sim
-        rcv.sim = sim
-        network = self.network
-        snd.network = network
-        rcv.network = network
-        snd.on_complete = fs.user_on_complete
-        snd._ft = None
-        snd._ft_fs = None
+        snd.port = rcv.port = fs.pp
         snd._rto_timer = self._to_real(snd._rto_timer)
         rcv._delack_timer = self._to_real(rcv._delack_timer)
+        sim = self.sim
         if sim.tracer is not None:
             sim.tracer.span(
                 fs.t0,
                 sim._now,
                 "flow",
                 "planned",
-                track=fs.flow_id,
+                track=snd.flow_id,
                 args={"segments": snd.segments_sent - fs.seg0},
             )
         else:
-            network._ft_spans.append(
-                (fs.t0, sim._now, fs.flow_id, snd.segments_sent - fs.seg0)
+            self.network._ft_spans.append(
+                (fs.t0, sim._now, snd.flow_id, snd.segments_sent - fs.seg0)
             )
 
     def _to_real(self, vt):
         """Convert a live :class:`_VTimer` into a real scheduled call."""
-        if vt is None or not isinstance(vt, _VTimer) or vt.cancelled:
+        if vt is None or vt.cancelled:
             return vt
         vt.cancelled = True  # its heap entry is skipped from now on
-        return self.sim.schedule_at(vt.time, vt.fn, *vt.args)
+        return self.sim.schedule_at(vt.time, vt.fn, vt.time)
 
-    def _drain_flow_events(self, fs: _FlowState) -> None:
+    def _drain_flow_events(self, fs: _FlowPort) -> None:
         """Materialize this flow's pending virtual events as real ones."""
         queues = (self._vheap, self._dfwd, self._drev)
         kept: list = [[] for _ in queues]
@@ -1120,20 +931,10 @@ class FlowTransitDomain:
         k = tail[0]
         if k == K_DATA:
             _, fs, seq, length = tail
-            pkt = Packet(
-                length + fs.hdr,
-                flow_id=fs.flow_id,
-                seq=seq,
-                kind=PacketKind.DATA,
-                payload=length,
-            )
-            return pkt, fs.receiver.on_segment
+            return fs.pp.data_packet(seq, length), fs.pp.on_data
         if k == K_ACK:
             _, fs, ack = tail
-            pkt = Packet(
-                fs.ack_size, flow_id=fs.flow_id, seq=ack, kind=PacketKind.ACK
-            )
-            return pkt, fs.sender.on_ack
+            return fs.pp.ack_packet(ack), fs.pp.on_ack
         # K_SDELIV
         _, ss, i = tail
         s, seq = ss.sched[i]

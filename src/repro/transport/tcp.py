@@ -12,11 +12,23 @@ for that study, built from scratch:
 * :class:`TCPReceiver` — cumulative ACKs with an out-of-order segment
   buffer, optional delayed ACKs.
 
-The implementation is event-driven (no per-connection process), which keeps
-the cost at roughly two simulator events per segment.  Queue-filling
-behaviour — the part of TCP that Section VII's RTT measurements expose — is
-faithfully produced: a drop-tail tight link fills until loss, the sender
-halves, and the sawtooth repeats.
+Both endpoints are sans-IO.  Their methods take the time and plain ints
+(``on_ack(t, ack)``, ``on_segment(t, seq, length)``), never a
+:class:`~repro.netsim.packet.Packet`, and a timer callback receives its
+deadline as the time.  All I/O goes through the connection's *port*: one
+object per connection that sends a segment, sends an ACK, and arms,
+restarts or cancels the RTO and delayed-ACK timers.  ``on_segment``
+returns the ACK a segment calls for and its caller, the port's delivery
+handler, sends it; only the delayed-ACK timer sends an ACK itself.
+:class:`_PacketPort` here builds a ``Packet`` per segment and per ACK,
+sends it through the network's links (one engine event per hop) and keeps
+its timers as engine events.  The flow-transit walk
+(:mod:`repro.netsim.flowtransit`) swaps in its own port, which admits
+segments and ACKs straight into the hops with no engine event; the
+congestion control is this module's code on both paths.  Queue-filling
+behaviour — the part of TCP that Section VII's RTT measurements expose —
+is faithfully produced: a drop-tail tight link fills until loss, the
+sender halves, and the sawtooth repeats.
 """
 
 from __future__ import annotations
@@ -165,7 +177,8 @@ class TCPReceiver:
         self.acks_sent = 0
         self._delack_pending = 0
         self._delack_timer: Optional[ScheduledCall] = None
-        self._sender_addr: Optional[Callable[[Packet], None]] = None
+        # The connection's I/O, set when a sender connects.
+        self.port: Optional[_PacketPort] = None
 
     # ------------------------------------------------------------------
     @property
@@ -200,49 +213,51 @@ class TCPReceiver:
         return out
 
     # ------------------------------------------------------------------
-    def on_segment(self, pkt: Packet) -> None:
-        """Handle an arriving data segment (wired by the network)."""
-        seq = pkt.seq
-        length = pkt.payload
-        if seq + length <= self.rcv_nxt:
-            # pure duplicate (retransmission of delivered data): re-ACK
-            self._emit_ack(force=True)
-            return
-        if seq > self.rcv_nxt:
-            self._out_of_order[seq] = max(self._out_of_order.get(seq, 0), length)
-            # out-of-order segment ⇒ immediate duplicate ACK (RFC 5681)
-            self._emit_ack(force=True)
-            return
-        # in-order (possibly overlapping) data: advance rcv_nxt
-        self.rcv_nxt = seq + length
-        while self.rcv_nxt in self._out_of_order:
-            self.rcv_nxt += self._out_of_order.pop(self.rcv_nxt)
-        self.delivered_log.append((self.sim.now, self.rcv_nxt))
-        self._emit_ack(force=not self.config.delayed_ack)
+    def on_segment(self, t: float, seq: int, length: int) -> Optional[int]:
+        """Handle ``length`` bytes from byte ``seq``, arriving at ``t``.
 
-    def _emit_ack(self, force: bool) -> None:
-        if not force and self.config.delayed_ack:
-            self._delack_pending += 1
-            if self._delack_pending == 1:
-                self._delack_timer = self.sim.schedule(
-                    self.config.delack_timeout, self._emit_ack, True
-                )
-                return
-            # second pending segment: ack now (ack-every-other)
-        if self._delack_timer is not None:
-            self._delack_timer.cancel()
+        Returns the cumulative ACK to send now, or None while a delayed
+        ACK waits.  The caller sends it, which saves a port call per
+        segment.
+        """
+        rcv_nxt = self.rcv_nxt
+        if seq + length <= rcv_nxt:
+            pass  # pure duplicate (retransmission of delivered data): re-ACK
+        elif seq > rcv_nxt:
+            # out-of-order segment ⇒ immediate duplicate ACK (RFC 5681)
+            oob = self._out_of_order
+            if length > oob.get(seq, 0):
+                oob[seq] = length
+        else:
+            # in-order (possibly overlapping) data: advance rcv_nxt
+            rcv_nxt = seq + length
+            oob = self._out_of_order
+            if oob:
+                while rcv_nxt in oob:
+                    rcv_nxt += oob.pop(rcv_nxt)
+            self.rcv_nxt = rcv_nxt
+            self.delivered_log.append((t, rcv_nxt))
+            if self.config.delayed_ack:
+                self._delack_pending += 1
+                if self._delack_pending == 1:
+                    self._delack_timer = self.port.delack(
+                        t + self.config.delack_timeout
+                    )
+                    return None
+                # second pending segment: ack now (ack-every-other)
+        timer = self._delack_timer
+        if timer is not None:
+            timer.cancel()
             self._delack_timer = None
         self._delack_pending = 0
-        ack = Packet(
-            self.config.header_bytes,
-            flow_id=self.flow_id,
-            seq=self.rcv_nxt,
-            kind=PacketKind.ACK,
-        )
         self.acks_sent += 1
-        if self._sender_addr is None:
-            raise RuntimeError("receiver not connected to a sender")
-        self.network.send_reverse(ack, self._sender_addr)
+        return rcv_nxt
+
+    def _on_delack(self, t: float) -> None:
+        self._delack_timer = None
+        self._delack_pending = 0
+        self.acks_sent += 1
+        self.port.send_ack(t, self.rcv_nxt)
 
 
 class TCPSender:
@@ -282,8 +297,10 @@ class TCPSender:
         self.total_bytes = total_bytes
         self.on_complete = on_complete
         receiver.flow_id = self.flow_id
-        receiver._sender_addr = self.on_ack
         self.receiver = receiver
+        # The connection's I/O, shared with the receiver.  The flow-transit
+        # walk replaces it on both endpoints while it carries the flow.
+        self.port = receiver.port = _PacketPort(self, receiver)
 
         cfg = self.config
         self.snd_una = 0
@@ -313,11 +330,8 @@ class TCPSender:
         self._in_flight: dict[int, Optional[float]] = {}
         self._stopped = False
         self._completed = False
-        # Flow-transit fast path: resolved at _begin; while attached the
-        # domain owns this flow's events.
+        # Flow-transit fast path: resolved at _begin.
         self._fast = fast
-        self._ft: Optional["flowtransit.FlowTransitDomain"] = None
-        self._ft_fs = None
         # statistics
         self.high_water = 0  # highest byte ever sent (go-back-N bookkeeping)
         self.segments_sent = 0
@@ -326,8 +340,7 @@ class TCPSender:
         self.cwnd_log: list[tuple[float, float]] = []
         # Cached tracer: the nil path costs one None-check per cwnd change.
         # Light tracers cache None: per-ack cwnd/rto instants are exactly
-        # the per-packet visibility --trace-light trades away, and a None
-        # slot keeps the flow eligible for the inlined transmit kernel.
+        # the per-packet visibility --trace-light trades away.
         tracer = sim.tracer
         self._tracer = (
             tracer if tracer is not None and not tracer.light else None
@@ -339,19 +352,18 @@ class TCPSender:
     def start(self, at: Optional[float] = None) -> None:
         """Begin transmitting (now, or at absolute time ``at``)."""
         if at is None:
-            self._begin()
+            self._begin(self.sim.now)
         else:
-            self.sim.schedule_at(at, self._begin)
+            self.sim.schedule_at(at, self._begin, at)
 
-    def _begin(self) -> None:
-        if not self._stopped and self._ft is None:
+    def _begin(self, t: float) -> None:
+        if not self._stopped and type(self.port) is _PacketPort:
             flowtransit.try_attach_flow(self)
-        self._try_send()
+        self._try_send(t)
 
     def stop(self) -> None:
         """Stop a persistent connection: no new data, timers cancelled."""
-        if self._ft is not None:
-            self._ft.on_flow_stop(self)
+        self.port.stop()
         self._stopped = True
         self._cancel_rto()
 
@@ -368,124 +380,154 @@ class TCPSender:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _window(self) -> float:
-        return min(self.cwnd, float(self.config.advertised_window_bytes))
-
-    def _remaining(self) -> Optional[int]:
-        if self.total_bytes is None:
-            return None
-        return self.total_bytes - self.snd_nxt
-
-    def _try_send(self) -> None:
+    def _try_send(self, t: float) -> None:
+        """Send new segments while the window has room for a full one."""
         if self._stopped:
             return
         cfg = self.config
-        while self.flight_size + cfg.mss <= self._window():
-            remaining = self._remaining()
-            if remaining is not None and remaining <= 0:
-                break
-            length = cfg.mss if remaining is None else min(cfg.mss, remaining)
+        mss = cfg.mss
+        cwnd = self.cwnd
+        adv = cfg.advertised_window_bytes
+        window = cwnd if cwnd <= adv else adv
+        una = self.snd_una
+        snd_nxt = self.snd_nxt
+        high = self.high_water
+        total = self.total_bytes
+        infl = self._in_flight
+        port = self.port
+        sent = 0
+        while snd_nxt - una + mss <= window:
+            if total is None:
+                length = mss
+            else:
+                remaining = total - snd_nxt
+                if remaining <= 0:
+                    break
+                length = mss if mss < remaining else remaining
             # After a timeout the sender rewinds snd_nxt (go-back-N), so a
             # "new" send may cover previously transmitted bytes: Karn's
-            # algorithm must not take RTT samples from those.
-            self._transmit(
-                self.snd_nxt, length, retransmission=self.snd_nxt < self.high_water
-            )
-            self.snd_nxt += length
-            if self.snd_nxt > self.high_water:
-                self.high_water = self.snd_nxt
+            # algorithm must not take RTT samples from those.  A tracked
+            # key keeps its dict position, so keys stay in ascending order
+            # (see on_ack).
+            if snd_nxt < high:
+                infl[snd_nxt] = None
+                self.retransmits += 1
+            else:
+                infl[snd_nxt] = t
+            sent += 1
+            port.send_data(t, snd_nxt, length)
+            if self._rto_timer is None:
+                self._rto_timer = port.rto(None, t + self.rto)
+            snd_nxt += length
+            if snd_nxt > high:
+                high = snd_nxt
+        if sent:
+            self.segments_sent += sent
+            self.snd_nxt = snd_nxt
+            self.high_water = high
 
-    def _transmit(self, seq: int, length: int, retransmission: bool) -> None:
-        cfg = self.config
-        pkt = Packet(
-            length + cfg.header_bytes,
-            flow_id=self.flow_id,
-            seq=seq,
-            kind=PacketKind.DATA,
-            payload=length,
-            created_at=self.sim.now,
-        )
-        # A tracked key keeps its dict position: the flow-transit ack
-        # kernel pops acked segments as a prefix in insertion order.
-        if retransmission:
-            self._in_flight[seq] = None
-            self.retransmits += 1
-        else:
-            self._in_flight[seq] = self.sim.now
+    def _retransmit(self, t: float, seq: int, length: int) -> None:
+        """Resend ``length`` bytes from ``seq`` (the first unacked byte)."""
+        self._in_flight[seq] = None
+        self.retransmits += 1
         self.segments_sent += 1
-        self.network.send_forward(pkt, self.receiver.on_segment)
+        self.port.send_data(t, seq, length)
         if self._rto_timer is None:
-            self._arm_rto()
+            self._rto_timer = self.port.rto(None, t + self.rto)
 
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
-    def on_ack(self, pkt: Packet) -> None:
-        """Handle a cumulative ACK arriving over the reverse path."""
+    def on_ack(self, t: float, ack: int) -> None:
+        """Handle a cumulative ACK for byte ``ack``, arriving at ``t``."""
         if self._stopped or self._completed:
             return
-        ack = pkt.seq
-        cfg = self.config
-        if ack > self.snd_una:
-            self._process_new_ack(ack)
-        elif ack == self.snd_una and self.flight_size > 0:
-            self._process_dupack()
-        self._try_send()
-        if (
-            self.total_bytes is not None
-            and self.snd_una >= self.total_bytes
-            and not self._completed
-        ):
+        snd_una = self.snd_una
+        if ack > snd_una:
+            cfg = self.config
+            mss = cfg.mss
+            # RTT samples from the newly acked, never-retransmitted
+            # segments (Karn's algorithm), RFC 6298's estimator inline.
+            # The dict's insertion order is ascending seq: new sends are
+            # monotone, a retransmission of snd_una updates a key that is
+            # already there, and a timeout clears the dict.  So the acked
+            # segments are a prefix, popped in order with no sort.
+            infl = self._in_flight
+            srtt = self.srtt
+            rttvar = self.rttvar
+            rto = self.rto
+            while infl:
+                for seq in infl:  # the first key
+                    break
+                if seq >= ack:
+                    break
+                sent_at = infl.pop(seq)
+                if sent_at is not None:
+                    sample = t - sent_at
+                    base = self.base_rtt
+                    if base is None or sample < base:
+                        self.base_rtt = sample
+                    self._last_rtt_sample = sample
+                    if srtt is None:
+                        srtt = sample
+                        rttvar = sample / 2.0
+                    else:
+                        rttvar = 0.75 * rttvar + 0.25 * abs(srtt - sample)
+                        srtt = 0.875 * srtt + 0.125 * sample
+                    rto = srtt + 4.0 * rttvar
+                    if rto < cfg.min_rto:
+                        rto = cfg.min_rto
+                    elif rto > cfg.max_rto:
+                        rto = cfg.max_rto
+            self.srtt = srtt
+            self.rttvar = rttvar
+            self.rto = rto
+            self.snd_una = ack
+            self.dupacks = 0
+            restart_rto = True
+            if self.in_recovery:
+                if ack >= self.recover:
+                    # full ACK: leave fast recovery (NewReno)
+                    self.in_recovery = False
+                    self.cwnd = self.ssthresh
+                else:
+                    # Partial ACK: retransmit the next hole and deflate.
+                    # RFC 6582 "impatient" variant: only the *first*
+                    # partial ACK of a recovery episode resets the RTO, so
+                    # a recovery with many holes (one retransmission per
+                    # RTT) falls back to slow start via timeout instead of
+                    # crawling indefinitely.
+                    total = self.total_bytes
+                    left = mss if total is None else max(0, total - ack)
+                    self._retransmit(t, ack, min(mss, left or mss))
+                    self.cwnd = max(
+                        float(mss), self.cwnd - (ack - snd_una) + float(mss)
+                    )
+                    restart_rto = self._first_partial_ack
+                    self._first_partial_ack = False
+            elif cfg.congestion_control == "vegas":
+                self._vegas_on_new_ack(ack)
+            elif self.cwnd < self.ssthresh:
+                self.cwnd += float(mss)  # slow start
+            else:
+                self.cwnd += float(mss) * mss / self.cwnd  # AIMD increase
+            self.cwnd_log.append((t, self.cwnd))
+            if self._tracer is not None:
+                self._trace_cwnd(t)
+            if restart_rto:
+                # flight measured before the refill below
+                if self.snd_nxt > ack:
+                    self._rto_timer = self.port.rto(self._rto_timer, t + rto)
+                else:
+                    self._cancel_rto()
+        elif ack == snd_una and self.snd_nxt > snd_una:
+            self._process_dupack(t)
+        self._try_send(t)
+        total = self.total_bytes
+        if total is not None and self.snd_una >= total:
             self._completed = True
             self._cancel_rto()
-            if self.on_complete is not None:
-                self.on_complete(self)
-
-    def _process_new_ack(self, ack: int) -> None:
-        cfg = self.config
-        # RTT sample from the oldest newly-acked, never-retransmitted
-        # segment (Karn's algorithm).
-        for seq in sorted(self._in_flight):
-            if seq >= ack:
-                break
-            sent_at = self._in_flight.pop(seq)
-            if sent_at is not None:
-                self._update_rtt(self.sim.now - sent_at)
-        newly_acked = ack - self.snd_una
-        self.snd_una = ack
-        self.dupacks = 0
-        restart_rto = True
-
-        if self.in_recovery:
-            if ack >= self.recover:
-                # full ACK: leave fast recovery (NewReno)
-                self.in_recovery = False
-                self.cwnd = self.ssthresh
-            else:
-                # Partial ACK: retransmit the next hole and deflate.  RFC
-                # 6582 "impatient" variant: only the *first* partial ACK of
-                # a recovery episode resets the RTO, so a recovery with many
-                # holes (one retransmission per RTT) falls back to slow
-                # start via timeout instead of crawling indefinitely.
-                self._transmit(
-                    self.snd_una,
-                    min(cfg.mss, (self._remaining_total() or cfg.mss)),
-                    retransmission=True,
-                )
-                self.cwnd = max(
-                    float(cfg.mss), self.cwnd - newly_acked + float(cfg.mss)
-                )
-                restart_rto = self._first_partial_ack
-                self._first_partial_ack = False
-        elif cfg.congestion_control == "vegas":
-            self._vegas_on_new_ack(ack)
-        elif self.cwnd < self.ssthresh:
-            self.cwnd += float(cfg.mss)  # slow start
-        else:
-            self.cwnd += float(cfg.mss) * cfg.mss / self.cwnd  # AIMD increase
-        self._log_cwnd()
-        if restart_rto:
-            self._restart_rto()
+            self.port.complete()
 
     def _vegas_on_new_ack(self, ack: int) -> None:
         """Vegas window adjustment (Brakmo & Peterson), once per RTT epoch.
@@ -522,12 +564,7 @@ class TCPSender:
         elif diff_segments > cfg.vegas_beta:
             self.cwnd = max(2.0 * cfg.mss, self.cwnd - float(cfg.mss))
 
-    def _remaining_total(self) -> Optional[int]:
-        if self.total_bytes is None:
-            return None
-        return max(0, self.total_bytes - self.snd_una)
-
-    def _process_dupack(self) -> None:
+    def _process_dupack(self, t: float) -> None:
         cfg = self.config
         self.dupacks += 1
         if self.in_recovery:
@@ -539,42 +576,25 @@ class TCPSender:
             self.in_recovery = True
             self._first_partial_ack = True
             self.recover = self.snd_nxt
-            self._transmit(self.snd_una, cfg.mss, retransmission=True)
-            self._restart_rto()
-            self._log_cwnd()
+            self._retransmit(t, self.snd_una, cfg.mss)
+            self._restart_rto(t)
+            self._log_cwnd(t)
 
     # ------------------------------------------------------------------
-    # RTT estimation and RTO (RFC 6298)
+    # RTO (RFC 6298)
     # ------------------------------------------------------------------
-    def _update_rtt(self, sample: float) -> None:
-        if self.base_rtt is None or sample < self.base_rtt:
-            self.base_rtt = sample
-        self._last_rtt_sample = sample
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample / 2.0
+    def _restart_rto(self, t: float) -> None:
+        if self.snd_nxt > self.snd_una:
+            self._rto_timer = self.port.rto(self._rto_timer, t + self.rto)
         else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(
-            self.config.max_rto,
-            max(self.config.min_rto, self.srtt + 4.0 * self.rttvar),
-        )
-
-    def _arm_rto(self) -> None:
-        self._rto_timer = self.sim.schedule(self.rto, self._on_rto)
-
-    def _restart_rto(self) -> None:
-        self._cancel_rto()
-        if self.flight_size > 0:
-            self._arm_rto()
+            self._cancel_rto()
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
             self._rto_timer = None
 
-    def _on_rto(self) -> None:
+    def _on_rto(self, t: float) -> None:
         self._rto_timer = None
         if self._stopped or self._completed or self.flight_size == 0:
             return
@@ -582,7 +602,7 @@ class TCPSender:
         self.timeouts += 1
         if self._tracer is not None:
             self._tracer.instant(
-                self.sim.now,
+                t,
                 "tcp",
                 "rto",
                 track=self.flow_id,
@@ -600,24 +620,96 @@ class TCPSender:
         # cumulative ACKs advance quickly over data that did survive.
         self._in_flight.clear()
         self.snd_nxt = self.snd_una
-        self._try_send()
-        self._restart_rto()
-        self._log_cwnd()
+        self._try_send(t)
+        self._restart_rto(t)
+        self._log_cwnd(t)
 
-    def _log_cwnd(self) -> None:
-        self.cwnd_log.append((self.sim.now, self.cwnd))
+    def _log_cwnd(self, t: float) -> None:
+        self.cwnd_log.append((t, self.cwnd))
         if self._tracer is not None:
-            self._tracer.instant(
-                self.sim.now,
-                "tcp",
-                "cwnd",
-                track=self.flow_id,
-                args={
-                    "cwnd": self.cwnd,
-                    "ssthresh": self.ssthresh,
-                    "in_recovery": self.in_recovery,
-                },
-            )
+            self._trace_cwnd(t)
+
+    def _trace_cwnd(self, t: float) -> None:
+        self._tracer.instant(
+            t,
+            "tcp",
+            "cwnd",
+            track=self.flow_id,
+            args={
+                "cwnd": self.cwnd,
+                "ssthresh": self.ssthresh,
+                "in_recovery": self.in_recovery,
+            },
+        )
+
+
+class _PacketPort:
+    """Per-packet I/O of one connection.
+
+    Each segment and each ACK is a :class:`Packet` sent through the
+    network's links, and the delivery handlers hand its fields to the
+    endpoints.  Timers are engine events that receive their deadline.
+    Engine sequence numbers are taken in the order the endpoints send and
+    arm, so exact-time ties pop in a fixed order.
+    """
+
+    __slots__ = ("sim", "network", "sender", "receiver")
+
+    def __init__(self, sender: TCPSender, receiver: TCPReceiver):
+        self.sim = sender.sim
+        self.network = sender.network
+        self.sender = sender
+        self.receiver = receiver
+
+    def data_packet(self, seq: int, length: int) -> Packet:
+        return Packet(
+            length + self.sender.config.header_bytes,
+            flow_id=self.sender.flow_id,
+            seq=seq,
+            kind=PacketKind.DATA,
+            payload=length,
+        )
+
+    def ack_packet(self, ack: int) -> Packet:
+        return Packet(
+            self.receiver.config.header_bytes,
+            flow_id=self.sender.flow_id,
+            seq=ack,
+            kind=PacketKind.ACK,
+        )
+
+    def send_data(self, t: float, seq: int, length: int) -> None:
+        self.network.send_forward(self.data_packet(seq, length), self.on_data)
+
+    def send_ack(self, t: float, ack: int) -> None:
+        self.network.send_reverse(self.ack_packet(ack), self.on_ack)
+
+    def on_data(self, pkt: Packet) -> None:
+        t = self.sim.now
+        ack = self.receiver.on_segment(t, pkt.seq, pkt.payload)
+        if ack is not None:
+            self.send_ack(t, ack)
+
+    def on_ack(self, pkt: Packet) -> None:
+        self.sender.on_ack(self.sim.now, pkt.seq)
+
+    def rto(self, timer: Optional[ScheduledCall], deadline: float) -> ScheduledCall:
+        """Cancel ``timer`` (if any) and arm the RTO for ``deadline``."""
+        if timer is not None:
+            timer.cancel()
+        return self.sim.schedule_at(deadline, self.sender._on_rto, deadline)
+
+    def delack(self, deadline: float) -> ScheduledCall:
+        return self.sim.schedule_at(deadline, self.receiver._on_delack, deadline)
+
+    def complete(self) -> None:
+        """The transfer is acknowledged: run the user's callback."""
+        sender = self.sender
+        if sender.on_complete is not None:
+            sender.on_complete(sender)
+
+    def stop(self) -> None:
+        """The sender stops; nothing is held outside it."""
 
 
 def open_connection(
