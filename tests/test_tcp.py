@@ -164,6 +164,75 @@ class TestRTTEstimation:
         assert snd.base_rtt == pytest.approx(floor, rel=1e-9)
 
 
+class _BernoulliDrop:
+    """Qdisc that drops each packet independently with probability ``p``."""
+
+    def __init__(self, p, seed):
+        self.p = p
+        self.rng = np.random.default_rng(seed)
+        self.drops = 0
+
+    def should_drop(self, backlog, size, now, capacity_bps):
+        if self.rng.random() < self.p:
+            self.drops += 1
+            return True
+        return False
+
+
+class TestMathisSqrtLaw:
+    # Mathis, Semke, Mahdavi and Ott (CCR 1997): with an ACK per segment
+    # and loss rate p, congestion avoidance averages
+    #     BW = (MSS / RTT) * sqrt(3/2) / sqrt(p).
+    # The check runs on the per-packet reference path: the qdisc keeps the
+    # link off the walk.  A 100 Mb/s hop carries about 2 Mb/s here, so the
+    # queue stays near empty and RTT is the path's base RTT.
+    #
+    # The tolerance was fixed before the first run:
+    # * the law's constant assumes periodic loss.  Under independent
+    #   losses Mathis et al. measured C = 1.31 instead of 1.22, so the
+    #   goodput may read up to 7 % high;
+    # * timeouts (a lost retransmission, fewer than three duplicate ACKs)
+    #   and NewReno's one-hole-per-RTT recovery of several losses in a
+    #   window lower it, and goodput excludes the resent segments.  At
+    #   p <= 0.02 with RTO about twice the RTT, PFTK's timeout term puts
+    #   this below 10 %;
+    # * the goodput over N loss events has a relative standard error near
+    #   1/sqrt(N); the run lasts about 400 expected loss events after a
+    #   20 s warm-up, and the bound allows three such errors at the N
+    #   actually counted.
+    @pytest.mark.parametrize("p", [0.005, 0.01, 0.02])
+    def test_goodput_follows_sqrt_p(self, p):
+        sim = Simulator()
+        net = build_path(
+            sim, [LinkSpec(100e6, prop_delay=0.05, buffer_bytes=None, name="lossy")]
+        )
+        fwd, rev = net.forward_links[0], net.reverse_links[0]
+        qdisc = _BernoulliDrop(p, seed=int(1e6 * p))
+        fwd.qdisc = qdisc
+        cfg = TCPConfig(min_rto=0.2)
+        snd, rcv = open_connection(sim, net, config=cfg, start=0.0)
+        rtt = (
+            fwd.transmission_time(cfg.mss + cfg.header_bytes) + fwd.prop_delay
+            + rev.transmission_time(cfg.header_bytes) + rev.prop_delay
+        )
+        law_bps = 8.0 * cfg.mss / rtt * math.sqrt(1.5 / p)
+        warmup = 20.0
+        end = warmup + 400 / (p * law_bps / (8.0 * cfg.mss))
+        sim.run(until=warmup)
+        drops0 = qdisc.drops
+        sim.run(until=end)
+        snd.stop()
+        n_losses = qdisc.drops - drops0
+        ratio = rcv.throughput_bps(warmup, end) / law_bps
+        slack = 3.0 / math.sqrt(n_losses)
+        assert net._ft_fallbacks == {"link-config": 1}
+        assert n_losses >= 300
+        assert 1.0 - 0.10 - slack <= ratio <= 1.0 + 0.07 + slack, (
+            f"goodput / law = {ratio:.3f} over {n_losses} losses, "
+            f"{snd.timeouts} timeouts"
+        )
+
+
 #: 600 kB transfers over 10 Mb/s, 1 ms hops without cross traffic, as
 #: ``run_flow`` keyword arguments.  The comments give the counts the
 #: recorded trajectories carry.
