@@ -511,9 +511,7 @@ class TCPSender:
                 self.cwnd += float(mss)  # slow start
             else:
                 self.cwnd += float(mss) * mss / self.cwnd  # AIMD increase
-            self.cwnd_log.append((t, self.cwnd))
-            if self._tracer is not None:
-                self._trace_cwnd(t)
+            self._log_cwnd(t)
             if restart_rto:
                 # flight measured before the refill below
                 if self.snd_nxt > ack:
@@ -627,20 +625,17 @@ class TCPSender:
     def _log_cwnd(self, t: float) -> None:
         self.cwnd_log.append((t, self.cwnd))
         if self._tracer is not None:
-            self._trace_cwnd(t)
-
-    def _trace_cwnd(self, t: float) -> None:
-        self._tracer.instant(
-            t,
-            "tcp",
-            "cwnd",
-            track=self.flow_id,
-            args={
-                "cwnd": self.cwnd,
-                "ssthresh": self.ssthresh,
-                "in_recovery": self.in_recovery,
-            },
-        )
+            self._tracer.instant(
+                t,
+                "tcp",
+                "cwnd",
+                track=self.flow_id,
+                args={
+                    "cwnd": self.cwnd,
+                    "ssthresh": self.ssthresh,
+                    "in_recovery": self.in_recovery,
+                },
+            )
 
 
 class _PacketPort:
