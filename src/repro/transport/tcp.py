@@ -391,11 +391,7 @@ class TCPSender:
         window = cwnd if cwnd <= adv else adv
         una = self.snd_una
         snd_nxt = self.snd_nxt
-        high = self.high_water
         total = self.total_bytes
-        infl = self._in_flight
-        port = self.port
-        sent = 0
         while snd_nxt - una + mss <= window:
             if total is None:
                 length = mss
@@ -406,30 +402,21 @@ class TCPSender:
                 length = mss if mss < remaining else remaining
             # After a timeout the sender rewinds snd_nxt (go-back-N), so a
             # "new" send may cover previously transmitted bytes: Karn's
-            # algorithm must not take RTT samples from those.  A tracked
-            # key keeps its dict position, so keys stay in ascending order
-            # (see on_ack).
-            if snd_nxt < high:
-                infl[snd_nxt] = None
-                self.retransmits += 1
-            else:
-                infl[snd_nxt] = t
-            sent += 1
-            port.send_data(t, snd_nxt, length)
-            if self._rto_timer is None:
-                self._rto_timer = port.rto(None, t + self.rto)
+            # algorithm must not take RTT samples from those.
+            self._transmit(t, snd_nxt, length, snd_nxt < self.high_water)
             snd_nxt += length
-            if snd_nxt > high:
-                high = snd_nxt
-        if sent:
-            self.segments_sent += sent
             self.snd_nxt = snd_nxt
-            self.high_water = high
+            if snd_nxt > self.high_water:
+                self.high_water = snd_nxt
 
-    def _retransmit(self, t: float, seq: int, length: int) -> None:
-        """Resend ``length`` bytes from ``seq`` (the first unacked byte)."""
-        self._in_flight[seq] = None
-        self.retransmits += 1
+    def _transmit(self, t: float, seq: int, length: int, retransmission: bool) -> None:
+        # A tracked key keeps its dict position, so the keys stay in
+        # ascending order (see on_ack).
+        if retransmission:
+            self._in_flight[seq] = None
+            self.retransmits += 1
+        else:
+            self._in_flight[seq] = t
         self.segments_sent += 1
         self.port.send_data(t, seq, length)
         if self._rto_timer is None:
@@ -499,7 +486,7 @@ class TCPSender:
                     # crawling indefinitely.
                     total = self.total_bytes
                     left = mss if total is None else max(0, total - ack)
-                    self._retransmit(t, ack, min(mss, left or mss))
+                    self._transmit(t, ack, min(mss, left or mss), True)
                     self.cwnd = max(
                         float(mss), self.cwnd - (ack - snd_una) + float(mss)
                     )
@@ -574,7 +561,7 @@ class TCPSender:
             self.in_recovery = True
             self._first_partial_ack = True
             self.recover = self.snd_nxt
-            self._retransmit(t, self.snd_una, cfg.mss)
+            self._transmit(t, self.snd_una, cfg.mss, True)
             self._restart_rto(t)
             self._log_cwnd(t)
 
