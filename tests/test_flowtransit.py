@@ -5,9 +5,12 @@ identity, with ``==`` and never ``approx``.  Every sender/receiver
 observable — sequence state, cwnd trajectory, RTT estimator internals,
 delivery log, link statistics — must equal what the per-packet path
 produces on every eligible configuration, because the domain walks the
-same per-hop Lindley recursion in the same floating-point order.
-Ineligible flows (Vegas is carried with its real transport code under
-the domain's shims, tracer-attached runs are refused) and mid-flight
+same per-hop Lindley recursion in the same floating-point order.  Both
+paths run the same sans-IO endpoints of ``repro.transport.tcp`` (Reno,
+Vegas, delayed ACKs) through different ports, so this matrix checks the
+walk's port and hop admissions; ``tests/test_tcp.py`` pins the
+trajectories themselves to digests recorded before the paths shared
+their code.  Refused flows (tracer-attached runs) and mid-flight
 eligibility breaks (link decommission while an RTO timer is pending)
 must land on a sample path identical to a run that never planned.
 
@@ -171,9 +174,9 @@ MATRIX = [
     ("reno", False, None, 2, 0.0),
     ("reno", False, 25_000, 1, 0.0),  # finite buffer: loss recovery + RTO
     ("reno", False, 25_000, 1, 0.3),  # ... plus cross traffic
-    ("reno", True, None, 1, 0.0),  # delayed ack: receiver off-kernel
+    ("reno", True, None, 1, 0.0),  # delayed ack: the walk's delack timer
     ("reno", True, 25_000, 1, 0.3),
-    ("vegas", False, None, 1, 0.0),  # Vegas: sender off-kernel
+    ("vegas", False, None, 1, 0.0),
     ("vegas", True, 25_000, 1, 0.3),
 ]
 
