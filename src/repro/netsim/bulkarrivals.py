@@ -12,13 +12,14 @@ This module removes those per-packet events.  Each bulk-eligible
 draws, one RNG chunk (512 arrivals) at a time, into absolute
 arrival-time/size arrays (a cumulative sum over the very same draws, RNG
 order untouched) and appends them to its feed at its link's
-:class:`CrossAggregator`.  At every merge the aggregator tops up each feed
-holding less than a chunk, k-way merges the link's sources in time order
-into one flat admission queue, and keeps exactly **one scheduled event
-per refill horizon** — the instant the first source's buffer runs out —
-instead of one per packet.  Generation thus stays about one chunk per
-source ahead of the fold.  The
-owning :class:`~repro.netsim.link.Link` folds merged arrivals into its
+:class:`CrossAggregator`.  Nothing is scheduled: the traffic is open loop,
+so no arrival depends on the foreground, and arrivals are generated when
+a reader needs them.  Every reader of a link's cross arrivals pulls them
+through :meth:`CrossAggregator.extend_until`, whose merges top up each
+feed holding less than a chunk and k-way merge the link's sources in
+time order into one flat admission queue.  Generation thus stays about
+one chunk per source ahead of the fold.  The owning
+:class:`~repro.netsim.link.Link` folds merged arrivals into its
 transmitter/backlog ledger lazily, at its sync points (foreground
 ``send()``, backlog/queueing-delay reads, stats access), so foreground
 packets observe exactly the queue state the per-packet path would have
@@ -59,7 +60,7 @@ full contract and the fallback conditions.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -105,15 +106,16 @@ class CrossAggregator:
     """Per-link k-way merger of bulk cross-traffic sources.
 
     The aggregator owns the link's flat admission queue (``times`` /
-    ``sizes`` / ``owners``, consumed by :meth:`Link.sync` via ``idx``) and
-    the single refill-horizon event that extends it.  ``times`` and
-    ``sizes`` are Python lists, which the folds read element by element;
-    ``owners`` is an int array holding each entry's feed ``order``, read
-    only by the rare paths that route entries back to their sources.
-    Entries are merged only up to the *safe horizon* — the earliest
-    last-buffered time over all still-active sources — so a source
-    refilling later can never insert an arrival behind one already
-    merged.
+    ``sizes`` / ``owners``, consumed from the cursor ``idx`` by
+    :func:`~repro.netsim.hopfold.fold_link`), which readers extend on
+    demand with :meth:`extend_until`; it schedules no event.  ``times``
+    and ``sizes`` are Python lists, which the folds read element by
+    element; ``owners`` is an int array holding each entry's feed
+    ``order``, read only by the rare paths that route entries back to
+    their sources.  Entries are merged only up to the *safe horizon* —
+    the earliest last-buffered time over all still-active sources — so a
+    source refilling later can never insert an arrival behind one
+    already merged.
     """
 
     __slots__ = (
@@ -124,8 +126,6 @@ class CrossAggregator:
         "sizes",
         "owners",
         "idx",
-        "_event",
-        "_merge_pending",
         "_horizon",
     )
 
@@ -138,11 +138,9 @@ class CrossAggregator:
         self.sizes: list[int] = []
         self.owners: np.ndarray = _NO_OWNERS
         self.idx = 0
-        self._event = None  # pending refill-horizon ScheduledCall
-        self._merge_pending = False  # a coalescing merge event is queued
         # Merged coverage: every arrival ≤ _horizon is final (safe-horizon
-        # invariant).  -inf until the first merge, +inf once all feeds end.
-        self._horizon = -math.inf
+        # invariant).  +inf while no feed is active.
+        self._horizon = math.inf
 
     @classmethod
     def attach(cls, sim: "Simulator", link: "Link") -> "CrossAggregator":
@@ -157,35 +155,32 @@ class CrossAggregator:
     # Source registration
     # ------------------------------------------------------------------
     def register(self, source: "CrossTrafficSource") -> _Feed:
-        """Add a bulk source and fold it into the merged queue.
+        """Add a bulk source; its arrivals merge when a reader pulls them.
 
         Arrivals already due are folded into the link first, so a reader
         at this instant still sees them.  The unadmitted merged entries
         left are rolled back into their feeds so that a source registered
         mid-run cannot see its early arrivals ordered behind other
-        sources' already-merged later ones.  The actual merge is deferred
-        to a zero-delay event so the paper's "ten sources per link"
-        attach pattern merges once, not ten times (every source's first
-        arrival lies strictly after registration, so no arrival can come
-        due before that event runs).
+        sources' already-merged later ones.  The merge waits for the next
+        reader's pull, so the paper's "ten sources per link" attach
+        pattern merges once, not ten times.
         """
         self.link.sync()
         self._unmerge()
         feed = _Feed(source, order=len(self.feeds))
         self.feeds.append(feed)
-        if not self._merge_pending:
-            self._merge_pending = True
-            self.sim.schedule(0.0, self._deferred_merge)
         return feed
 
-    def _deferred_merge(self) -> None:
-        self._merge_pending = False
-        self._merge()
-
     def _unmerge(self) -> None:
-        """Return unadmitted merged entries to their feeds (rare path)."""
+        """Return unadmitted merged entries to their feeds (rare path).
+
+        The caller has folded every arrival due, so the feeds now hold
+        only later ones and merged coverage stands at ``now``.  A source
+        registering next does not lower it: its first arrival lies
+        strictly after its registration.
+        """
         times, sizes, idx = self.times, self.sizes, self.idx
-        self._horizon = -math.inf  # a new source invalidates merged coverage
+        self._horizon = self.sim.now
         if idx < len(times):
             owners = self.owners[idx:]
             tail_t = np.array(times[idx:], dtype=np.float64)
@@ -203,7 +198,7 @@ class CrossAggregator:
     # Merge machinery
     # ------------------------------------------------------------------
     def _merge(self) -> None:
-        """Merge feed entries up to the safe horizon; reschedule the event.
+        """Merge feed entries up to the safe horizon.
 
         The merge is a stable argsort over the feeds' due prefixes,
         concatenated in registration order: sort stability then orders
@@ -242,33 +237,19 @@ class CrossAggregator:
             else:
                 new = np.array(orders, dtype=np.intp)[part_idx]
             self.owners = np.concatenate((self.owners, new))
-        self._reschedule(safe if horizons else None)
-
-    def _reschedule(self, safe: Optional[float]) -> None:
-        """Point the single refill-horizon event at ``safe`` (None: none)."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        if safe is not None:
-            self._event = self.sim.schedule_at(safe, self._extend)
-
-    def _extend(self) -> None:
-        """Refill-horizon event: top up the low feeds and re-merge."""
-        self._event = None
-        self._merge()
 
     def extend_until(self, t: float) -> None:
-        """Force merged coverage of every arrival with timestamp ≤ ``t``.
+        """Merge every arrival with timestamp ≤ ``t`` (the pull).
 
-        Used by the flow-transit walk
-        (:mod:`repro.netsim.flowtransit`), which needs the cross-arrival
-        sequence up to its next admission *now* rather than at the
-        refill events.  Each :meth:`_merge` drains the binding feed and
-        tops it up by a chunk on the next pass, so the safe horizon
-        strictly advances until it covers ``t`` (or every feed ends); a
-        long horizon costs one merge per chunk span.  RNG draw order per
-        source is untouched — chunks are generated in the same sequence,
-        only earlier in host time.
+        The only place cross arrivals are generated and merged: every
+        reader of the link's arrivals reaches it through
+        :func:`~repro.netsim.hopfold.fold_link` before folding up to
+        ``t``.  Each :meth:`_merge` drains the binding feed and tops it up
+        by a chunk on the next pass, so the safe horizon strictly advances
+        until it covers ``t`` (or every feed ends); a long horizon costs
+        one merge per chunk span.  RNG draw order per source is untouched
+        — each source draws from its own generator, in the same chunk
+        sequence whenever in host time it runs.
         """
         while self._horizon < t:
             prev = self._horizon
@@ -305,9 +286,6 @@ class CrossAggregator:
         unchanged: times and sizes are exactly the ones the per-packet
         path would have produced.
         """
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
         self._unmerge()
         feeds, self.feeds = self.feeds, []
         for feed in feeds:

@@ -20,13 +20,14 @@ source:
   converted, one RNG chunk (``_CHUNK`` = 512 arrivals) at a time, into
   absolute arrival-time/size arrays — an ``np.cumsum`` over the very same
   vectorized draws, RNG order untouched — and handed to the link's
-  :class:`~repro.netsim.bulkarrivals.CrossAggregator`, which keeps every
-  source topped up to one chunk ahead of the fold.  The arrivals stay
-  NumPy arrays from the draw to the aggregator's k-way merge, which turns
-  them into the Python lists the fold reads.  The link folds the
-  merged arrivals into its queue state lazily at its sync points, so
-  open-loop background load costs **zero scheduler events per packet**
-  (one per refill horizon), while every foreground packet observes a
+  :class:`~repro.netsim.bulkarrivals.CrossAggregator`.  Generation is
+  pulled: the traffic is open loop, so a reader of the link (a foreground
+  send, a backlog or stats read, the flow-transit walk) generates and
+  merges what it needs, and the source stays about one chunk ahead of
+  the fold.  The arrivals stay NumPy arrays from the draw to the
+  aggregator's k-way merge, which turns them into the Python lists the
+  fold reads.  Open-loop background load thus costs **no scheduler
+  events at all**, while every foreground packet observes a
   bit-identical queue.
 * **Per-packet (fallback).**  One heap event plus O(1) Python work per
   packet.  Engaged automatically when the sample path could depend on
@@ -46,9 +47,9 @@ at the previous arrival's instant, and draws each boundary's
 mean-reverting factor at the exact position in the source's RNG stream
 where the per-packet ``_modulate`` event would draw it (boundaries
 interleave with refills in event order; see ``_mod_consume``).  Draws
-may happen *earlier in host time* — the established ``extend_until``
-contract — but per-source draw order, and therefore every arrival
-time, is bit-identical.
+happen whenever a reader pulls (``CrossAggregator.extend_until``), not
+at the simulated instant of the event they replace, but per-source draw
+order, and therefore every arrival time, is bit-identical.
 
 One measure-zero caveat: when an arrival lands **exactly** on a segment
 boundary, the bulk generator applies the boundary first (the arrival's

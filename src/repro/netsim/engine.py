@@ -510,6 +510,9 @@ class Simulator:
         If ``until`` is given, the clock is advanced to exactly ``until``
         when the run stops because of it (even if no event sits at that
         time), matching NS semantics.  Returns the final clock value.
+        Bulk cross traffic schedules nothing (its links generate it when
+        read), so without ``until`` the run ends at the last real event,
+        and a later read folds cross arrivals only up to that clock.
         """
         if self._running:
             raise SimulationError("run() called reentrantly")
@@ -557,7 +560,8 @@ class Simulator:
         """Run until ``event`` triggers; return its value.
 
         Raises :class:`SimulationError` if the queue drains (or ``limit`` is
-        hit) before the event fires — a deadlock guard for tests.
+        hit) before the event fires — a deadlock guard for tests.  Bulk
+        cross traffic keeps nothing queued, so it cannot keep a run alive.
         """
         if self._running:
             raise SimulationError("run_until() called reentrantly")

@@ -22,9 +22,9 @@ propagation delay is fixed, so each deque is already sorted, and the
 walk merges their heads with the head of a private heap that holds
 everything else (timers, stream sends, arrivals at later hops).
 A probe stream alone in the domain is *batched* instead: each round folds
-its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold` call
-per hop.  Any other stream is admitted per packet, interleaved with the
-flows.
+its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold_link`
+call per hop.  Any other stream is admitted per packet, interleaved with
+the flows.
 
 Streams (:func:`plan_stream`) and flows (:func:`try_attach_flow`) enter
 through one gate, :func:`_domain_for`, which refuses a path whose links
@@ -99,7 +99,7 @@ import numpy as np
 
 from .engine import SimulationError
 from .fastpath import resolve_fast
-from .hopfold import admit, fold
+from .hopfold import admit, fold_link
 from .packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -723,8 +723,8 @@ class FlowTransitDomain:
     def _fold_batch(self, ss: _StreamState, now: float) -> None:
         """Fold the batched stream's arrivals before the limit, hop by hop.
 
-        One :func:`~repro.netsim.hopfold.fold` per hop admits the due
-        arrivals into the live link, with the due cross arrivals folded
+        One :func:`~repro.netsim.hopfold.fold_link` per hop admits the
+        due arrivals into the live link, with the due cross arrivals folded
         first, exactly as :func:`~repro.netsim.hopfold.admit` would one by
         one.  Exits before the limit feed the next hop in this round;
         later ones wait for the next round.  Exits from the last hop are
@@ -745,32 +745,7 @@ class FlowTransitDomain:
             fg = ts[:k]
             ix = bi[h][:k]
             del ts[:k], bi[h][:k]
-            t_end = fg[-1]
-            agg = link._agg
-            if agg is not None:
-                if agg._horizon < t_end:
-                    agg.extend_until(t_end)
-                c_times = agg.times
-                c_sizes = agg.sizes
-                ci = agg.idx
-            else:
-                c_times = c_sizes = ()
-                ci = 0
-            (
-                ci, link._free_at, link._backlog_bytes,
-                fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts,
-            ) = fold(
-                c_times, c_sizes, ci, t_end, link._free_at, link._backlog_bytes,
-                link._in_flight, link.capacity_bps, link._cap_sched,
-                link.buffer_bytes, fg, size,
-            )
-            if agg is not None:
-                agg.idx = ci
-            stats = link._stats
-            stats.bytes_forwarded += fwd_bytes
-            stats.packets_forwarded += fwd_pkts
-            stats.bytes_dropped += drop_bytes
-            stats.packets_dropped += drop_pkts
+            dones, accepts = fold_link(link, fg[-1], fg, size)
             if rec is not None:
                 rec.extend(
                     (link, t, size, d if accepts is None or accepts[j] else None)

@@ -8,22 +8,27 @@ its piecewise-constant schedule, :meth:`Link.set_capacity_segments`).  A
 finite drop-tail buffer refuses an arrival that would push the backlog
 (bytes queued or in transmission) past the buffer size.
 
-Two entry points carry that recursion for the event-elided paths:
+Two functions carry that recursion for the event-elided paths:
 
 * :func:`fold` walks a slice of a link's cross-traffic arrivals, merged
-  with an optional sorted foreground sequence.  ``Link.sync`` folds
-  cross traffic alone; the flow-transit walk passes a batched probe
-  stream's arrivals at each hop, once per round.
+  with an optional sorted foreground sequence.
 * :func:`admit` is the same step for one foreground arrival.  The walk
   needs it for TCP and for streams that share it: acks and cwnd changes
   come between their admissions, so there is no slice to hand over.
 
-Both apply to a live :class:`~repro.netsim.link.Link`: the walk never
-runs ahead of a real reader, so its admissions go straight into the
-link's state.  ``Link.send()`` keeps its own copy, because it is the
-per-packet reference every equality suite compares against.  So does
-the sanitize shadow (``FlowTransitDomain._verify_round``), so that a bug
-here cannot hide in its own mirror image.
+:func:`fold_link` is the one entry into a live link's cross arrivals.
+It pulls them from the link's
+:class:`~repro.netsim.bulkarrivals.CrossAggregator`, folds them from the
+cursor (with a foreground slice, if any) and writes the link's state and
+:class:`~repro.netsim.link.LinkStats` back.  ``Link.sync`` calls it to
+fold cross traffic alone, :func:`admit` before each admission, and the
+flow-transit walk once per hop per round with a batched probe stream's
+arrivals.  The walk never runs ahead of a real reader, so its admissions
+go straight into the link's state.  ``Link.send()`` keeps its own copy
+of the recursion, because it is the per-packet reference every equality
+suite compares against.  So does the sanitize shadow
+(``FlowTransitDomain._verify_round``), so that a bug here cannot hide
+in its own mirror image.
 
 Contract (bit-identity with ``Link.send()``):
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-__all__ = ["admit", "fold"]
+__all__ = ["admit", "fold", "fold_link"]
 
 
 def fold(
@@ -157,39 +162,65 @@ def fold(
     )
 
 
+def fold_link(link, until, fg=(), fg_size=0):
+    """Fold ``link``'s cross arrivals up to ``until`` (inclusive), merged
+    with foreground arrivals ``fg`` of ``fg_size`` bytes each, into its
+    live state; return ``(dones, accepts)`` as :func:`fold` does.
+
+    The aggregator's merged coverage is pulled up to ``until`` first
+    (:meth:`~repro.netsim.bulkarrivals.CrossAggregator.extend_until`).
+    The fold runs from the cursor ``idx``; the cursor, ``_free_at`` and
+    ``_backlog_bytes`` are written back, and every byte and packet
+    forwarded or dropped, cross and foreground, is counted in the link's
+    :class:`~repro.netsim.link.LinkStats`.  With no foreground and no
+    cross arrival due, nothing is folded.  Compacting the consumed
+    prefix is left to the caller: the walk must not shift the indices
+    its shadow check replays.
+    """
+    agg = link._agg
+    times = sizes = ()
+    ci = 0
+    if agg is not None:
+        if agg._horizon < until:
+            agg.extend_until(until)
+        times = agg.times
+        sizes = agg.sizes
+        ci = agg.idx
+    if not fg and (ci >= len(times) or times[ci] > until):
+        return (), None
+    (
+        ci, link._free_at, link._backlog_bytes,
+        fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts,
+    ) = fold(
+        times, sizes, ci, until, link._free_at, link._backlog_bytes,
+        link._in_flight, link.capacity_bps, link._cap_sched, link.buffer_bytes,
+        fg, fg_size,
+    )
+    if agg is not None:
+        agg.idx = ci
+    stats = link._stats
+    stats.bytes_forwarded += fwd_bytes
+    stats.packets_forwarded += fwd_pkts
+    stats.bytes_dropped += drop_bytes
+    stats.packets_dropped += drop_pkts
+    return dones, accepts
+
+
 def admit(link, t, size):
     """Admit one foreground arrival of ``size`` bytes at ``t`` into the live
     state of ``link``; return its transmission-complete time, or ``None``
     when drop-tail refuses it.
 
-    Cross arrivals at or before ``t`` on the link's
-    :class:`~repro.netsim.bulkarrivals.CrossAggregator` are folded first,
-    from its cursor ``idx``.  The call then updates ``_in_flight``,
-    ``_free_at`` and ``_backlog_bytes`` and counts every byte and packet
-    it forwards or drops, cross and foreground, in the link's
-    :class:`~repro.netsim.link.LinkStats` -- exactly what ``Link.send()``
-    does, minus the packet, the delivery event and the per-packet hooks.
+    Cross arrivals at or before ``t`` are folded first
+    (:func:`fold_link`).  The call then updates ``_in_flight``,
+    ``_free_at`` and ``_backlog_bytes`` and counts the arrival, forwarded
+    or dropped, in the link's :class:`~repro.netsim.link.LinkStats` --
+    exactly what ``Link.send()`` does, minus the packet, the delivery
+    event and the per-packet hooks.
     """
+    if link._agg is not None:
+        fold_link(link, t)
     stats = link._stats
-    agg = link._agg
-    if agg is not None:
-        if agg._horizon < t:
-            agg.extend_until(t)
-        times = agg.times
-        ci = agg.idx
-        if ci < len(times) and times[ci] <= t:
-            (
-                agg.idx, link._free_at, link._backlog_bytes,
-                fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, _, _,
-            ) = fold(
-                times, agg.sizes, ci, t, link._free_at, link._backlog_bytes,
-                link._in_flight, link.capacity_bps, link._cap_sched,
-                link.buffer_bytes,
-            )
-            stats.bytes_forwarded += fwd_bytes
-            stats.packets_forwarded += fwd_pkts
-            stats.bytes_dropped += drop_bytes
-            stats.packets_dropped += drop_pkts
     infl = link._in_flight
     backlog = link._backlog_bytes
     while infl and infl[0][0] <= t:

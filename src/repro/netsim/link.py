@@ -22,13 +22,14 @@ free at" clock (``_free_at``) plus a lazy deque of in-flight transmissions
 used for byte-accurate backlog accounting (needed for drop-tail decisions
 and queue-size monitoring).
 
-Bulk-eligible cross traffic costs **no per-packet events at all**: sources
-deposit batched absolute-arrival arrays with the link's
-:class:`~repro.netsim.bulkarrivals.CrossAggregator`, and :meth:`Link.sync`
+Bulk-eligible cross traffic costs **no events at all**: its sources
+register with the link's
+:class:`~repro.netsim.bulkarrivals.CrossAggregator`, which generates and
+merges their arrivals when a reader pulls them, and :meth:`Link.sync`
 folds every arrival with timestamp ≤ now into ``_free_at``, the backlog
 ledger, and :class:`LinkStats` — in arrival order, through
-:func:`~repro.netsim.hopfold.fold`, the hop recursion every planner
-shares — before any foreground ``send()``, any
+:func:`~repro.netsim.hopfold.fold_link`, the one entry into a live
+link's cross arrivals — before any foreground ``send()``, any
 ``backlog_bytes()``/``queueing_delay()`` read, and any ``stats`` access.
 Foreground packets therefore observe exactly the queue state the
 per-packet path would have produced.  :meth:`Link.send` keeps its own
@@ -40,7 +41,7 @@ state through the flow-transit walk
 (:class:`~repro.netsim.flowtransit.FlowTransitDomain`), which never runs
 ahead of a real reader: it admits straight into the live state
 (:func:`~repro.netsim.hopfold.admit`, or one
-:func:`~repro.netsim.hopfold.fold` per hop for a batched stream) and
+:func:`~repro.netsim.hopfold.fold_link` per hop for a batched stream) and
 leaves nothing pending, so :meth:`sync` only ever folds cross traffic.
 
 Installing a ``qdisc``, a ``drop_hook``, or a new ``deliver`` callback
@@ -58,7 +59,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .engine import Simulator
-from .hopfold import fold
+from .hopfold import fold_link
 from .packet import Packet
 
 __all__ = ["Link", "LinkStats"]
@@ -303,7 +304,7 @@ class Link:
         # per-packet path would have admitted those arrivals before this
         # call ran, under the same (old) rate function.
         if self._agg is not None:
-            self.sync(now)
+            self.sync()
         base = self.capacity_at(now)
         self._cap_sched = (bounds, [base] + [c for _, c in pairs])
 
@@ -317,40 +318,25 @@ class Link:
     # ------------------------------------------------------------------
     # Bulk cross-traffic admission (the event-elided data path)
     # ------------------------------------------------------------------
-    def sync(self, now: Optional[float] = None) -> None:
+    def sync(self) -> None:
         """Fold pending bulk cross-traffic arrivals into the queue state.
 
-        Replays, in arrival order, every merged arrival with timestamp ≤
-        ``now`` (default: current simulated time) through exactly the
-        accounting ``send()`` performs — transmitter clock, in-flight
-        deque, backlog, drop-tail decision, stats — without creating
-        packets or scheduler events.  Idempotent and cheap when nothing is
-        pending; called automatically at every foreground sync point.
-        The flow-transit walk leaves nothing to fold here: its admissions
-        are already in the live state, and any cross arrivals after the
-        last one fold like any others.
+        Pulls the arrivals up to the current simulated time from the
+        aggregator, generating and merging the ones not yet merged, then
+        replays in arrival order every one with timestamp ≤ now through
+        exactly the accounting ``send()`` performs — transmitter clock,
+        in-flight deque, backlog, drop-tail decision, stats — without
+        creating packets or scheduler events
+        (:func:`~repro.netsim.hopfold.fold_link`).  Idempotent and cheap
+        when nothing is pending; called automatically at every foreground
+        sync point.  The flow-transit walk leaves nothing to fold here:
+        its admissions are already in the live state, and any cross
+        arrivals after the last one fold like any others.
         """
         agg = self._agg
-        if agg is None:
-            return
-        t_now = self.sim.now if now is None else now
-        idx = agg.idx
-        times = agg.times
-        if idx >= len(times) or times[idx] > t_now:
-            return
-        (
-            agg.idx, self._free_at, self._backlog_bytes,
-            fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, _, _,
-        ) = fold(
-            times, agg.sizes, idx, t_now, self._free_at, self._backlog_bytes,
-            self._in_flight, self.capacity_bps, self._cap_sched, self.buffer_bytes,
-        )
-        stats = self._stats
-        stats.bytes_forwarded += fwd_bytes
-        stats.packets_forwarded += fwd_pkts
-        stats.bytes_dropped += drop_bytes
-        stats.packets_dropped += drop_pkts
-        agg.compact()
+        if agg is not None:
+            fold_link(self, self.sim.now)
+            agg.compact()
 
     def _decommission(self) -> None:
         """Flush due bulk arrivals, then revert every source to per-packet."""
@@ -370,19 +356,23 @@ class Link:
         while in_flight and in_flight[0][0] <= now:
             self._backlog_bytes -= in_flight.popleft()[1]
 
-    def backlog_bytes(self, now: Optional[float] = None) -> int:
-        """Bytes queued or in transmission at time ``now`` (default: current)."""
+    def backlog_bytes(self) -> int:
+        """Bytes queued or in transmission at the current simulated time.
+
+        Only the present can be read: purging the in-flight ledger up to
+        a later instant would drop packets still in transmission from the
+        backlog that the next drop-tail decision tests.
+        """
         if self._agg is not None:
             self.sync()
-        self._purge(self.sim.now if now is None else now)
+        self._purge(self.sim.now)
         return self._backlog_bytes
 
-    def queueing_delay(self, now: Optional[float] = None) -> float:
-        """Time a zero-size arrival at ``now`` would wait before service."""
+    def queueing_delay(self) -> float:
+        """Time a zero-size arrival now would wait before service."""
         if self._agg is not None:
             self.sync()
-        t = self.sim.now if now is None else now
-        return max(0.0, self._free_at - t)
+        return max(0.0, self._free_at - self.sim.now)
 
     def transmission_time(self, size_bytes: int) -> float:
         """Serialization delay of a packet of ``size_bytes`` on this link."""
@@ -406,7 +396,7 @@ class Link:
         # A flow-transit walk needs no check here: its admissions are
         # already in the live state, so this packet queues behind them.
         if self._agg is not None:
-            self.sync(now)
+            self.sync()
         # Hot attributes bound once: this method runs once per foreground
         # packet, and slot loads dominated its profile.
         size = pkt.size

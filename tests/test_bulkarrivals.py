@@ -28,6 +28,7 @@ from repro.netsim import (
     attach_cross_traffic,
     build_path,
 )
+from repro.netsim.bulkarrivals import CrossAggregator
 from repro.netsim.crosstraffic import _CHUNK, CrossTrafficSource
 
 
@@ -418,8 +419,9 @@ class TestDecommission:
         assert bulk_records == pp_records
 
     def test_decommission_before_first_batch(self):
-        """Hook attached at t=0 (before the deferred merge ever runs):
-        sources must start per-packet exactly as the constructor would."""
+        """Hook attached at t=0, the registration instant, before any
+        reader has pulled a batch: sources must start per-packet exactly
+        as the constructor would."""
         kwargs = {"model": "cbr", "mutate_at": (0.0, self._attach_drop_hook)}
         pp = run_experiment(False, **kwargs)
         bulk = run_experiment(None, **kwargs)
@@ -487,8 +489,9 @@ class TestDecommission:
     def test_mid_run_registration_joins_bulk(self):
         """A source attached while the link already carries merged bulk
         traffic must slot into the same sample path, and a reader at the
-        registration instant — before the deferred merge runs — must
-        still see the arrivals already due."""
+        registration instant — after the merged tail was rolled back to
+        the feeds, before anything is merged again — must still see the
+        arrivals already due."""
 
         def run(bulk):
             sim = Simulator()
@@ -541,12 +544,15 @@ class TestPythonScalars:
         )
         assert src.is_bulk == (bulk is None)
         agg = link._agg
-        for until in (1.5, None):
+        for until in (1.5, 4.0):
             sim.run(until=until)
-            # Mid-run the next event is an arrival, a delivery or a
-            # refill; drained, the clock stops at the last of them.
-            now = sim.now if until is None else sim.peek_time()
-            assert type(now) is float, type(now)
+            # The next event, where one exists, is an arrival or a
+            # delivery; bulk sources schedule none, and past ``stop`` the
+            # heap may be empty.
+            head = sim.peek_time()
+            if head is not None:
+                assert type(head) is float, type(head)
+            assert type(sim.now) is float, type(sim.now)
             if agg is not None:
                 assert type(agg._horizon) is float
                 assert all(type(t) is float for t in agg.times)
@@ -554,6 +560,57 @@ class TestPythonScalars:
             assert type(src.packets_sent) is int
             assert type(src.bytes_sent) is int
         assert src.packets_sent > 1000
+
+
+class TestPull:
+    @pytest.mark.parametrize(
+        "modulation", [None, (0.5, 0.25)], ids=["stationary", "modulated"]
+    )
+    def test_bulk_sources_leave_the_heap_empty(self, modulation):
+        """Open-loop arrivals are generated when a reader pulls them, so
+        bulk cross traffic schedules no event: mid-run the heap is empty,
+        and the stats read afterwards equal the per-packet run's."""
+
+        def run(bulk):
+            sim = Simulator()
+            net = build_path(sim, [LinkSpec(10e6, buffer_bytes=20_000, name="L")])
+            link = net.forward_links[0]
+            sources = attach_cross_traffic(
+                sim, net, link, 8e6, np.random.default_rng(3),
+                n_sources=10, modulation=modulation, bulk=bulk,
+            )
+            sim.run(until=1.5)
+            return sim, link, sources
+
+        sim, link, sources = run(None)
+        assert all(s.is_bulk for s in sources)
+        assert sim.peek_time() is None
+        _, pp_link, _ = run(False)
+        assert link.stats.snapshot() == pp_link.stats.snapshot()
+        assert link.stats.packets_forwarded > 1000
+
+    def test_ten_registrations_cost_one_merge(self, monkeypatch):
+        """Registering merges nothing.  Ten sources attached at one
+        instant, then one stats read before the first chunk of any of
+        them runs out, cost at most two merges, not one per source."""
+        merges = []
+        real_merge = CrossAggregator._merge
+
+        def counted(agg):
+            merges.append(agg)
+            real_merge(agg)
+
+        monkeypatch.setattr(CrossAggregator, "_merge", counted)
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(10e6, name="L")])
+        link = net.forward_links[0]
+        sources = attach_cross_traffic(
+            sim, net, link, 6e6, np.random.default_rng(9), n_sources=10
+        )
+        sim.run(until=0.5)
+        assert link.stats.packets_forwarded > 0
+        assert all(s._gen_packets == _CHUNK for s in sources)
+        assert len(merges) <= 2, f"{len(merges)} merges"
 
 
 class TestLookAhead:

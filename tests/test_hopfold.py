@@ -4,8 +4,9 @@
 counters and end state to a real :class:`Link` fed the same arrivals one
 ``send()`` at a time, the per-packet reference every planner is held to.
 ``admit`` works on a second real link, started from the reference's
-state after the prefix, so its ``LinkStats`` are compared too.  The link
-folds, the stream planner and the flow-transit walk all call these two
+state after the prefix, so its ``LinkStats`` are compared too, and
+``fold_link`` folds that link's trailing cross arrivals.  The link
+folds, the stream planner and the flow-transit walk all call these
 functions, so this one generated test stands in for per-site loop
 proofs.
 """
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.netsim.bulkarrivals import CrossAggregator
 from repro.netsim.engine import Simulator
-from repro.netsim.hopfold import admit, fold
+from repro.netsim.hopfold import admit, fold, fold_link
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 
@@ -149,7 +150,8 @@ def test_fold_and_admit_match_per_packet_send(sc):
     # admit: one call per foreground arrival, per-entry sizes, into a
     # real link that starts from the reference's state after the prefix
     # and holds the cross arrivals in an aggregator; then the trailing
-    # cross arrivals folded to ``until`` by ``sync``.
+    # cross arrivals folded to ``until`` by ``fold_link``, the entry
+    # ``Link.sync`` folds through (``sync`` itself folds only to now).
     link, snap, log = _reference(sc, sc.fg_sizes, _schedule(sc, sc.fg_sizes))
     free_at, backlog, in_flight = snap["state"]
     live = Link(Simulator(), sc.cap, buffer_bytes=sc.buffer_bytes)
@@ -162,7 +164,7 @@ def test_fold_and_admit_match_per_packet_send(sc):
     agg._horizon = math.inf
     live._agg = agg
     got = [admit(live, t, size) for t, size in zip(sc.fg, sc.fg_sizes)]
-    live.sync(sc.until)
+    fold_link(live, sc.until)
     live._purge(sc.until)
     assert got == [done if ok else None for is_fg, ok, done, _start in log if is_fg]
     assert agg.idx == n_cross

@@ -76,6 +76,24 @@ class TestBacklogAccounting:
         link.send(Packet(1000))
         assert link.queueing_delay() == pytest.approx(0.002)
 
+    def test_backlog_read_cannot_run_ahead_of_the_clock(self):
+        """Backlog reads and syncs act at the present only.  Purging the
+        in-flight ledger up to a later instant would free buffer space a
+        packet in transmission still holds, and drop-tail would then
+        accept a packet it must refuse."""
+        sim = Simulator()
+        link, arrivals = make_link(sim, capacity=8e6, prop=0.0, buffer_bytes=2000)
+        assert link.send(Packet(1000)) and link.send(Packet(1000))
+        for read in (link.backlog_bytes, link.queueing_delay, link.sync):
+            with pytest.raises(TypeError):
+                read(0.0015)  # 1.5 ms: the first packet is done
+        assert link.backlog_bytes() == 2000
+        assert link.send(Packet(1000)) is False
+        sim.run()
+        assert len(arrivals) == 2
+        assert link.stats.bytes_forwarded == 2000
+        assert link.stats.bytes_dropped == 1000
+
 
 class TestDropTail:
     def test_drops_when_buffer_full(self):

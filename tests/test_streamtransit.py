@@ -662,11 +662,13 @@ class TestSanitize:
         assert sim1.digest() == sim2.digest()
 
     def test_shadow_detects_planner_corruption(self, monkeypatch):
-        import repro.netsim.flowtransit as ft
+        import repro.netsim.hopfold as hopfold
 
         # A batched stream's hop fold reports each probe's done time;
         # nudging the first one must trip the per-round shadow replay.
-        real_fold = ft.fold
+        # The walk folds through hopfold.fold_link, which looks fold up
+        # in its own module.
+        real_fold = hopfold.fold
 
         def bad_fold(*args):
             out = real_fold(*args)
@@ -675,6 +677,6 @@ class TestSanitize:
                 dones[0] += 1e-9
             return out
 
-        monkeypatch.setattr(ft, "fold", bad_fold)
+        monkeypatch.setattr(hopfold, "fold", bad_fold)
         with pytest.raises(SimulationError, match="shadow"):
             run_streams(True, utilization=0.5, sanitize=True, n_streams=1)
