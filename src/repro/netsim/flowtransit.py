@@ -61,6 +61,15 @@ the heap until it can fire.  The walk hands deliveries straight to
 ``on_segment`` and ``on_ack``, so Reno, Vegas, delayed ACKs, recovery
 and the RTO run the one implementation in ``tcp.py`` on both paths.
 
+A probe stream is one object on both paths, the channel's
+:class:`~repro.transport.probe._StreamRun`.  While the walk carries it
+(``run.walked``), the walk keeps the stream's pending hop arrivals and
+its deliveries on the run, and ``ProbeChannel._finalize`` commits the
+deliveries due into the run's records at the closing delivery or at the
+deadline.  A probe packet the walk hands back is built by the run
+(``run.packet``) and received by it (``run.on_arrival``), exactly as on
+the per-packet path.
+
 Determinism contract
 --------------------
 Every observable is bit-identical to the per-packet path: the folds use
@@ -95,15 +104,12 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .engine import SimulationError
 from .fastpath import resolve_fast
 from .hopfold import admit, fold_link
-from .packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..transport.probe import ProbeChannel, _StreamRun
+    from ..transport.probe import _StreamRun
     from ..transport.tcp import TCPSender
 
 __all__ = [
@@ -169,8 +175,8 @@ K_ADMIT = 0  # (t, q, K_ADMIT, links, hop, size, tail): arrival at links[hop]
 K_DATA = 1  # (t, q, K_DATA, fs, seq, length): segment delivery at receiver
 K_ACK = 2  # (t, q, K_ACK, fs, ack): cumulative-ACK delivery at sender
 K_TIMER = 3  # (t, q, K_TIMER, vt): RTO or delayed-ACK timer of a flow
-K_SSEND = 4  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
-K_SDELIV = 5  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
+K_SSEND = 4  # (t, q, K_SSEND, run, i): probe-stream send of schedule index i
+K_SDELIV = 5  # (t, q, K_SDELIV, run, i): probe packet i delivery at receiver
 
 
 class _VTimer:
@@ -214,8 +220,6 @@ class _FlowPort:
         "pp",
         "sender",
         "receiver",
-        "fwd",
-        "rev",
         "hdr",
         "ack_size",
         "completing",
@@ -228,14 +232,15 @@ class _FlowPort:
         d = self.domain
         tail = (K_DATA, self, seq, length)
         if d._walking:
-            d._hop_admit(self.fwd, 0, t, length + self.hdr, tail)
+            d._hop_admit(d._fwd, 0, t, length + self.hdr, tail)
         else:
-            d._send(self.fwd, length + self.hdr, tail)
+            d._send(d._fwd, length + self.hdr, tail)
 
     def send_ack(self, t: float, ack: int) -> None:
         # Only the delayed-ACK timer sends through the port, and it fires
         # inside a walk; _round sends the ACKs on_segment returns.
-        self.domain._hop_admit(self.rev, 0, t, self.ack_size, (K_ACK, self, ack))
+        d = self.domain
+        d._hop_admit(d._rev, 0, t, self.ack_size, (K_ACK, self, ack))
 
     def rto(self, vt: Optional[_VTimer], deadline: float) -> _VTimer:
         """Cancel ``vt`` (if any) and arm the RTO for ``deadline``.
@@ -283,67 +288,6 @@ class _FlowPort:
             self.domain._detach(self)
 
 
-class _StreamState:
-    """Domain-side bookkeeping for one probe stream.
-
-    A batched stream keeps its pending hop arrivals in ``bt`` (times) and
-    ``bi`` (schedule indices), one pair of lists per forward hop; hop 0
-    starts with the whole send schedule.  A stream admitted per packet
-    has ``bt = bi = None`` and lives on the walk's heap and forward
-    delivery deque instead.
-
-    Each delivery appends its schedule index to ``idx`` and its time to
-    ``rec_times``; the first ``committed`` of them are in the live
-    ``_StreamRun`` (see :meth:`commit`).  ``complete_call`` is the real
-    event of the stream-closing delivery once the walk has reached it.
-    """
-
-    __slots__ = (
-        "channel",
-        "run",
-        "done",
-        "sched",
-        "n",
-        "size",
-        "fwd",
-        "bt",
-        "bi",
-        "idx",
-        "rec_times",
-        "committed",
-        "complete_call",
-    )
-
-    def commit(self, limit: float, inclusive: bool) -> None:
-        """Append the deliveries with time up to ``limit`` to the run, at
-        finalize time or at a dissolve, so straggler accounting matches
-        the per-packet path exactly.
-
-        ``inclusive`` matches the per-packet event order at the boundary:
-        the stream-closing arrival commits itself (<=), while the
-        deadline event — inserted at stream start, hence popped first on
-        an exact tie — cuts strictly (<).  Each host clock is read once
-        on the slice's array: the walk only carries pure clocks, whose
-        ``read`` is elementwise.
-        """
-        times = self.rec_times
-        p = self.committed
-        if inclusive:
-            q = bisect_right(times, limit, p)
-        else:
-            q = bisect_left(times, limit, p)
-        if q > p:
-            run = self.run
-            sched = self.sched
-            channel = self.channel
-            sent = [sched[i] for i in self.idx[p:q]]
-            run.seq += [seq for _s, seq in sent]
-            send_times = np.array([s for s, _seq in sent])
-            run.sender_stamp += channel.sender_clock.read(send_times).tolist()
-            run.recv_stamp += channel.receiver_clock.read(np.array(times[p:q])).tolist()
-            self.committed = q
-
-
 class FlowTransitDomain:
     """The per-network virtual event loop carrying flows and streams."""
 
@@ -357,6 +301,7 @@ class FlowTransitDomain:
         "_vheap",
         "_dfwd",
         "_drev",
+        "_fwd",
         "_rev",
         "_vseq",
         "_vnow",
@@ -373,12 +318,13 @@ class FlowTransitDomain:
         self.network = network
         self.alive = True
         self.flows: list[_FlowPort] = []
-        self.streams: list[_StreamState] = []
+        self.streams: list[_StreamRun] = []
         self._vheap: list = []
         # Deliveries, one FIFO per chain in admission order at its last
         # hop, hence in (t, q) order (see the module docstring).
         self._dfwd: deque = deque()
         self._drev: deque = deque()
+        self._fwd = network.forward_links
         self._rev = network.reverse_links
         self._vseq = 0
         self._vnow = sim._now
@@ -389,7 +335,7 @@ class FlowTransitDomain:
         # Sanitize mode: this round's admissions, (link, t, size, done).
         self._rec = None
         # The batched stream, while one has hop arrivals pending.
-        self._batch: _StreamState | None = None
+        self._batch: _StreamRun | None = None
         # Each distinct link (forward and reverse may share hops in exotic
         # topologies; dedupe preserves order) names the domain, so its
         # configuration chokepoints can dissolve it.
@@ -485,9 +431,9 @@ class FlowTransitDomain:
         for dq in (self._dfwd, self._drev):
             if dq and (t is None or dq[0][0] < t):
                 t = dq[0][0]
-        ss = self._batch
-        if ss is not None:
-            for ts in ss.bt:
+        bs = self._batch
+        if bs is not None:
+            for ts in bs.bt:
                 if ts and (t is None or ts[0] < t):
                     t = ts[0]
         return t
@@ -508,7 +454,7 @@ class FlowTransitDomain:
             self.dissolve("tracer")
             return
         bs = self._batch
-        if bs is not None and any(link._tracer is not None for link in bs.fwd):
+        if bs is not None and any(link._tracer is not None for link in self._fwd):
             self._unbatch()
         vheap = self._vheap
         heappop = heapq.heappop
@@ -517,7 +463,7 @@ class FlowTransitDomain:
         pop_fwd = dfwd.popleft
         pop_rev = drev.popleft
         if self.streams:
-            live = [ss for ss in self.streams if not ss.run.done]
+            live = [run for run in self.streams if not run.done]
             if len(live) != len(self.streams):
                 self.streams = live
         t0 = self._next_time()
@@ -595,7 +541,7 @@ class FlowTransitDomain:
                     fs = ev[3]
                     ack = fs.receiver.on_segment(t, ev[4], ev[5])
                     if ack is not None:
-                        self._hop_admit(fs.rev, 0, t, fs.ack_size, (K_ACK, fs, ack))
+                        self._hop_admit(self._rev, 0, t, fs.ack_size, (K_ACK, fs, ack))
                 elif k == K_TIMER:
                     vt = ev[3]
                     if not vt.cancelled:
@@ -648,10 +594,8 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Probe streams
     # ------------------------------------------------------------------
-    def adopt_stream(
-        self, channel: "ProbeChannel", run: "_StreamRun", done_event
-    ) -> _StreamState:
-        """Carry one probe stream inside the domain walk; return its state.
+    def adopt_stream(self, run: "_StreamRun") -> None:
+        """Carry one probe stream inside the domain walk.
 
         Called from :func:`plan_stream`.  The stream is batched when it
         is the only foreground traffic the walk carries (no flow, no
@@ -660,25 +604,14 @@ class FlowTransitDomain:
         event.  Any other stream is admitted per packet, and so is a
         batched one once :meth:`_round` finds a full tracer on its hops.
         """
-        ss = _StreamState()
-        ss.channel = channel
-        ss.run = run
-        ss.done = done_event
         sched = run.schedule
-        ss.sched = sched
-        n = ss.n = run.spec.n_packets
-        ss.size = run.spec.packet_size
-        ss.fwd = self.network.forward_links
-        ss.bt = ss.bi = None
-        ss.idx = []
-        ss.rec_times = []
-        ss.committed = 0
-        ss.complete_call = None
-        self.streams.append(ss)
-        run.plan = ss
+        n = run.n
+        self.streams.append(run)
+        run.walked = True
         run.n_sent = n
+        channel = run.channel
         channel.packets_sent += n
-        channel.bytes_sent += n * ss.size
+        channel.bytes_sent += n * run.size
         if (
             self.flows
             or self._batch is not None
@@ -687,40 +620,39 @@ class FlowTransitDomain:
         ):
             self._unbatch()
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (sched[0][0], q, K_SSEND, ss, 0))
+            heapq.heappush(self._vheap, (sched[0][0], q, K_SSEND, run, 0))
         else:
-            rest = range(1, len(ss.fwd))
-            ss.bt = [[t for t, _seq in sched]] + [[] for _ in rest]
-            ss.bi = [list(range(len(sched)))] + [[] for _ in rest]
-            self._batch = ss
+            rest = range(1, len(self._fwd))
+            run.bt = [[t for t, _seq in sched]] + [[] for _ in rest]
+            run.bi = [list(range(len(sched)))] + [[] for _ in rest]
+            self._batch = run
         self._kick(sched[0][0])
-        return ss
 
     def _unbatch(self) -> None:
         """Move the batched stream's pending arrivals onto per-packet
         virtual events: the hop-0 remainder becomes one send chain, and
         each arrival at a later hop one admission.  Their times are
         unchanged, so the round already scheduled still covers them."""
-        ss = self._batch
-        if ss is None:
+        run = self._batch
+        if run is None:
             return
         self._batch = None
         vheap = self._vheap
-        fwd = ss.fwd
-        size = ss.size
-        for h, (ts, ix) in enumerate(zip(ss.bt, ss.bi)):
+        fwd = self._fwd
+        size = run.size
+        for h, (ts, ix) in enumerate(zip(run.bt, run.bi)):
             if not ts:
                 continue
             if h == 0:
                 self._vseq = q = self._vseq + 1
-                heapq.heappush(vheap, (ts[0], q, K_SSEND, ss, ix[0]))
+                heapq.heappush(vheap, (ts[0], q, K_SSEND, run, ix[0]))
                 continue
             for t, i in zip(ts, ix):
                 self._vseq = q = self._vseq + 1
-                heapq.heappush(vheap, (t, q, K_ADMIT, fwd, h, size, (K_SDELIV, ss, i)))
-        ss.bt = ss.bi = None
+                heapq.heappush(vheap, (t, q, K_ADMIT, fwd, h, size, (K_SDELIV, run, i)))
+        run.bt = run.bi = None
 
-    def _fold_batch(self, ss: _StreamState, now: float) -> None:
+    def _fold_batch(self, run: "_StreamRun", now: float) -> None:
         """Fold the batched stream's arrivals before the limit, hop by hop.
 
         One :func:`~repro.netsim.hopfold.fold_link` per hop admits the
@@ -732,10 +664,10 @@ class FlowTransitDomain:
         """
         limit = self._limit
         rec = self._rec
-        size = ss.size
-        bt = ss.bt
-        bi = ss.bi
-        links = ss.fwd
+        size = run.size
+        bt = run.bt
+        bi = run.bi
+        links = self._fwd
         last = len(links) - 1
         for h, link in enumerate(links):
             ts = bt[h]
@@ -762,49 +694,45 @@ class FlowTransitDomain:
                 bt[h + 1] += xs
                 bi[h + 1] += xi
             else:
-                self._deliver_batch(ss, xs, xi)
+                self._deliver_batch(run, xs, xi)
         if not any(bt):
             self._batch = None
 
-    def _deliver_batch(self, ss: _StreamState, xs, xi) -> None:
+    def _deliver_batch(self, run: "_StreamRun", xs, xi) -> None:
         """Record deliveries as soon as the last hop yields them: they
         touch no link, and deliveries are committed only by time, so
         recording ahead of the cap is safe.  So is scheduling the closing
-        ``_fast_complete``, a real event later rounds stop short of.  The
+        ``_finalize``, a real event later rounds stop short of.  The
         closing packet of a batched stream is last in send order, and
         every hop is FIFO, so it can only be the last delivery of a
         batch."""
-        run = ss.run
         if run.done or not xs:
             return  # stragglers after deadline finalization: lost
-        ss.idx += xi
-        ss.rec_times += xs
-        if xi[-1] == ss.n - 1:
-            ss.complete_call = self.sim.schedule_at(
-                xs[-1], ss.channel._fast_complete, run, ss.done
-            )
+        run.idx += xi
+        run.rec_times += xs
+        if xi[-1] == run.n - 1:
+            run.closing = True
+            self.sim.schedule_at(xs[-1], run.channel._finalize, run, True)
 
-    def _ev_ssend(self, t: float, ss: _StreamState, i: int) -> None:
+    def _ev_ssend(self, t: float, run: "_StreamRun", i: int) -> None:
         # Sends go on after the stream finalizes, as the per-packet
         # sender's do: the stragglers are lost but still load the links.
         j = i + 1
-        if j < ss.n:
+        if j < run.n:
             # Push the next send before admitting this packet, mirroring
             # the per-packet sender's reschedule-before-inject tie order.
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (ss.sched[j][0], q, K_SSEND, ss, j))
-        self._hop_admit(ss.fwd, 0, t, ss.size, (K_SDELIV, ss, i))
+            heapq.heappush(self._vheap, (run.schedule[j][0], q, K_SSEND, run, j))
+        self._hop_admit(self._fwd, 0, t, run.size, (K_SDELIV, run, i))
 
-    def _ev_sdeliv(self, t: float, ss: _StreamState, i: int) -> None:
-        run = ss.run
+    def _ev_sdeliv(self, t: float, run: "_StreamRun", i: int) -> None:
         if run.done:
             return  # straggler after deadline finalization: lost
-        ss.idx.append(i)
-        ss.rec_times.append(t)
-        if ss.sched[i][1] == ss.n - 1:
-            ss.complete_call = self._defer(
-                ss.channel._fast_complete, run, ss.done
-            )
+        run.idx.append(i)
+        run.rec_times.append(t)
+        if run.schedule[i][1] == run.n - 1:
+            run.closing = True
+            self._defer(run.channel._finalize, run, True)
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -820,8 +748,6 @@ class FlowTransitDomain:
         fs.pp = sender.port
         fs.sender = sender
         fs.receiver = receiver
-        fs.fwd = network.forward_links
-        fs.rev = network.reverse_links
         fs.hdr = sender.config.header_bytes
         fs.ack_size = receiver.config.header_bytes
         fs.completing = False
@@ -911,21 +837,8 @@ class FlowTransitDomain:
             _, fs, ack = tail
             return fs.pp.ack_packet(ack), fs.pp.on_ack
         # K_SDELIV
-        _, ss, i = tail
-        s, seq = ss.sched[i]
-        run = ss.run
-        done = ss.done
-        channel = ss.channel
-        pkt = Packet(
-            ss.size,
-            flow_id=run.flow_id,
-            seq=seq,
-            kind=PacketKind.PROBE,
-            created_at=s,
-            sender_stamp=channel.sender_clock.read(s),
-        )
-        handler = lambda p, run=run, done=done: channel._on_arrival(run, p, done)
-        return pkt, handler
+        _, run, i = tail
+        return run.packet(i), run.on_arrival
 
     def _materialize(self, ev) -> None:
         t = ev[0]
@@ -987,39 +900,30 @@ class FlowTransitDomain:
             elif k != K_TIMER:
                 self._materialize(ev)
         now = sim._now
-        for ss in self.streams:
-            run = ss.run
+        for run in self.streams:
             if run.done:
                 continue
-            if ss.complete_call is not None:
-                # Virtually complete: the pending _fast_complete event
-                # will commit and finalize; nothing to rewind.
+            if run.closing:
+                # Virtually complete: the pending _finalize event will
+                # commit and finalize; nothing to rewind.
                 continue
-            ss.commit(now, inclusive=True)
+            run.commit(now, inclusive=True)
             # Deliveries a batched fold recorded past now arrive per-packet.
-            p = ss.committed
-            channel = ss.channel
-            for i, x in zip(ss.idx[p:], ss.rec_times[p:]):
-                s, seq = ss.sched[i]
-                pkt = Packet(
-                    ss.size,
-                    flow_id=run.flow_id,
-                    seq=seq,
-                    kind=PacketKind.PROBE,
-                    sender_stamp=channel.sender_clock.read(s),
-                )
-                sim.schedule_at(x, channel._on_arrival, run, pkt, ss.done)
-            run.plan = None
-            channel._note_fallback(reason)
+            p = run.committed
+            for i, x in zip(run.idx[p:], run.rec_times[p:]):
+                self._materialize((x, None, K_SDELIV, run, i))
+            run.walked = False
+            run.channel._note_fallback(reason)
         self.streams = []
         # Every stream with a pending send resumes its unsent suffix on
         # the per-packet sender, finalized or not, as per-packet sends on.
-        for t, _q, _k, ss, i0 in sends:
-            unsent = ss.n - i0
-            ss.run.n_sent -= unsent
-            ss.channel.packets_sent -= unsent
-            ss.channel.bytes_sent -= unsent * ss.size
-            sim.schedule_at(t, ss.channel._send_next, ss.run, i0, ss.done)
+        for t, _q, _k, run, i0 in sends:
+            unsent = run.n - i0
+            run.n_sent -= unsent
+            channel = run.channel
+            channel.packets_sent -= unsent
+            channel.bytes_sent -= unsent * run.size
+            sim.schedule_at(t, channel._send_next, run, i0)
         for fs in list(self.flows):
             if fs.completing:
                 continue
@@ -1148,16 +1052,15 @@ def _impure(clock) -> bool:
     )
 
 
-def plan_stream(
-    channel: "ProbeChannel", run: "_StreamRun", done_event
-) -> tuple[Optional[_StreamState], Optional[str]]:
-    """``ProbeChannel.send_stream`` seam: hand ``run`` to the network's
-    walk and return ``(state, None)``, or ``(None, reason)`` when the
-    caller must take the per-packet path (same sample path).  A walk
-    carrying flows under a full tracer is dissolved first, and the stream
-    rides a fresh walk without them."""
+def plan_stream(run: "_StreamRun") -> Optional[str]:
+    """``ProbeChannel.send_stream`` seam: hand ``run`` to its network's
+    walk and return None, or return the reason the caller must take the
+    per-packet path (same sample path).  A walk carrying flows under a
+    full tracer is dissolved first, and the stream rides a fresh walk
+    without them."""
+    channel = run.channel
     if _impure(channel.sender_clock) or _impure(channel.receiver_clock):
-        return None, "impure-clock"
+        return "impure-clock"
     network = channel.network
     sim = channel.sim
     domain = _domain_for(network, sim)
@@ -1168,8 +1071,9 @@ def plan_stream(
             domain.dissolve("tracer")
             domain = _domain_for(network, sim)
     if domain is None:
-        return None, "link-config"
-    return domain.adopt_stream(channel, run, done_event), None
+        return "link-config"
+    domain.adopt_stream(run)
+    return None
 
 
 def try_attach_flow(sender: "TCPSender") -> bool:

@@ -23,12 +23,16 @@ which carries it beside any planned TCP flow and any per-packet traffic
 on the path, with the same sample path.  The channel sends per packet
 only when it is disabled, when a clock draws from an RNG, or when a link
 on the path has a qdisc, a drop hook or a rebound delivery callback.
+Either way a stream is one :class:`_StreamRun`: it builds the stream's
+packets, receives them, holds the walk's state while the walk carries
+it, and triggers its ``completion`` event with the measurement.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 import numpy as np
@@ -68,35 +72,123 @@ class SendJitter:
 
 
 class _StreamRun:
-    """Bookkeeping for one in-flight stream (internal)."""
+    """One probe stream, from its first send to its report (internal).
+
+    The sender's schedule, the receiver's records and, while the
+    flow-transit walk carries the stream (``walked``), the walk's state.
+    A batched stream keeps its pending hop arrivals in ``bt`` (times) and
+    ``bi`` (schedule indices), one pair of lists per forward hop; hop 0
+    starts with the whole send schedule.  A stream the walk admits per
+    packet has ``bt = bi = None``.  Each walk delivery appends its
+    schedule index to ``idx`` and its time to ``rec_times``; the first
+    ``committed`` of them are in the records (see :meth:`commit`).
+    ``closing`` is set once the walk has reached the stream-closing
+    delivery and scheduled its :meth:`ProbeChannel._finalize`; the run
+    keeps no reference to that event, which holds the run.
+    """
 
     __slots__ = (
+        "channel",
         "spec",
         "flow_id",
+        "n",
+        "size",
         "seq",
         "sender_stamp",
         "recv_stamp",
         "n_sent",
         "t_start",
         "done",
+        "completion",
         "schedule",
-        "plan",
+        "walked",
+        "bt",
+        "bi",
+        "idx",
+        "rec_times",
+        "committed",
+        "closing",
     )
 
-    def __init__(self, spec: StreamSpec, flow_id: str, t_start: float):
+    def __init__(self, channel: "ProbeChannel", spec: StreamSpec, flow_id: str):
+        self.channel = channel
         self.spec = spec
         self.flow_id = flow_id
+        self.n = spec.n_packets
+        self.size = spec.packet_size
         #: received packets, in arrival order: what the measurement holds
         self.seq: list[int] = []
         self.sender_stamp: list[float] = []
         self.recv_stamp: list[float] = []
         self.n_sent = 0
-        self.t_start = t_start
+        self.t_start = channel.sim.now
+        #: finalized: later arrivals are stragglers, lost
         self.done = False
+        #: triggers with the :class:`StreamMeasurement` once reported
+        self.completion = channel.sim.event()
         #: sorted ``(send_time, seq)`` pairs — all jitter drawn up front
         self.schedule: list[tuple[float, int]] = []
-        #: the walk's state for this stream while the walk carries it
-        self.plan = None
+        self.walked = False
+        self.bt = self.bi = None
+        self.idx: list[int] = []
+        self.rec_times: list[float] = []
+        self.committed = 0
+        self.closing = False
+
+    def packet(self, i: int) -> Packet:
+        """The probe packet of schedule index ``i``, stamped by the
+        sender's clock at its send time.  The per-packet sender builds it
+        at exactly that instant, after scheduling its next send: an
+        impure clock draws from its RNG on each read."""
+        s, seq = self.schedule[i]
+        return Packet(
+            self.size,
+            flow_id=self.flow_id,
+            seq=seq,
+            kind=PacketKind.PROBE,
+            created_at=s,
+            sender_stamp=self.channel.sender_clock.read(s),
+        )
+
+    def on_arrival(self, pkt: Packet) -> None:
+        """Per-packet delivery of ``pkt`` at the receiver."""
+        if self.done:
+            return  # straggler after finalization: counted as lost
+        channel = self.channel
+        self.seq.append(pkt.seq)
+        self.sender_stamp.append(pkt.sender_stamp)
+        self.recv_stamp.append(channel.receiver_clock.read(channel.sim.now))
+        if pkt.seq == self.n - 1:
+            # FIFO path ⇒ the last packet is the last arrival.
+            channel._finalize(self, True)
+
+    def commit(self, limit: float, inclusive: bool) -> None:
+        """Append the walk's deliveries with time up to ``limit`` to the
+        records, at finalize time or at a dissolve, so straggler
+        accounting matches the per-packet path exactly.
+
+        ``inclusive`` matches the per-packet event order at the boundary:
+        the stream-closing arrival commits itself (<=), while the
+        deadline event — inserted at stream start, hence popped first on
+        an exact tie — cuts strictly (<).  Each host clock is read once
+        on the slice's array: the walk only carries pure clocks, whose
+        ``read`` is elementwise.
+        """
+        times = self.rec_times
+        p = self.committed
+        if inclusive:
+            q = bisect_right(times, limit, p)
+        else:
+            q = bisect_left(times, limit, p)
+        if q > p:
+            sched = self.schedule
+            channel = self.channel
+            sent = [sched[i] for i in self.idx[p:q]]
+            self.seq += [seq for _s, seq in sent]
+            send_times = np.array([s for s, _seq in sent])
+            self.sender_stamp += channel.sender_clock.read(send_times).tolist()
+            self.recv_stamp += channel.receiver_clock.read(np.array(times[p:q])).tolist()
+            self.committed = q
 
 
 class ProbeChannel:
@@ -164,9 +256,8 @@ class ProbeChannel:
     def send_stream(self, spec: StreamSpec) -> Event:
         """Send one periodic stream; the returned event triggers with its
         :class:`StreamMeasurement` once the receiver's report is back."""
-        run = _StreamRun(spec, f"probe-{next(self._stream_ids)}", self.sim.now)
-        done = self.sim.event()
-        t0 = self.sim.now
+        run = _StreamRun(self, spec, f"probe-{next(self._stream_ids)}")
+        t0 = run.t_start
         if self._tracer is not None:
             self._tracer.instant(
                 t0,
@@ -194,10 +285,9 @@ class ProbeChannel:
         else:
             schedule = [(t0 + seq * period, seq) for seq in range(spec.n_packets)]
         run.schedule = schedule
-        plan = None
         if self.fast:
-            plan, reason = plan_stream(self, run, done)
-            if plan is None:
+            reason = plan_stream(run)
+            if reason is not None:
                 self._note_fallback(reason)
             else:
                 self.fastpath_streams += 1
@@ -212,13 +302,13 @@ class ProbeChannel:
         if self._tracer is not None:
             self._tracer.metrics.counter(
                 "repro_probe_packets_total",
-                labels={"path": "elided" if plan is not None else "per-packet"},
+                labels={"path": "elided" if run.walked else "per-packet"},
                 help="probe packets by transit path at send time",
             ).inc(spec.n_packets)
-        if plan is None:
+        if not run.walked:
             # Per-packet path: one self-rescheduling sender callback — a
             # single outstanding heap entry per in-flight stream, not K.
-            self.sim.schedule_at(schedule[0][0], self._send_next, run, 0, done)
+            self.sim.schedule_at(schedule[0][0], self._send_next, run, 0)
         # Deadline: everything should have drained well before
         # last send + slack; stragglers after it count as lost.
         slack = (
@@ -226,30 +316,20 @@ class ProbeChannel:
             + spec.n_packets * spec.packet_size * 8.0 / self.network.capacity_bps
             + 0.05
         )
-        self.sim.schedule_at(t0 + spec.duration + slack, self._finalize, run, done)
-        return done
+        self.sim.schedule_at(t0 + spec.duration + slack, self._finalize, run, False)
+        return run.completion
 
-    def _send_next(self, run: _StreamRun, i: int, done: Event) -> None:
-        schedule = run.schedule
-        seq = schedule[i][1]
-        i += 1
-        if i < len(schedule):
+    def _send_next(self, run: _StreamRun, i: int) -> None:
+        j = i + 1
+        if j < run.n:
             # Reschedule before injecting: send events then sort ahead of
             # same-instant delivery events, as the K-upfront order did.
-            self.sim.schedule_at(schedule[i][0], self._send_next, run, i, done)
-        now = self.sim.now
-        pkt = Packet(
-            run.spec.packet_size,
-            flow_id=run.flow_id,
-            seq=seq,
-            kind=PacketKind.PROBE,
-            created_at=now,
-            sender_stamp=self.sender_clock.read(now),
-        )
+            self.sim.schedule_at(run.schedule[j][0], self._send_next, run, j)
+        pkt = run.packet(i)
         run.n_sent += 1
         self.packets_sent += 1
         self.bytes_sent += pkt.size
-        self.network.send_forward(pkt, lambda p, run=run, done=done: self._on_arrival(run, p, done))
+        self.network.send_forward(pkt, run.on_arrival)
 
     def _note_fallback(self, reason: str) -> None:
         """Count one per-packet fallback, by reason."""
@@ -262,47 +342,23 @@ class ProbeChannel:
                 help="probe streams that took the per-packet path, by reason",
             ).inc()
 
-    def _fast_complete(self, run: _StreamRun, done: Event) -> None:
-        """Walk-carried delivery of the stream-closing packet (seq K-1).
+    def _finalize(self, run: _StreamRun, inclusive: bool) -> None:
+        """Close ``run`` and report its measurement.
 
-        Commits every packet delivered up to and including now — later
-        deliveries are stragglers, lost exactly as on the per-packet path
-        — then finalizes.
+        Called by the stream-closing delivery (``inclusive``) or by the
+        deadline.  A stream still in the walk first commits the deliveries
+        up to now (:meth:`_StreamRun.commit`); later ones are stragglers,
+        lost exactly as on the per-packet path.
         """
         if run.done:
             return
-        plan = run.plan
-        if plan is not None:
-            plan.commit(self.sim.now, inclusive=True)
-            run.plan = None
-        self._finalize(run, done)
-
-    def _on_arrival(self, run: _StreamRun, pkt: Packet, done: Event) -> None:
-        if run.done:
-            return  # straggler after finalization: counted as lost
-        run.seq.append(pkt.seq)
-        run.sender_stamp.append(pkt.sender_stamp)
-        run.recv_stamp.append(self.receiver_clock.read(self.sim.now))
-        if pkt.seq == run.spec.n_packets - 1:
-            # FIFO path ⇒ the last packet is the last arrival.
-            self._finalize(run, done)
-
-    def _finalize(self, run: _StreamRun, done: Event) -> None:
-        if run.done:
-            return
-        plan = run.plan
-        if plan is not None:
-            # Deadline finalize with the plan still open.  Strictly-before
-            # commit: a delivery at exactly the deadline instant pops
-            # *after* the deadline event (which was inserted at stream
-            # start) on the per-packet path, so it is straggler-lost there
-            # — and therefore here.
-            plan.commit(self.sim.now, inclusive=False)
-            run.plan = None
+        if run.walked:
+            run.commit(self.sim.now, inclusive)
+            run.walked = False
         run.done = True
         measurement = StreamMeasurement(
             run.spec,
-            n_sent=max(run.n_sent, run.spec.n_packets),
+            n_sent=max(run.n_sent, run.n),
             t_start=run.t_start,
             seq=run.seq,
             sender_stamp=run.sender_stamp,
@@ -324,7 +380,7 @@ class ProbeChannel:
                     "n_received": measurement.n_received,
                 },
             )
-        self.sim.schedule_at(report_at, done.trigger, measurement)
+        self.sim.schedule_at(report_at, run.completion.trigger, measurement)
 
 
 # ----------------------------------------------------------------------

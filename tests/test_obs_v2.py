@@ -257,15 +257,14 @@ class TestDeclaredZeroSeries:
 
 def _emitted_reasons():
     """Every fallback reason literal in ``src/repro``, by the counter it
-    feeds: ``stream`` (``ProbeChannel._note_fallback``, ``revoke`` and
-    the ``(None, reason)`` refusals of ``plan_stream``/``adopt_stream``),
-    ``flow`` (``_note_flow_fallback``) or ``both`` (``dissolve``, which
-    hands back streams and flows alike)."""
+    feeds: ``stream`` (``ProbeChannel._note_fallback`` and the string
+    refusals ``plan_stream`` returns), ``flow`` (``_note_flow_fallback``)
+    or ``both`` (``dissolve``, which hands back streams and flows
+    alike)."""
     import repro
 
     kinds = {
         "_note_fallback": "stream",
-        "revoke": "stream",
         "_note_flow_fallback": "flow",
         "dissolve": "both",
     }
@@ -286,23 +285,14 @@ def _emitted_reasons():
                 for arg in (*node.args, *(kw.value for kw in node.keywords)):
                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                         found[kind].add(arg.value)
-            elif isinstance(node, ast.FunctionDef) and node.name in (
-                "plan_stream", "adopt_stream"
-            ):
+            elif isinstance(node, ast.FunctionDef) and node.name == "plan_stream":
                 for ret in ast.walk(node):
-                    if not (
-                        isinstance(ret, ast.Return)
-                        and isinstance(ret.value, ast.Tuple)
-                        and len(ret.value.elts) == 2
-                    ):
-                        continue
-                    plan, reason = ret.value.elts
                     if (
-                        isinstance(plan, ast.Constant)
-                        and plan.value is None
-                        and isinstance(reason, ast.Constant)
+                        isinstance(ret, ast.Return)
+                        and isinstance(ret.value, ast.Constant)
+                        and isinstance(ret.value.value, str)
                     ):
-                        found["stream"].add(reason.value)
+                        found["stream"].add(ret.value.value)
     return found
 
 
