@@ -5,7 +5,8 @@ The Appendix's fluid model has closed forms for the OWD slope and the
 stream exit rate.  With near-fluid cross traffic (CBR with small packets),
 the packet-level simulator must converge to those predictions — a strong
 end-to-end consistency check between two completely independent
-implementations of the same physics.  A Poisson-fed hop with an infinite
+implementations of the same physics, on one hop and over the five hops of
+the Fig. 4 path.  A Poisson-fed hop with an infinite
 buffer is an M/G/1 queue, so its mean wait must match the
 Pollaczek–Khinchine formula.
 """
@@ -16,6 +17,7 @@ import pytest
 from repro.core.fluid import FluidLink, FluidPath
 from repro.core.probing import StreamSpec
 from repro.netsim import PacketMix, Simulator, build_single_hop_path
+from repro.netsim.topologies import Fig4Config, build_fig4_path
 from repro.transport.probe import ProbeChannel
 
 CAPACITY = 10e6
@@ -36,12 +38,22 @@ def des_stream(rate_bps, n_packets=100, packet_size=500, seed=0):
         n_sources=40,
         mix=PacketMix.constant(100),
     )
-    channel = ProbeChannel(sim, setup.network)
     spec = StreamSpec(rate_bps=rate_bps, packet_size=packet_size, n_packets=n_packets)
+    return send_one(sim, ProbeChannel(sim, setup.network), spec), spec
+
+
+def send_one(sim, channel, spec):
+    """Send ``spec`` at t = 1 s and run until its measurement is back."""
     holder = {}
     sim.schedule_at(1.0, lambda: holder.update(ev=channel.send_stream(spec)))
     sim.run(until=1.0)
-    return sim.run_until(holder["ev"]), spec
+    return sim.run_until(holder["ev"])
+
+
+def owd_slope(measurement):
+    """Least-squares OWD slope per packet."""
+    owds = measurement.relative_owds()
+    return float(np.polyfit(np.arange(len(owds)), owds, 1)[0])
 
 
 class TestOwdSlope:
@@ -49,25 +61,72 @@ class TestOwdSlope:
     def test_slope_matches_fluid_prediction(self, rate_mbps):
         rate = rate_mbps * 1e6
         measurement, spec = des_stream(rate)
-        owds = measurement.relative_owds()
-        # least-squares slope per packet
-        k = np.arange(len(owds))
-        slope = float(np.polyfit(k, owds, 1)[0])
         fluid = FluidPath([FluidLink(CAPACITY, AVAIL)])
         expected = fluid.owd_slope_per_packet(spec)
-        assert slope == pytest.approx(expected, rel=0.25)
+        assert owd_slope(measurement) == pytest.approx(expected, rel=0.25)
 
     def test_below_avail_bw_slope_negligible(self):
         measurement, spec = des_stream(2e6)
-        owds = measurement.relative_owds()
-        k = np.arange(len(owds))
-        slope = float(np.polyfit(k, owds, 1)[0])
+        slope = owd_slope(measurement)
         fluid_above = FluidPath(
             [FluidLink(CAPACITY, AVAIL)]
         ).owd_slope_per_packet(
             StreamSpec(rate_bps=6e6, packet_size=spec.packet_size, n_packets=100)
         )
         assert abs(slope) < 0.2 * fluid_above
+
+
+class TestMultiHopOwdSlope:
+    """Proposition 1 over the Fig. 4 path: five hops with near-fluid load.
+
+    The tight hop (index 2) has A = 4 Mb/s and the other four A_x = 13.3
+    Mb/s.  The OWD trend is zero iff R <= A.  A stream above A_x also
+    queues at the two hops before the tight one; at R = 15 Mb/s they add
+    about a tenth of the predicted slope.  The tolerances are the one-hop
+    tests' above.  Each stream runs in the flow-transit walk and per
+    packet, and the two measurements must be ``==``.
+    """
+
+    CFG = Fig4Config(traffic_model="cbr", sources_per_link=40, packet_mix=((100, 1.0),))
+
+    def fluid(self):
+        cfg = self.CFG
+        return FluidPath(
+            [
+                FluidLink(cfg.tight_capacity_bps, cfg.tight_avail_bw_bps)
+                if i == cfg.hops // 2
+                else FluidLink(cfg.nontight_capacity_bps, cfg.nontight_avail_bw_bps)
+                for i in range(cfg.hops)
+            ]
+        )
+
+    def measure(self, rate_bps):
+        """One 100-packet, 500-B stream, walked and per packet."""
+        spec = StreamSpec(rate_bps=rate_bps, packet_size=500, n_packets=100)
+        out = []
+        for fast in (True, False):
+            sim = Simulator()
+            setup = build_fig4_path(sim, self.CFG, np.random.default_rng(0))
+            channel = ProbeChannel(sim, setup.network, fast=fast)
+            out.append(send_one(sim, channel, spec))
+            assert channel.fastpath_streams == int(fast)
+        walked, per_packet = out
+        assert walked == per_packet
+        assert walked.n_received == spec.n_packets
+        return walked, spec
+
+    @pytest.mark.parametrize("rate_mbps", [6.0, 15.0])
+    def test_slope_matches_fluid_prediction(self, rate_mbps):
+        measurement, spec = self.measure(rate_mbps * 1e6)
+        expected = self.fluid().owd_slope_per_packet(spec)
+        assert owd_slope(measurement) == pytest.approx(expected, rel=0.25)
+
+    def test_below_avail_bw_slope_negligible(self):
+        measurement, spec = self.measure(2e6)
+        above = self.fluid().owd_slope_per_packet(
+            StreamSpec(rate_bps=6e6, packet_size=spec.packet_size, n_packets=100)
+        )
+        assert abs(owd_slope(measurement)) < 0.2 * above
 
 
 class TestExitRate:
