@@ -15,6 +15,12 @@ time go" flamegraph alongside the failing numbers instead of a bare
 "1.07x > 1.02x" assertion message.  The timed run itself is never
 sampled: the sampler's work perturbs the short fast-path arm of a
 paired ratio enough to fail gates that pass unperturbed.
+
+The sweep executor's on-disk cache is keyed by ``__version__``, not by
+the code, so a claim test must never read ``.repro_cache/`` in the
+working directory: rows an earlier checkout wrote there would stand in
+for this tree's.  Every session gets its own throwaway cache root, as in
+``tests/conftest.py``.
 """
 
 import os
@@ -25,6 +31,17 @@ from repro.experiments.base import Scale
 
 #: Directory for failed-gate attribution profiles.
 PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_sweep_cache(tmp_path_factory):
+    from repro.parallel import CACHE_DIR_ENV
+
+    root = tmp_path_factory.mktemp("repro_cache")
+    mp = pytest.MonkeyPatch()
+    mp.setenv(CACHE_DIR_ENV, str(root))
+    yield
+    mp.undo()
 
 
 @pytest.hookimpl(hookwrapper=True)
