@@ -26,12 +26,30 @@ packets observe exactly the queue state the per-packet path would have
 produced.
 
 Arrivals stay in NumPy arrays from the RNG draw through the merge: the
-feeds hold float64 times and int64 sizes, and
-:func:`~repro.netsim.kernels.merge_parts` turns the merged prefix into
-the Python lists ``times`` and ``sizes`` that the folds read element by
-element.  Beside them, ``owners`` is an int array of each entry's feed
-``order``; only the rare paths read it (a source's counters, a mid-run
-registration, a decommission), each with one NumPy comparison per feed.
+feeds hold float64 times and int64 sizes,
+:func:`~repro.netsim.kernels.merge_parts` merges them into arrays, and
+each merge appends those to the Python lists ``times`` and ``sizes``
+that the folds read element by element.  Beside them, ``owners`` is an
+int array of each entry's feed ``order``; only the rare paths read it (a
+source's counters, a mid-run registration, a decommission), each with
+one NumPy comparison per feed.
+
+Idle marks
+----------
+On a link with an infinite buffer and a fixed capacity, each merge also
+appends one byte per arrival to ``marks``
+(:func:`~repro.netsim.kernels.idle_marks`): 1 where an upper bound on
+the state of the hop fed only these cross arrivals, carried from merge
+to merge in ``_bound``, shows that the arrival finds that hop idle.  The
+real hop also carries foreground packets, and extra work never makes a
+FIFO hop free earlier, so at the first cross arrival that finds the real
+hop idle both are idle and compute the same floats from there until the
+next foreground packet: a marked arrival in between finds the real hop
+idle too.  :func:`~repro.netsim.hopfold.fold` skips on that ground.  A
+merge that cannot mark (a finite buffer, a capacity schedule,
+``REPRO_NO_VECTOR``) appends zeros and sets the bound to +inf, so no
+later merge marks across the gap; :meth:`CrossAggregator._unmerge`
+starts a new chain.
 
 Determinism contract
 --------------------
@@ -112,10 +130,11 @@ class CrossAggregator:
     and ``sizes`` are Python lists, which the folds read element by
     element; ``owners`` is an int array holding each entry's feed
     ``order``, read only by the rare paths that route entries back to
-    their sources.  Entries are merged only up to the *safe horizon* —
-    the earliest last-buffered time over all still-active sources — so a
-    source refilling later can never insert an arrival behind one
-    already merged.
+    their sources, and ``marks`` is a ``bytearray`` of each entry's idle
+    mark (module docstring).  Entries are merged only up to the *safe
+    horizon* — the earliest last-buffered time over all still-active
+    sources — so a source refilling later can never insert an arrival
+    behind one already merged.
     """
 
     __slots__ = (
@@ -125,8 +144,10 @@ class CrossAggregator:
         "times",
         "sizes",
         "owners",
+        "marks",
         "idx",
         "_horizon",
+        "_bound",
     )
 
     def __init__(self, sim: "Simulator", link: "Link"):
@@ -137,10 +158,14 @@ class CrossAggregator:
         self.times: list[float] = []
         self.sizes: list[int] = []
         self.owners: np.ndarray = _NO_OWNERS
+        self.marks = bytearray()
         self.idx = 0
         # Merged coverage: every arrival ≤ _horizon is final (safe-horizon
         # invariant).  +inf while no feed is active.
         self._horizon = math.inf
+        # Upper bound on the cross-only hop's free_at after the last
+        # merged arrival (kernels.idle_marks); -inf starts a chain.
+        self._bound = -math.inf
 
     @classmethod
     def attach(cls, sim: "Simulator", link: "Link") -> "CrossAggregator":
@@ -177,7 +202,8 @@ class CrossAggregator:
         The caller has folded every arrival due, so the feeds now hold
         only later ones and merged coverage stands at ``now``.  A source
         registering next does not lower it: its first arrival lies
-        strictly after its registration.
+        strictly after its registration.  The marks go with the entries,
+        and the next merge starts a new chain of them.
         """
         times, sizes, idx = self.times, self.sizes, self.idx
         self._horizon = self.sim.now
@@ -190,9 +216,10 @@ class CrossAggregator:
                 if mine.any():
                     feed.times = np.concatenate((tail_t[mine], feed.times))
                     feed.sizes = np.concatenate((tail_s[mine], feed.sizes))
-        del times[:], sizes[:]
+        del times[:], sizes[:], self.marks[:]
         self.owners = _NO_OWNERS
         self.idx = 0
+        self._bound = -math.inf
 
     # ------------------------------------------------------------------
     # Merge machinery
@@ -227,8 +254,21 @@ class CrossAggregator:
                 feed.sizes = feed.sizes[cut:]
         if parts_t:
             mt, ms, part_idx = kernels.merge_parts(parts_t, parts_s)
-            self.times.extend(mt)
-            self.sizes.extend(ms)
+            link = self.link
+            if (
+                link.buffer_bytes is None
+                and link._cap_sched is None
+                and kernels.enabled()
+            ):
+                marks, self._bound = kernels.idle_marks(
+                    mt, ms, link.capacity_bps, self._bound
+                )
+                self.marks.extend(marks)
+            else:
+                self.marks.extend(bytes(len(mt)))
+                self._bound = math.inf
+            self.times.extend(mt.tolist())
+            self.sizes.extend(ms.tolist())
             if part_idx is None:
                 # Single contributing source (single-source links, and
                 # every horizon where only the binding feed refilled past
@@ -271,6 +311,7 @@ class CrossAggregator:
         if idx > _COMPACT_THRESHOLD:
             del self.times[:idx]
             del self.sizes[:idx]
+            del self.marks[:idx]
             self.owners = self.owners[idx:]
             self.idx = 0
 

@@ -43,6 +43,35 @@ Contract (bit-identity with ``Link.send()``):
   deferred, and a transmission that finishes by ``until`` never enters
   ``in_flight``: completion times are monotone on a FIFO hop, so the
   purge at ``until`` would remove it anyway.
+
+Skipping idle arrivals
+----------------------
+On an infinite-buffer hop with a fixed capacity, an arrival that finds
+the hop idle restarts the recursion (``start = t``), so only the last
+busy period before a foreground packet, or before ``until``, can change
+an output.  The aggregator's *idle marks*
+(:mod:`repro.netsim.bulkarrivals`) flag the cross arrivals that provably
+find the hop fed only the cross arrivals idle.  :func:`fold` uses them on
+the *leading run* of a call: its cross arrivals up to the first
+foreground packet (ties included), or up to ``until`` when there is
+none.  It walks that run exactly until the first arrival that finds the
+real hop idle, then jumps to the run's last marked arrival and walks
+exactly from there.  The jump is exact:
+
+* The real hop carries the same cross arrivals plus foreground packets,
+  and extra work never makes a FIFO hop free earlier; float rounding is
+  monotone, so the float recursions keep that order.  At the first
+  arrival that finds the real hop idle, the cross-only hop is idle too,
+  both compute ``t + size*8/C``, and they stay the same floats until the
+  next foreground packet.
+* So the marked arrival finds the real hop idle, and its ``start`` is its
+  own time whatever came before it.  The arrivals skipped all finish by
+  then, no later than ``until``, so none of them enters ``in_flight``;
+  they only add to the forwarded byte and packet sums.
+
+Nothing skips past a foreground packet.  Finite buffers, capacity
+schedules and ``REPRO_NO_VECTOR`` have no marks and walk every arrival,
+and the sanitize shadow replays every arrival one at a time.
 """
 
 from __future__ import annotations
@@ -51,10 +80,12 @@ from bisect import bisect_right
 
 __all__ = ["admit", "fold", "fold_link"]
 
+_INF = float("inf")
+
 
 def fold(
     times, sizes, ci, until, free_at, backlog, in_flight, cap, sched, buffer_bytes,
-    fg=(), fg_size=0,
+    fg=(), fg_size=0, marks=None,
 ):
     """Fold cross arrivals ``times[ci:]``/``sizes[ci:]`` up to ``until``
     (inclusive), merged with foreground arrivals ``fg`` of ``fg_size``
@@ -63,41 +94,63 @@ def fold(
     ``fg`` is sorted, and its last entry is at or before ``until``.
     ``cap`` is the fixed rate and ``sched`` the link's ``(boundaries,
     rates)`` schedule or ``None``; ``buffer_bytes`` is ``None`` for an
-    infinite buffer.  Returns ``(ci, free_at, backlog, fwd_bytes,
-    fwd_pkts, drop_bytes, drop_pkts, dones, accepts)``: the new cursor,
-    the hop state at ``until`` (``in_flight`` already purged to it), the
-    bytes and packets this call forwarded and dropped, cross and
-    foreground together, each foreground entry's transmission-complete
-    time (0.0 when dropped), and its verdicts (``None`` for an infinite
-    buffer, which accepts every entry).
+    infinite buffer.  ``marks``, aligned with ``times``, holds the idle
+    marks of the cross arrivals, or is ``None`` (module docstring).
+    Returns ``(ci, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes,
+    drop_pkts, dones, accepts)``: the new cursor, the hop state at
+    ``until`` (``in_flight`` already purged to it), the bytes and packets
+    this call forwarded and dropped, cross and foreground together, each
+    foreground entry's transmission-complete time (0.0 when dropped), and
+    its verdicts (``None`` for an infinite buffer, which accepts every
+    entry).
     """
-    cn = len(times)
     nfg = len(fg)
-    fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
     dones: list[float] = []
-    k = 0
     if buffer_bytes is None:
         accepts = None
-        while True:
-            stop = fg[k] if k < nfg else until
-            while ci < cn:
+        drop_bytes = drop_pkts = 0
+        ci0 = ci
+        j = bisect_right(times, until, ci)
+        if marks and sched is None:
+            m = marks.rfind(1, ci + 1, bisect_right(times, fg[0], ci, j) if nfg else j)
+            # Walk the leading run exactly until the hop is idle, then
+            # jump to its last marked arrival, which finds it idle too.
+            while ci < m:
                 t = times[ci]
-                if t > stop:
+                if t >= free_at:
+                    ci = m
                     break
                 size = sizes[ci]
-                start = free_at if free_at > t else t
-                free_at = start + size * 8.0 / (
-                    cap if sched is None else sched[1][bisect_right(sched[0], start)]
-                )
-                fwd_bytes += size
-                fwd_pkts += 1
+                free_at += size * 8.0 / cap
                 if free_at > until:
                     in_flight.append((free_at, size))
                     backlog += size
                 ci += 1
-            if k == nfg:
-                break
-            start = free_at if free_at > stop else stop
+        # One pass over the due cross arrivals, the foreground merged in;
+        # cross arrivals win exact-time ties.
+        k = 0
+        ft = fg[0] if nfg else _INF
+        for t, size in zip(times[ci:j], sizes[ci:j]):
+            while ft < t:
+                start = free_at if free_at > ft else ft
+                free_at = start + fg_size * 8.0 / (
+                    cap if sched is None else sched[1][bisect_right(sched[0], start)]
+                )
+                if free_at > until:
+                    in_flight.append((free_at, fg_size))
+                    backlog += fg_size
+                dones.append(free_at)
+                k += 1
+                ft = fg[k] if k < nfg else _INF
+            start = free_at if free_at > t else t
+            free_at = start + size * 8.0 / (
+                cap if sched is None else sched[1][bisect_right(sched[0], start)]
+            )
+            if free_at > until:
+                in_flight.append((free_at, size))
+                backlog += size
+        for ft in fg[k:]:
+            start = free_at if free_at > ft else ft
             free_at = start + fg_size * 8.0 / (
                 cap if sched is None else sched[1][bisect_right(sched[0], start)]
             )
@@ -105,12 +158,15 @@ def fold(
                 in_flight.append((free_at, fg_size))
                 backlog += fg_size
             dones.append(free_at)
-            k += 1
-        fwd_bytes += fg_size * nfg
-        fwd_pkts += nfg
+        ci = j
+        fwd_bytes = sum(sizes[ci0:j]) + fg_size * nfg
+        fwd_pkts = j - ci0 + nfg
     else:
         # Drop-tail decisions replay in merge order: the backlog each
         # arrival tests is the one send() would compute at that instant.
+        cn = len(times)
+        fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
+        k = 0
         accepts = []
         while True:
             stop = fg[k] if k < nfg else until
@@ -179,12 +235,14 @@ def fold_link(link, until, fg=(), fg_size=0):
     """
     agg = link._agg
     times = sizes = ()
+    marks = None
     ci = 0
     if agg is not None:
         if agg._horizon < until:
             agg.extend_until(until)
         times = agg.times
         sizes = agg.sizes
+        marks = agg.marks
         ci = agg.idx
     if not fg and (ci >= len(times) or times[ci] > until):
         return (), None
@@ -194,7 +252,7 @@ def fold_link(link, until, fg=(), fg_size=0):
     ) = fold(
         times, sizes, ci, until, link._free_at, link._backlog_bytes,
         link._in_flight, link.capacity_bps, link._cap_sched, link.buffer_bytes,
-        fg, fg_size,
+        fg, fg_size, marks,
     )
     if agg is not None:
         agg.idx = ci

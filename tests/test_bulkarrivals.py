@@ -12,6 +12,7 @@ the sample path.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,8 +29,13 @@ from repro.netsim import (
     attach_cross_traffic,
     build_path,
 )
+from repro.experiments.base import fast_pathload_config
+from repro.netsim import kernels
 from repro.netsim.bulkarrivals import CrossAggregator
 from repro.netsim.crosstraffic import _CHUNK, CrossTrafficSource
+from repro.netsim.fastpath import NO_VECTOR_ENV
+from repro.netsim.topologies import Fig4Config, build_fig4_path
+from repro.transport.probe import run_pathload
 
 
 def run_experiment(
@@ -631,3 +637,124 @@ class TestLookAhead:
             assert all(s.is_bulk for s in sources)
             assert max(ahead) < 2 * _CHUNK, f"look-ahead {ahead} at t={t}"
         assert min(s.packets_sent for s in sources) > 2 * _CHUNK
+
+
+class TestIdleMarks:
+    """The aggregator's idle marks (``kernels.idle_marks``): one byte per
+    merged arrival, kept only where the fold may use them."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_kernels_on(self, monkeypatch):
+        # Marks exist only where the NumPy kernels run; the equality
+        # suites also run this file under REPRO_NO_VECTOR=1.
+        monkeypatch.delenv(NO_VECTOR_ENV, raising=False)
+
+    @staticmethod
+    def _link(buffer_bytes=None, schedule=None, rate=6e6):
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(10e6, buffer_bytes=buffer_bytes, name="L")])
+        link = net.forward_links[0]
+        if schedule is not None:
+            link.set_capacity_segments(schedule)
+        attach_cross_traffic(
+            sim, net, link, rate, np.random.default_rng(4), n_sources=3
+        )
+        return sim, net, link
+
+    def test_marks_stay_aligned_with_the_merged_arrivals(self, monkeypatch):
+        """Through merges, ``compact``, a mid-run registration and the
+        release, ``marks`` has one byte per merged arrival."""
+        trimmed = []
+        real_compact = CrossAggregator.compact
+
+        def compact(agg):
+            idx = agg.idx
+            real_compact(agg)
+            if agg.idx < idx:
+                trimmed.append(idx)
+            assert len(agg.marks) == len(agg.times)
+
+        monkeypatch.setattr(CrossAggregator, "compact", compact)
+        sim, net, link = self._link()
+        agg = link._agg
+
+        def check():
+            link.sync()
+            assert len(agg.marks) == len(agg.times) > 0
+
+        def attach_late():
+            attach_cross_traffic(
+                sim, net, link, 1e6, np.random.default_rng(5), n_sources=1, start=1.0
+            )
+            assert (len(agg.marks), len(agg.times), agg._bound) == (0, 0, -math.inf)
+
+        for k in range(1, 80):
+            sim.schedule_at(0.05 * k, check)
+        sim.schedule_at(1.0, attach_late)
+        sim.run(until=4.0)
+        # The consumed prefix was trimmed, and the arrivals merged after
+        # the registration were marked again.
+        assert trimmed and agg._bound < math.inf and sum(agg.marks) > 0
+        link.drop_hook = lambda pkt: None  # decommission: agg.release()
+        assert link._agg is None
+        assert (len(agg.marks), len(agg.times), agg._bound) == (0, 0, -math.inf)
+
+    @pytest.mark.parametrize(
+        "buffer_bytes, schedule",
+        [(20_000, None), (None, [(0.5, 8e6), (1.0, 12e6)])],
+        ids=["finite-buffer", "capacity-schedule"],
+    )
+    def test_no_marks_where_the_fold_cannot_skip(self, buffer_bytes, schedule):
+        before = kernels.kernel_calls.get("idle_marks", 0)
+        sim, _net, link = self._link(buffer_bytes, schedule)
+        sim.run(until=1.5)
+        assert link.stats.packets_forwarded > 1000
+        agg = link._agg
+        assert agg.times and len(agg.marks) == len(agg.times)
+        assert not any(agg.marks) and agg._bound == math.inf
+        assert kernels.kernel_calls.get("idle_marks", 0) == before
+
+    def test_a_merge_without_marks_ends_the_chain(self, monkeypatch):
+        """A merge that makes no marks sets the carried bound to +inf, so
+        later merges mark nothing: a bound that skipped arrivals would
+        no longer bound the hop."""
+        sim, _net, link = self._link(rate=9e6)
+        agg = link._agg
+        monkeypatch.setenv(NO_VECTOR_ENV, "1")
+        sim.run(until=0.5)
+        link.sync()
+        assert agg.times and agg._bound == math.inf and not any(agg.marks)
+        monkeypatch.delenv(NO_VECTOR_ENV)
+        before = kernels.kernel_calls.get("idle_marks", 0)
+        sim.run(until=2.0)
+        link.sync()
+        assert kernels.kernel_calls.get("idle_marks", 0) > before
+        assert len(agg.marks) == len(agg.times) and not any(agg.marks)
+        assert agg._bound == math.inf
+
+    def test_fig05_links_match_the_no_vector_layout(self, monkeypatch):
+        """One pathload run over the Fig. 4 path: with idle marks (the
+        default) and without (``REPRO_NO_VECTOR``), every hop ends with
+        ``==`` stats and queue state."""
+
+        def run():
+            sim = Simulator()
+            setup = build_fig4_path(
+                sim, Fig4Config(tight_utilization=0.6), np.random.default_rng(12)
+            )
+            before = kernels.kernel_calls.get("idle_marks", 0)
+            report = run_pathload(
+                sim, setup.network, config=fast_pathload_config(), start=2.0
+            )
+            links = setup.network.forward_links
+            return report, kernels.kernel_calls.get("idle_marks", 0) - before, [
+                (link.stats.snapshot(), link._free_at, list(link._in_flight))
+                for link in links
+            ]
+
+        marked = run()
+        monkeypatch.setenv(NO_VECTOR_ENV, "1")
+        walked = run()
+        assert marked[1] > 0 and walked[1] == 0
+        assert marked[0] == walked[0]
+        assert marked[2] == walked[2]

@@ -2,9 +2,11 @@
 
 ``repro.netsim.kernels.merge_parts`` has a NumPy path and a stable-sort
 Python twin (selected by ``REPRO_NO_VECTOR``).  Both take float64 time and
-int64 size arrays and must return lists ``==``-equal to a ``(time, part,
-index)`` sort for any input, with the part index as an int array; the
-opt-out and the selection counters are checked here too.
+int64 size arrays and must return float64 and int64 arrays ``==``-equal
+to a ``(time, part, index)`` sort for any input, with the part index as an
+int array; the opt-out and the selection counters are checked here too.
+The idle-mark kernel is checked against the hop recursion in
+``tests/test_hopfold.py``.
 """
 
 import os
@@ -84,11 +86,12 @@ class TestMergeParts:
             if pidx is None:  # single part: its own order
                 assert len(parts_t) == 1
                 pidx = np.zeros(len(mt), dtype=np.intp)
-            assert pidx.dtype.kind == "i", env
-            assert (mt, ms, pidx.tolist()) == want, env
-            # The merged lists hold Python scalars: the folds read them.
-            assert all(type(t) is float for t in mt), env
-            assert all(type(s) is int for s in ms), env
+            # The aggregator turns the arrays into the lists the folds
+            # read, and computes the idle marks from the same arrays.
+            assert (mt.dtype, ms.dtype, pidx.dtype.kind) == (
+                np.float64, np.int64, "i"
+            ), env
+            assert (mt.tolist(), ms.tolist(), pidx.tolist()) == want, env
 
     def test_single_part_in_its_own_order(self):
         for env in ({}, {NO_VECTOR_ENV: "1"}):
@@ -96,8 +99,8 @@ class TestMergeParts:
                 mt, ms, pidx = kernels.merge_parts(
                     *_arrays([[1.0, 2.0]], [[100, 200]])
                 )
-            assert (mt, ms, pidx) == ([1.0, 2.0], [100, 200], None), env
-            assert type(mt[0]) is float and type(ms[0]) is int, env
+            assert (mt.tolist(), ms.tolist(), pidx) == ([1.0, 2.0], [100, 200], None), env
+            assert (mt.dtype, ms.dtype) == (np.float64, np.int64), env
 
 
 class TestDegradation:
@@ -105,7 +108,7 @@ class TestDegradation:
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
         assert not kernels.enabled()
         mt, ms, pidx = kernels.merge_parts(*_arrays([[1.0], [0.5]], [[100], [200]]))
-        assert (mt, ms, pidx.tolist()) == ([0.5, 1.0], [200, 100], [1, 0])
+        assert (mt.tolist(), ms.tolist(), pidx.tolist()) == ([0.5, 1.0], [200, 100], [1, 0])
         assert not kernels.enabled()
         assert kernels.kernel_fallbacks.get("disabled") == 1  # noted once
         assert kernels.kernel_calls == {}
