@@ -92,9 +92,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = ["CrossAggregator"]
 
 #: Consumed-prefix length beyond which the merged arrays are compacted.
-#: Small enough that a finished simulation, which waits for a full garbage
-#: collection (its event queue and links form cycles), holds little of its
-#: consumed prefix; compaction drops folded entries only.
+#: Small enough that a simulation holds little of its consumed prefix
+#: while it runs, and after it: the sweep executor frees a finished
+#: simulation when its task ends, but one run outside the executor is
+#: cyclic garbage (its event queue and links form cycles) that waits for
+#: the automatic collector.  Compaction drops folded entries only.
 _COMPACT_THRESHOLD = 2048
 
 # Empty starting arrays; never written in place, so they can be shared.

@@ -31,6 +31,7 @@ asserts row-for-row on a real figure.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import os
 import pickle
@@ -296,6 +297,17 @@ def _invoke(
     back to the parent.  The child tracer is installed as the process
     *ambient* tracer for the duration of the call, so every simulator the
     task function builds internally adopts it at construction.
+
+    A finished simulation is cyclic garbage: its event queue holds bound
+    methods of links and sources, which hold the simulator.  Left to the
+    automatic collector it waits for a full collection, so a worker's
+    memory would climb with the tasks it has run.  The simulator keeps no
+    GC-tracked object per event (its logs are columns), so few
+    collections run during a task and its simulation normally ends in the
+    young generations: one generation-1 collection when the task returns
+    or raises frees it.  That collection is timed with the task.  It is
+    skipped while automatic collection is off, where the caller manages
+    collection itself.
     """
     task, capture = item
     child = previous = None
@@ -317,6 +329,8 @@ def _invoke(
     except Exception:
         ok, payload = False, traceback.format_exc()
     finally:
+        if gc.isenabled():
+            gc.collect(1)
         wall_s = time.perf_counter() - t0  # simlint: disable=SIM001 -- host-side task timing, outside the simulation
         if capture is not None:
             from .netsim.engine import set_ambient_tracer

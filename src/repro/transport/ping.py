@@ -4,14 +4,15 @@ Sections VII and VIII of the paper sample the path RTT with ``ping`` every
 second (Fig. 16) or every 100 ms (Fig. 18) to expose queue build-up at the
 tight link.  :class:`Pinger` reproduces that: small echo packets travel the
 forward path, are reflected onto the reverse path, and the sender records
-``(send_time, rtt)`` pairs; unanswered probes count as lost after a
-timeout.
+each answered probe's send time and RTT; unanswered probes count as lost
+after a timeout.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import Optional
 
 from ..netsim.engine import Simulator
@@ -67,12 +68,20 @@ class Pinger:
         self.timeout = float(timeout)
         self.stop = stop
         self.flow_id = f"ping-{next(_ping_ids)}"
-        #: (send time, RTT) pairs of answered probes
-        self.rtts: list[tuple[float, float]] = []
+        # Send times and RTTs of answered probes, as two columns: a tuple
+        # per reply would be one GC-tracked object per probe.
+        self._sent_times = array("d")
+        self._rtt_values = array("d")
         self.sent = 0
         self.lost = 0
         self._outstanding: dict[int, float] = {}  # seq -> send time
         sim.schedule_at(start, self._send_probe)
+
+    @property
+    def rtts(self) -> list[tuple[float, float]]:
+        """``(send time, RTT)`` pairs of answered probes, in reply order:
+        a read-only view, built from the two columns on every access."""
+        return list(zip(self._sent_times, self._rtt_values))
 
     # ------------------------------------------------------------------
     def _send_probe(self) -> None:
@@ -105,7 +114,8 @@ class Pinger:
         sent_at = self._outstanding.pop(pkt.seq, None)
         if sent_at is None:
             return  # answered after timeout; already counted as lost
-        self.rtts.append((sent_at, self.sim.now - sent_at))
+        self._sent_times.append(sent_at)
+        self._rtt_values.append(self.sim.now - sent_at)
 
     def _check_timeout(self, seq: int) -> None:
         if self._outstanding.pop(seq, None) is not None:
@@ -114,8 +124,12 @@ class Pinger:
     # ------------------------------------------------------------------
     def rtts_between(self, t_from: float, t_to: float) -> list[float]:
         """RTT samples whose probe was sent within ``[t_from, t_to)``."""
-        return [rtt for t, rtt in self.rtts if t_from <= t < t_to]
+        return [
+            rtt
+            for t, rtt in zip(self._sent_times, self._rtt_values)
+            if t_from <= t < t_to
+        ]
 
     def max_rtt(self) -> float:
         """Largest observed RTT (0 if none)."""
-        return max((rtt for _t, rtt in self.rtts), default=0.0)
+        return max(self._rtt_values, default=0.0)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -155,9 +156,11 @@ class TCPReceiver:
     """Receiving side: cumulative ACKs plus out-of-order buffering.
 
     Delivery accounting: ``delivered_bytes`` counts in-order bytes, and
-    ``delivery_log`` records ``(time, cumulative_in_order_bytes)`` after
-    every advance — the series Section VII bins into 1-second throughput
-    samples.
+    every advance appends its time and the new cumulative in-order byte
+    count to two columns — the series Section VII bins into 1-second
+    throughput samples.  ``delivered_log`` is a read-only view of them:
+    a list of ``(time, cumulative_in_order_bytes)`` tuples, built from
+    the columns on every access.
     """
 
     def __init__(
@@ -173,7 +176,10 @@ class TCPReceiver:
         self.config = config
         self.rcv_nxt = 0  # next expected byte
         self._out_of_order: dict[int, int] = {}  # seq -> length
-        self.delivered_log: list[tuple[float, int]] = []
+        # Delivery log columns: times and cumulative in-order bytes.  A
+        # tuple per entry would be one GC-tracked object per segment.
+        self._delivered_times = array("d")
+        self._delivered_counts = array("q")
         self.acks_sent = 0
         self._delack_pending = 0
         self._delack_timer: Optional[ScheduledCall] = None
@@ -186,19 +192,25 @@ class TCPReceiver:
         """Cumulative in-order bytes received."""
         return self.rcv_nxt
 
+    @property
+    def delivered_log(self) -> list[tuple[float, int]]:
+        """``(time, cumulative_in_order_bytes)`` after every advance."""
+        return list(zip(self._delivered_times, self._delivered_counts))
+
     def throughput_bps(self, t_from: float, t_to: float) -> float:
         """Average goodput over ``[t_from, t_to]`` from the delivery log."""
         if t_to <= t_from:
             raise ValueError("need t_to > t_from")
         # The log is appended in event order, so both lookups ("last
-        # cumulative count at or before t") are binary searches; the
-        # linear scan this replaces made binned sampling O(bins * log).
-        log = self.delivered_log
-        inf = float("inf")
-        i = bisect_right(log, (t_from, inf))
-        j = bisect_right(log, (t_to, inf))
-        start = log[i - 1][1] if i else 0
-        end = log[j - 1][1] if j else start
+        # cumulative count at or before t") are binary searches over the
+        # times; the linear scan this replaces made binned sampling
+        # O(bins * log).
+        times = self._delivered_times
+        counts = self._delivered_counts
+        i = bisect_right(times, t_from)
+        j = bisect_right(times, t_to)
+        start = counts[i - 1] if i else 0
+        end = counts[j - 1] if j else start
         return (end - start) * 8.0 / (t_to - t_from)
 
     def binned_throughput_bps(
@@ -236,7 +248,8 @@ class TCPReceiver:
                 while rcv_nxt in oob:
                     rcv_nxt += oob.pop(rcv_nxt)
             self.rcv_nxt = rcv_nxt
-            self.delivered_log.append((t, rcv_nxt))
+            self._delivered_times.append(t)
+            self._delivered_counts.append(rcv_nxt)
             if self.config.delayed_ack:
                 self._delack_pending += 1
                 if self._delack_pending == 1:
@@ -337,7 +350,9 @@ class TCPSender:
         self.segments_sent = 0
         self.retransmits = 0
         self.timeouts = 0
-        self.cwnd_log: list[tuple[float, float]] = []
+        # cwnd log columns: times and windows (see ``cwnd_log``).
+        self._cwnd_times = array("d")
+        self._cwnds = array("d")
         # Cached tracer: the nil path costs one None-check per cwnd change.
         # Light tracers cache None: per-ack cwnd/rto instants are exactly
         # the per-packet visibility --trace-light trades away.
@@ -371,6 +386,12 @@ class TCPSender:
     def acked_bytes(self) -> int:
         """Bytes cumulatively acknowledged."""
         return self.snd_una
+
+    @property
+    def cwnd_log(self) -> list[tuple[float, float]]:
+        """``(time, cwnd)`` after every window change: a read-only view,
+        built from the log's two columns on every access."""
+        return list(zip(self._cwnd_times, self._cwnds))
 
     @property
     def flight_size(self) -> int:
@@ -610,7 +631,8 @@ class TCPSender:
         self._log_cwnd(t)
 
     def _log_cwnd(self, t: float) -> None:
-        self.cwnd_log.append((t, self.cwnd))
+        self._cwnd_times.append(t)
+        self._cwnds.append(self.cwnd)
         if self._tracer is not None:
             self._tracer.instant(
                 t,

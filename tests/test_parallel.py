@@ -10,18 +10,21 @@ The contract under test, in order of importance:
    ``SeedSequence.spawn`` would have produced (serial streams unchanged).
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.campaign import CampaignResult, CampaignSample
 from repro.core.pathload import PathloadReport
-from repro.experiments import fig05_load
+from repro.experiments import fig05_load, fig15_16_btc
 from repro.experiments.base import (
     Scale,
     rng_from_entropy,
     spawn_seed_entropy,
     spawn_seeds,
 )
+from repro.netsim.topologies import Fig4Config
 from repro.parallel import (
     SweepError,
     SweepTask,
@@ -69,6 +72,12 @@ def _tiny_pathload(seed_entropy):
         report.termination,
         report.n_streams_sent,
     )
+
+
+def _simulators():
+    from repro.netsim.engine import Simulator
+
+    return [o for o in gc.get_objects() if isinstance(o, Simulator)]
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +128,39 @@ class TestPoolMatchesSerial:
         serial = fig05_load.run(scale=scale, jobs=1, cache=False)
         pooled = fig05_load.run(scale=scale, jobs=2, cache=False)
         assert pooled.rows == serial.rows
+
+
+class TestFinishedSimulationsFreed:
+    @pytest.mark.parametrize("no_fast", [False, True], ids=["default", "no-fast"])
+    def test_no_simulator_outlives_its_task(self, no_fast, monkeypatch):
+        # A finished simulation is cyclic garbage.  The executor's
+        # young-generation collection after each task must free it, so
+        # this test collects before the sweep and never after it.
+        if no_fast:
+            monkeypatch.setenv("REPRO_NO_FAST", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_FAST", raising=False)
+        tasks = [
+            # A short Section VII schedule with BTC in B and D.
+            SweepTask(
+                fn=fig15_16_btc._simulate,
+                kwargs={"seed": 3, "interval": 6.0},
+                experiment="unit-freed",
+            ),
+            *fig05_load.point_tasks(
+                Fig4Config(tight_utilization=0.6),
+                runs=1,
+                master_seed=5,
+                experiment="unit-freed",
+            ),
+        ]
+        gc.collect()
+        alive = _simulators()  # held, so that no new one reuses an id
+        known = {id(s) for s in alive}
+        outcomes = run_sweep(tasks, jobs=1, cache=False)
+        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+        left = [s for s in _simulators() if id(s) not in known]
+        assert left == []
 
 
 class TestTaskValidation:

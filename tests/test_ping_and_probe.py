@@ -6,6 +6,7 @@ import pytest
 from repro.core.probing import StreamSpec
 from repro.netsim import LinkSpec, Simulator, build_path
 from repro.netsim.clock import OffsetClock
+from repro.netsim.packet import Packet, PacketKind
 from repro.transport.ping import Pinger
 from repro.transport.probe import ProbeChannel, SendJitter
 
@@ -60,6 +61,56 @@ class TestPinger:
             Pinger(sim, net, interval=0.0)
         with pytest.raises(ValueError):
             Pinger(sim, net, timeout=0.0)
+
+
+def _pinger_with(replies):
+    """A Pinger whose answered probes are ``replies``, (send time, reply
+    time) pairs, each written by its reply handler at the reply time."""
+    sim = Simulator()
+    ping = Pinger(sim, None, start=0.0, stop=0.0)  # sends no probe
+    for seq, (sent, back) in enumerate(replies):
+        ping._outstanding[seq] = sent
+        pong = Packet(64, flow_id=ping.flow_id, seq=seq, kind=PacketKind.PONG)
+        sim.schedule_at(back, ping._reply_arrived, pong)
+    sim.run()
+    return ping
+
+
+#: (send time, reply time): two probes sent at t = 2, and the probe sent
+#: at t = 3 answered after the one sent at t = 4.
+REPLIES = [(1.0, 1.2), (2.0, 2.25), (2.0, 2.5), (3.0, 5.0), (4.0, 4.1)]
+#: Window edges: every send instant, instants between them, and instants
+#: before the first and after the last.
+EDGES = [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0]
+
+
+class TestPingerColumns:
+    """The RTTs are columns; the lookups must read as the tuple list did."""
+
+    @pytest.mark.parametrize("replies", [REPLIES, []], ids=["replies", "none"])
+    def test_lookups_match_tuple_filters(self, replies):
+        ping = _pinger_with(replies)
+        log = [(sent, back - sent) for sent, back in sorted(replies, key=lambda r: r[1])]
+        assert ping.rtts == log
+        for k, t_from in enumerate(EDGES):
+            for t_to in EDGES[k + 1 :]:
+                got = ping.rtts_between(t_from, t_to)
+                assert got == [rtt for t, rtt in log if t_from <= t < t_to]
+                assert all(type(rtt) is float for rtt in got)
+        assert ping.max_rtt() == max((rtt for _t, rtt in log), default=0.0)
+        assert type(ping.max_rtt()) is float
+
+    def test_view_holds_python_floats(self):
+        sim = Simulator()
+        net = build_path(sim, [LinkSpec(1e6, prop_delay=0.01)])
+        ping = Pinger(sim, net, interval=0.1, start=0.0, stop=2.0)
+        sim.run(until=3.0)
+        rtts = ping.rtts
+        assert type(rtts) is list and len(rtts) == 20
+        for t, rtt in rtts:
+            assert type(t) is float and type(rtt) is float
+        with pytest.raises(AttributeError):
+            ping.rtts = []
 
 
 class TestProbeChannel:
