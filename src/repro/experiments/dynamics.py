@@ -16,9 +16,7 @@ out across processes and reproduces the serial sample order exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Optional
 
 from ..analysis.stats import percentile_grid, relative_variation
 from ..core.config import PathloadConfig
@@ -72,7 +70,7 @@ def rho_samples(
     runs: int,
     master_seed: int,
     capacity_bps: float,
-    utilization: Callable[[np.random.Generator], float] | tuple[float, float] | float,
+    utilization: tuple[float, float] | float,
     config: Optional[PathloadConfig] = None,
     n_sources: int = 10,
     warmup: float = 2.0,
@@ -84,41 +82,12 @@ def rho_samples(
 ) -> list[float]:
     """Relative-variation samples over ``runs`` independent pathload runs.
 
-    ``utilization`` is a constant, a ``(lo, hi)`` range drawn uniformly per
-    run, or — legacy, serial-only — a callable taking the run's generator.
-    A ``(lo, hi)`` tuple and the equivalent callable draw the same value
-    from the same stream, so the two spellings produce identical samples;
-    only the tuple form can cross a process boundary.
+    ``utilization`` is a constant, or a ``(lo, hi)`` range drawn uniformly
+    per run from the run's own generator.
     """
     if config is None:
         config = fast_pathload_config()
     entropies = spawn_seed_entropy(master_seed, runs)
-    if callable(utilization):
-        if jobs != 1:
-            raise ValueError(
-                "a callable utilization cannot be pickled into worker "
-                "processes; pass a (lo, hi) range or a constant to use jobs>1"
-            )
-        samples = []
-        for entropy in entropies:
-            rng = rng_from_entropy(entropy)
-            u = float(utilization(rng))
-            sim = Simulator()
-            setup = build_single_hop_path(
-                sim,
-                capacity_bps,
-                u,
-                rng,
-                prop_delay=prop_delay,
-                traffic_model="pareto",
-                n_sources=n_sources,
-                modulation=modulation,
-            )
-            report = run_pathload(
-                sim, setup.network, config=config, start=warmup, time_limit=1200.0
-            )
-            samples.append(relative_variation(report.low_bps, report.high_bps))
-        return samples
     tasks = [
         SweepTask(
             fn=_rho_one,

@@ -25,11 +25,13 @@ transmitter/backlog ledger lazily, at its sync points (foreground
 packets observe exactly the queue state the per-packet path would have
 produced.
 
-Arrivals stay in NumPy arrays from the RNG draw through the merge: the
-feeds hold float64 times and int64 sizes,
+Arrivals stay in NumPy arrays from the RNG draw until a fold walks
+them: the feeds hold float64 times and int64 sizes,
 :func:`~repro.netsim.kernels.merge_parts` merges them into arrays, and
-each merge appends those to the Python lists ``times`` and ``sizes``
-that the folds read element by element.  Beside them, ``owners`` is an
+each merge concatenates those onto the aggregator's ``times`` and
+``sizes`` arrays.  :func:`~repro.netsim.hopfold.fold` turns into Python
+floats and ints only the slices it walks; the arrivals its idle skip
+jumps over never become Python objects.  Beside them, ``owners`` is an
 int array of each entry's feed ``order``; only the rare paths read it (a
 source's counters, a mid-run registration, a decommission), each with
 one NumPy comparison per feed.
@@ -96,7 +98,8 @@ __all__ = ["CrossAggregator"]
 #: while it runs, and after it: the sweep executor frees a finished
 #: simulation when its task ends, but one run outside the executor is
 #: cyclic garbage (its event queue and links form cycles) that waits for
-#: the automatic collector.  Compaction drops folded entries only.
+#: the automatic collector.  Compaction drops folded entries only; the
+#: sliced arrays keep their base until the next merge's concatenation.
 _COMPACT_THRESHOLD = 2048
 
 # Empty starting arrays; never written in place, so they can be shared.
@@ -129,14 +132,15 @@ class CrossAggregator:
     ``sizes`` / ``owners``, consumed from the cursor ``idx`` by
     :func:`~repro.netsim.hopfold.fold_link`), which readers extend on
     demand with :meth:`extend_until`; it schedules no event.  ``times``
-    and ``sizes`` are Python lists, which the folds read element by
-    element; ``owners`` is an int array holding each entry's feed
-    ``order``, read only by the rare paths that route entries back to
-    their sources, and ``marks`` is a ``bytearray`` of each entry's idle
-    mark (module docstring).  Entries are merged only up to the *safe
-    horizon* — the earliest last-buffered time over all still-active
-    sources — so a source refilling later can never insert an arrival
-    behind one already merged.
+    and ``sizes`` are float64 and int64 arrays, replaced, never written
+    in place: a merge concatenates, compaction slices.  ``owners`` is an
+    int array holding each entry's feed ``order``, read only by the rare
+    paths that route entries back to their sources, and ``marks`` is a
+    ``bytearray`` of each entry's idle mark (module docstring).  Entries
+    are merged only up to the *safe horizon* — the earliest
+    last-buffered time over all still-active sources — so a source
+    refilling later can never insert an arrival behind one already
+    merged.
     """
 
     __slots__ = (
@@ -157,8 +161,8 @@ class CrossAggregator:
         self.link = link
         self.feeds: list[_Feed] = []
         #: merged admission queue; ``idx`` is the first not-yet-admitted entry
-        self.times: list[float] = []
-        self.sizes: list[int] = []
+        self.times: np.ndarray = _NO_TIMES
+        self.sizes: np.ndarray = _NO_SIZES
         self.owners: np.ndarray = _NO_OWNERS
         self.marks = bytearray()
         self.idx = 0
@@ -207,19 +211,19 @@ class CrossAggregator:
         strictly after its registration.  The marks go with the entries,
         and the next merge starts a new chain of them.
         """
-        times, sizes, idx = self.times, self.sizes, self.idx
+        idx = self.idx
         self._horizon = self.sim.now
-        if idx < len(times):
+        if idx < len(self.times):
             owners = self.owners[idx:]
-            tail_t = np.array(times[idx:], dtype=np.float64)
-            tail_s = np.array(sizes[idx:], dtype=np.int64)
+            tail_t = self.times[idx:]
+            tail_s = self.sizes[idx:]
             for feed in self.feeds:
                 mine = owners == feed.order
                 if mine.any():
                     feed.times = np.concatenate((tail_t[mine], feed.times))
                     feed.sizes = np.concatenate((tail_s[mine], feed.sizes))
-        del times[:], sizes[:], self.marks[:]
-        self.owners = _NO_OWNERS
+        self.times, self.sizes, self.owners = _NO_TIMES, _NO_SIZES, _NO_OWNERS
+        del self.marks[:]
         self.idx = 0
         self._bound = -math.inf
 
@@ -269,8 +273,8 @@ class CrossAggregator:
             else:
                 self.marks.extend(bytes(len(mt)))
                 self._bound = math.inf
-            self.times.extend(mt.tolist())
-            self.sizes.extend(ms.tolist())
+            self.times = np.concatenate((self.times, mt))
+            self.sizes = np.concatenate((self.sizes, ms))
             if part_idx is None:
                 # Single contributing source (single-source links, and
                 # every horizon where only the binding feed refilled past
@@ -311,10 +315,10 @@ class CrossAggregator:
         """Trim the consumed prefix of the merged arrays (amortized O(1))."""
         idx = self.idx
         if idx > _COMPACT_THRESHOLD:
-            del self.times[:idx]
-            del self.sizes[:idx]
-            del self.marks[:idx]
+            self.times = self.times[idx:]
+            self.sizes = self.sizes[idx:]
             self.owners = self.owners[idx:]
+            del self.marks[:idx]
             self.idx = 0
 
     def release(self) -> None:

@@ -24,10 +24,10 @@ source:
   pulled: the traffic is open loop, so a reader of the link (a foreground
   send, a backlog or stats read, the flow-transit walk) generates and
   merges what it needs, and the source stays about one chunk ahead of
-  the fold.  The arrivals stay NumPy arrays from the draw to the
-  aggregator's k-way merge, which turns them into the Python lists the
-  fold reads.  Open-loop background load thus costs **no scheduler
-  events at all**, while every foreground packet observes a
+  the fold.  The arrivals stay NumPy arrays from the draw through the
+  aggregator's k-way merge; the fold turns into Python floats and ints
+  only the slices it walks.  Open-loop background load thus costs **no
+  scheduler events at all**, while every foreground packet observes a
   bit-identical queue.
 * **Per-packet (fallback).**  One heap event plus O(1) Python work per
   packet.  Engaged automatically when the sample path could depend on
@@ -141,6 +141,10 @@ class PacketMix:
                 )
         self.sizes = np.array([s for s, _p in sizes_probs], dtype=np.int64)
         self.probs = np.array([p for _s, p in sizes_probs], dtype=np.float64)
+        # The CDF Generator.choice(sizes, n, p=probs) rebuilds on every call.
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
 
     @property
     def mean_size(self) -> float:
@@ -148,8 +152,13 @@ class PacketMix:
         return float(np.dot(self.sizes, self.probs))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` packet sizes."""
-        return rng.choice(self.sizes, size=n, p=self.probs)
+        """Draw ``n`` packet sizes.
+
+        The steps of ``rng.choice(self.sizes, n, p=self.probs)``, minus its
+        per-call validation and CDF build: the same uniform draws, so the
+        same sizes and the same generator state after the call.
+        """
+        return self.sizes[self._cdf.searchsorted(rng.random(n), "right")]
 
     @classmethod
     def constant(cls, size: int) -> "PacketMix":
@@ -318,11 +327,10 @@ class CrossTrafficSource:
         """Bytes offered to the link so far (reading folds bulk arrivals)."""
         if self._feed is not None:
             buffered, merged = self._pending()
-            sizes = self.link._agg.sizes
             return (
                 self._gen_bytes
                 - sum(buffered.tolist())
-                - sum([sizes[i] for i in merged.tolist()])
+                - sum(self.link._agg.sizes[merged].tolist())
             )
         return self._bytes_sent
 
@@ -495,7 +503,7 @@ class CrossTrafficSource:
         order — warmup draw, then alternating gap/size chunks per refill,
         with modulation boundary draws interleaved at their event
         positions — is byte-identical.  Times and sizes stay float64 and
-        int64 arrays up to the merge, which turns them into lists.
+        int64 arrays through the merge, up to the fold.
         """
         if len(feed.times) >= _CHUNK:
             return

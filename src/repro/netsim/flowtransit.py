@@ -959,7 +959,14 @@ class FlowTransitDomain:
             if not fg and ci1 == ci0:
                 continue
             cross = (
-                [(agg.times[ci], 0, ci, agg.sizes[ci], None) for ci in range(ci0, ci1)]
+                [
+                    (t, 0, ci, sz, None)
+                    for ci, t, sz in zip(
+                        range(ci0, ci1),
+                        agg.times[ci0:ci1].tolist(),
+                        agg.sizes[ci0:ci1].tolist(),
+                    )
+                ]
                 if agg is not None
                 else []
             )

@@ -72,15 +72,50 @@ exactly from there.  The jump is exact:
 Nothing skips past a foreground packet.  Finite buffers, capacity
 schedules and ``REPRO_NO_VECTOR`` have no marks and walk every arrival,
 and the sanitize shadow replays every arrival one at a time.
+
+Arrays in, Python scalars out
+-----------------------------
+The aggregator keeps its merged arrivals as float64 and int64 arrays,
+and :func:`fold` converts only what it walks: the leading run in
+windows that double, up to the first arrival that finds the hop idle,
+then ``[m, j)`` after the jump.  ``searchsorted`` finds the cursor
+bounds.  The arrivals jumped over never become Python objects; their
+byte sum is an int64 sum, taken over at most 1,023 arrivals at a time
+so that it stays exact for every size a
+:class:`~repro.netsim.crosstraffic.PacketMix` accepts (up to 2**53
+bytes).  So the clock, the link state, ``LinkStats`` and every value
+the fold returns are Python floats and ints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+from .bulkarrivals import _NO_SIZES, _NO_TIMES
+
 __all__ = ["admit", "fold", "fold_link"]
 
 _INF = float("inf")
+
+#: Cross arrivals in the leading-run walk's first window; each further
+#: window doubles.  Half of fig05's walks find the hop idle at once, and
+#: a few of fig11's walk hundreds of arrivals.
+_WINDOW = 16
+
+#: Most cross sizes one int64 sum may add: a size is at most 2**53 bytes
+#: (``crosstraffic._MAX_PACKET_SIZE``), and 1,023 of those stay below
+#: 2**63.
+_SUM_SPAN = (2**63 - 1) // 2**53
+
+
+def _byte_sum(sizes, a, b):
+    """``sum(sizes[a:b])`` as a Python int, exact for every size a
+    :class:`~repro.netsim.crosstraffic.PacketMix` accepts."""
+    if b - a <= _SUM_SPAN:
+        return int(sizes[a:b].sum())
+    return sum(
+        int(sizes[k : min(k + _SUM_SPAN, b)].sum()) for k in range(a, b, _SUM_SPAN)
+    )
 
 
 def fold(
@@ -91,46 +126,59 @@ def fold(
     (inclusive), merged with foreground arrivals ``fg`` of ``fg_size``
     bytes each.
 
-    ``fg`` is sorted, and its last entry is at or before ``until``.
-    ``cap`` is the fixed rate and ``sched`` the link's ``(boundaries,
-    rates)`` schedule or ``None``; ``buffer_bytes`` is ``None`` for an
-    infinite buffer.  ``marks``, aligned with ``times``, holds the idle
-    marks of the cross arrivals, or is ``None`` (module docstring).
-    Returns ``(ci, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes,
-    drop_pkts, dones, accepts)``: the new cursor, the hop state at
-    ``until`` (``in_flight`` already purged to it), the bytes and packets
-    this call forwarded and dropped, cross and foreground together, each
-    foreground entry's transmission-complete time (0.0 when dropped), and
-    its verdicts (``None`` for an infinite buffer, which accepts every
-    entry).
+    ``times`` and ``sizes`` are sorted float64 and int64 arrays; only the
+    arrivals walked become Python objects.  ``fg`` is sorted, and its
+    last entry is at or before ``until``.  ``cap`` is the fixed rate and
+    ``sched`` the link's ``(boundaries, rates)`` schedule or ``None``;
+    ``buffer_bytes`` is ``None`` for an infinite buffer.  ``marks``,
+    aligned with ``times``, holds the idle marks of the cross arrivals,
+    or is ``None`` (module docstring).  Returns ``(ci, free_at, backlog,
+    fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts)``: the
+    new cursor, the hop state at ``until`` (``in_flight`` already purged
+    to it), the bytes and packets this call forwarded and dropped, cross
+    and foreground together, each foreground entry's
+    transmission-complete time (0.0 when dropped), and its verdicts
+    (``None`` for an infinite buffer, which accepts every entry).
     """
     nfg = len(fg)
     dones: list[float] = []
+    # bisect_right(times, until, ci), on a sorted array.
+    j = int(times.searchsorted(until, "right"))
+    if j < ci:
+        j = ci
     if buffer_bytes is None:
         accepts = None
         drop_bytes = drop_pkts = 0
         ci0 = ci
-        j = bisect_right(times, until, ci)
         if marks and sched is None:
-            m = marks.rfind(1, ci + 1, bisect_right(times, fg[0], ci, j) if nfg else j)
-            # Walk the leading run exactly until the hop is idle, then
-            # jump to its last marked arrival, which finds it idle too.
+            m = marks.rfind(
+                1, ci + 1, int(times.searchsorted(fg[0], "right")) if nfg else j
+            )
+            # Walk the leading run exactly, in windows that double, until
+            # the hop is idle, then jump to its last marked arrival, which
+            # finds it idle too.
+            step = _WINDOW
             while ci < m:
-                t = times[ci]
-                if t >= free_at:
-                    ci = m
-                    break
-                size = sizes[ci]
-                free_at += size * 8.0 / cap
-                if free_at > until:
-                    in_flight.append((free_at, size))
-                    backlog += size
-                ci += 1
+                w = ci + step if ci + step < m else m
+                step += step
+                for t, size in zip(times[ci:w].tolist(), sizes[ci:w].tolist()):
+                    if t >= free_at:
+                        ci = m
+                        break
+                    free_at += size * 8.0 / cap
+                    if free_at > until:
+                        in_flight.append((free_at, size))
+                        backlog += size
+                    ci += 1
         # One pass over the due cross arrivals, the foreground merged in;
         # cross arrivals win exact-time ties.
+        tail = sizes[ci:j].tolist()
+        fwd_bytes = sum(tail) + fg_size * nfg
+        if ci > ci0:
+            fwd_bytes += _byte_sum(sizes, ci0, ci)
         k = 0
         ft = fg[0] if nfg else _INF
-        for t, size in zip(times[ci:j], sizes[ci:j]):
+        for t, size in zip(times[ci:j].tolist(), tail):
             while ft < t:
                 start = free_at if free_at > ft else ft
                 free_at = start + fg_size * 8.0 / (
@@ -158,23 +206,24 @@ def fold(
                 in_flight.append((free_at, fg_size))
                 backlog += fg_size
             dones.append(free_at)
-        ci = j
-        fwd_bytes = sum(sizes[ci0:j]) + fg_size * nfg
         fwd_pkts = j - ci0 + nfg
     else:
         # Drop-tail decisions replay in merge order: the backlog each
         # arrival tests is the one send() would compute at that instant.
-        cn = len(times)
+        ts = times[ci:j].tolist()
+        ss = sizes[ci:j].tolist()
+        cn = len(ts)
+        p = 0
         fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
         k = 0
         accepts = []
         while True:
             stop = fg[k] if k < nfg else until
-            while ci < cn:
-                t = times[ci]
+            while p < cn:
+                t = ts[p]
                 if t > stop:
                     break
-                size = sizes[ci]
+                size = ss[p]
                 while in_flight and in_flight[0][0] <= t:
                     backlog -= in_flight.popleft()[1]
                 if backlog + size > buffer_bytes:
@@ -189,7 +238,7 @@ def fold(
                     backlog += size
                     fwd_bytes += size
                     fwd_pkts += 1
-                ci += 1
+                p += 1
             if k == nfg:
                 break
             while in_flight and in_flight[0][0] <= stop:
@@ -214,7 +263,7 @@ def fold(
     while in_flight and in_flight[0][0] <= until:
         backlog -= in_flight.popleft()[1]
     return (
-        ci, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts
+        j, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts
     )
 
 
@@ -234,7 +283,7 @@ def fold_link(link, until, fg=(), fg_size=0):
     its shadow check replays.
     """
     agg = link._agg
-    times = sizes = ()
+    times, sizes = _NO_TIMES, _NO_SIZES
     marks = None
     ci = 0
     if agg is not None:

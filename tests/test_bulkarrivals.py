@@ -34,6 +34,7 @@ from repro.netsim import kernels
 from repro.netsim.bulkarrivals import CrossAggregator
 from repro.netsim.crosstraffic import _CHUNK, CrossTrafficSource
 from repro.netsim.fastpath import NO_VECTOR_ENV
+from repro.netsim.hopfold import fold_link
 from repro.netsim.topologies import Fig4Config, build_fig4_path
 from repro.transport.probe import run_pathload
 
@@ -537,35 +538,50 @@ class TestPythonScalars:
     )
     @pytest.mark.parametrize("bulk", [None, False], ids=["bulk", "per-packet"])
     def test_no_numpy_scalar_reaches_the_simulator(self, bulk, modulation):
-        """Arrivals live in NumPy arrays until the merge, but the clock,
-        the merged admission queue and the counters hold float and int:
-        a NumPy scalar there would slow every fold and could leak into
-        reports."""
-        sim = Simulator()
-        net = build_path(sim, [LinkSpec(10e6, buffer_bytes=20_000, name="L")])
-        link = net.forward_links[0]
-        src = CrossTrafficSource(
-            sim, net, link, 6e6, np.random.default_rng(5),
-            stop=3.0, modulation=modulation, bulk=bulk,
-        )
-        assert src.is_bulk == (bulk is None)
-        agg = link._agg
-        for until in (1.5, 4.0):
-            sim.run(until=until)
-            # The next event, where one exists, is an arrival or a
-            # delivery; bulk sources schedule none, and past ``stop`` the
-            # heap may be empty.
-            head = sim.peek_time()
-            if head is not None:
-                assert type(head) is float, type(head)
-            assert type(sim.now) is float, type(sim.now)
-            if agg is not None:
-                assert type(agg._horizon) is float
-                assert all(type(t) is float for t in agg.times)
-                assert all(type(s) is int for s in agg.sizes)
-            assert type(src.packets_sent) is int
-            assert type(src.bytes_sent) is int
-        assert src.packets_sent > 1000
+        """Arrivals stay in NumPy arrays until the fold walks them, but
+        the clock, the link state, the counters and the fold's outputs
+        hold float and int, behind a drop-tail buffer and behind an
+        infinite one (where the fold skips idle arrivals): a NumPy
+        scalar there would slow every fold and could leak into reports."""
+        for buffer_bytes in (20_000, None):
+            sim = Simulator()
+            net = build_path(
+                sim, [LinkSpec(10e6, buffer_bytes=buffer_bytes, name="L")]
+            )
+            link = net.forward_links[0]
+            src = CrossTrafficSource(
+                sim, net, link, 6e6, np.random.default_rng(5),
+                stop=3.0, modulation=modulation, bulk=bulk,
+            )
+            assert src.is_bulk == (bulk is None)
+            agg = link._agg
+            dones = []
+            for until in (1.5, 4.0):
+                sim.run(until=until)
+                # The next event, where one exists, is an arrival or a
+                # delivery; bulk sources schedule none, and past ``stop``
+                # the heap may be empty.
+                head = sim.peek_time()
+                if head is not None:
+                    assert type(head) is float, type(head)
+                assert type(sim.now) is float, type(sim.now)
+                if agg is not None:
+                    assert type(agg._horizon) is float
+                    assert (agg.times.dtype, agg.sizes.dtype) == (np.float64, np.int64)
+                # One foreground packet, folded with the cross arrivals due.
+                got, _accepts = fold_link(link, until, (until,), 1500)
+                dones.extend(got)
+                assert type(link._free_at) is float
+                assert type(link._backlog_bytes) is int
+                assert all(
+                    type(done) is float and type(size) is int
+                    for done, size in link._in_flight
+                )
+                assert all(type(n) is int for n in link._stats.snapshot().values())
+                assert type(src.packets_sent) is int
+                assert type(src.bytes_sent) is int
+            assert len(dones) == 2 and all(type(done) is float for done in dones)
+            assert src.packets_sent > 1000
 
 
 class TestPull:
@@ -710,7 +726,7 @@ class TestIdleMarks:
         sim.run(until=1.5)
         assert link.stats.packets_forwarded > 1000
         agg = link._agg
-        assert agg.times and len(agg.marks) == len(agg.times)
+        assert len(agg.marks) == len(agg.times) > 0
         assert not any(agg.marks) and agg._bound == math.inf
         assert kernels.kernel_calls.get("idle_marks", 0) == before
 
@@ -723,7 +739,7 @@ class TestIdleMarks:
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
         sim.run(until=0.5)
         link.sync()
-        assert agg.times and agg._bound == math.inf and not any(agg.marks)
+        assert len(agg.times) and agg._bound == math.inf and not any(agg.marks)
         monkeypatch.delenv(NO_VECTOR_ENV)
         before = kernels.kernel_calls.get("idle_marks", 0)
         sim.run(until=2.0)

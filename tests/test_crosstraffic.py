@@ -48,6 +48,33 @@ class TestPacketMix:
         mix = PacketMix.constant(1000)
         assert mix.mean_size == 1000
 
+    @pytest.mark.parametrize("n", [1, 7, 512, 4096])
+    @pytest.mark.parametrize(
+        "sizes_probs",
+        [
+            PAPER_PACKET_MIX,
+            ((1000, 1.0),),
+            # Its probabilities' float cumsum ends at 1 - 2**-53.
+            ((40, 0.7), (576, 0.2), (1500, 0.1)),
+            # Unsorted sizes, a zero weight and the largest size accepted.
+            ((1500, 0.3), (99, 0.0), (2**53, 0.25), (40, 0.45)),
+        ],
+        ids=["paper", "one-size", "cdf-below-one", "unsorted-zero-max"],
+    )
+    def test_sample_is_generator_choice(self, sizes_probs, n):
+        """``sample`` runs ``Generator.choice``'s steps with a CDF built
+        once: seed by seed, the same int64 sizes and the same generator
+        state after the call.  A NumPy change to ``choice`` fails here
+        instead of silently moving every cross-traffic sample path."""
+        mix = PacketMix(sizes_probs)
+        for seed in range(100):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mix.sample(ours, n)
+            want = ref.choice(mix.sizes, size=n, p=mix.probs)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), seed
+            assert ours.bit_generator.state == ref.bit_generator.state, seed
+
     def test_bad_probabilities_rejected(self):
         # Wrong sum; NaN (which passes a sum check); negative weights that
         # sum to 1; an infinite weight.
@@ -326,8 +353,9 @@ class TestDrawOrder:
         times, sizes = _reference_arrivals(model, 2024, horizon, rate, sigma)
         assert len(times) > 4096 if sigma is not None else len(times) > 1024
         assert agg.idx == 0
-        assert agg.times == times
-        assert agg.sizes == sizes
+        assert (agg.times.dtype, agg.sizes.dtype) == (np.float64, np.int64)
+        assert agg.times.tolist() == times
+        assert agg.sizes.tolist() == sizes
 
 
 class TestValidation:

@@ -92,6 +92,11 @@ def _scenario(draw):
     )
 
 
+def _arrays(times, sizes):
+    """The aggregator's layout: float64 times and int64 sizes."""
+    return np.array(times, dtype=np.float64), np.array(sizes, dtype=np.int64)
+
+
 def _marks(times, sizes, cap, cuts):
     """Idle marks of ``times``/``sizes``, merged in the parts between
     ``cuts`` with the bound carried from part to part, as the
@@ -216,7 +221,8 @@ def test_fold_and_admit_match_per_packet_send(sc):
         free_at, backlog, in_flight = snap["state"]
         in_flight = deque(in_flight)
         ci, free_at, backlog, fb, fp, db, dp, dones, accepts = out = fold(
-            sc.cross_t, sc.cross_s, sc.prefix, sc.until, free_at, backlog, in_flight,
+            *_arrays(sc.cross_t, sc.cross_s), sc.prefix, sc.until, free_at, backlog,
+            in_flight,
             link.capacity_bps, link._cap_sched, sc.buffer_bytes, sc.fg, sc.fg_size,
             marks,
         )
@@ -253,7 +259,8 @@ def test_fold_and_admit_match_per_packet_send(sc):
     for key, value in snap["stats"].items():
         setattr(live._stats, key, value)
     agg = CrossAggregator(live.sim, live)
-    agg.times, agg.sizes, agg.idx = list(sc.cross_t), list(sc.cross_s), sc.prefix
+    agg.times, agg.sizes = _arrays(sc.cross_t, sc.cross_s)
+    agg.idx = sc.prefix
     if sc.buffer_bytes is None and schedule is None:
         agg.marks = _marks(sc.cross_t, sc.cross_s, sc.cap, sc.cuts)[0]
     agg._horizon = math.inf
@@ -317,7 +324,32 @@ def test_idle_marks_keep_the_rounding_slack():
     outs = []
     for m in (None, marks):
         in_flight = deque()
-        out = fold(times, sizes, 0, late, 0.0, 0, in_flight, cap, None, None, (), 0, m)
+        out = fold(
+            *_arrays(times, sizes), 0, late, 0.0, 0, in_flight, cap, None, None, (), 0, m
+        )
         outs.append((out, list(in_flight)))
     assert outs[1] == outs[0]
     assert outs[0][0][1] == free_at + size * 8.0 / cap  # the late arrival waited
+
+
+def test_skipped_bytes_sum_exactly_past_int64():
+    """1,500 arrivals of 2**53 bytes, each finding the hop idle: the fold
+    jumps over the first 1,499, and their forwarded-byte sum (about
+    2**63.55, which an int64 sum wraps) equals Python's ``sum``."""
+    cap, n = float(2**56), 1500  # one 2**53-byte packet takes 1 s
+    times = [2.0 * i for i in range(n)]
+    sizes = [2**53] * n
+    marks, _ = _marks(times, sizes, cap, [])
+    assert marks.rfind(1) == n - 1 > 1024
+    t, s = _arrays(times, sizes)
+    assert int(s.sum()) != sum(sizes)
+    outs = []
+    for m in (None, marks):
+        in_flight = deque()
+        out = fold(t, s, 0, times[-1], 0.0, 0, in_flight, cap, None, None, (), 0, m)
+        outs.append((out, list(in_flight)))
+        ci, free_at, backlog, fwd_bytes, fwd_pkts = out[:5]
+        assert (ci, fwd_pkts, fwd_bytes) == (n, n, sum(sizes))
+        assert type(fwd_bytes) is int and type(free_at) is float
+    assert outs[1] == outs[0]
+    assert outs[0][1] == [(times[-1] + 1.0, 2**53)]
