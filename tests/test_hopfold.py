@@ -222,9 +222,8 @@ def test_fold_and_admit_match_per_packet_send(sc):
         in_flight = deque(in_flight)
         ci, free_at, backlog, fb, fp, db, dp, dones, accepts = out = fold(
             *_arrays(sc.cross_t, sc.cross_s), sc.prefix, sc.until, free_at, backlog,
-            in_flight,
-            link.capacity_bps, link._cap_sched, sc.buffer_bytes, sc.fg, sc.fg_size,
-            marks,
+            in_flight, link.capacity_bps, link._cap_sched, sc.buffer_bytes, sc.fg,
+            sc.fg_size, marks,
         )
         results.append((out, list(in_flight)))
         stats, before = link._stats.snapshot(), snap["stats"]
