@@ -36,18 +36,15 @@ from .core import (
     PathloadReport,
     run_controller_fluid,
 )
-from .campaign import CampaignResult, MeasurementCampaign
 from .runner import measure_avail_bw_sim, run_pathload_on_path
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "CampaignResult",
     "FluidLink",
     "FluidPath",
     "PathloadConfig",
     "PathloadController",
-    "MeasurementCampaign",
     "PathloadReport",
     "__version__",
     "measure_avail_bw_sim",

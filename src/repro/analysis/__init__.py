@@ -9,27 +9,17 @@ from .stats import (
     summarize_ranges,
     weighted_range_average,
 )
-from .timescales import (
-    aggregate_series,
-    avail_bw_process,
-    estimate_hurst,
-    variance_time_curve,
-)
 from .validation import RangeValidation, validate_many, validate_range
 
 __all__ = [
     "PAPER_PERCENTILES",
     "RangeSummary",
     "RangeValidation",
-    "aggregate_series",
-    "avail_bw_process",
     "cdf_points",
     "percentile_grid",
     "relative_variation",
     "summarize_ranges",
     "validate_many",
     "validate_range",
-    "estimate_hurst",
-    "variance_time_curve",
     "weighted_range_average",
 ]

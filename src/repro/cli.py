@@ -1,15 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: ``repro-pathload measure``.
 
-Two subcommands:
-
-``repro-pathload measure``
-    Run one pathload measurement over a synthetic path (capacity,
-    utilization, hops are flags) and print the report — the simulated
-    equivalent of running the original tool against a host pair.
-
-``repro-pathload figure <id>``
-    Regenerate one of the paper's figures (``fig05``, ``fig11``,
-    ``fig15-16``, ...; see ``--list``) and print its series.
+Runs one pathload measurement over a synthetic path (capacity,
+utilization and hops are flags) and prints the report — the simulated
+equivalent of running the original tool against a host pair.  The
+paper's figures are regenerated by ``repro-sweep``
+(:mod:`repro.sweep_cli`).
 """
 
 from __future__ import annotations
@@ -125,80 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "merge bulk cross traffic with a Python sort instead of "
-            "NumPy (sets REPRO_NO_VECTOR; results are bit-identical)"
+            "NumPy and make no idle marks, so the folds walk every cross "
+            "arrival (sets REPRO_NO_VECTOR; results are bit-identical)"
         ),
     )
 
-    figure = sub.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument(
-        "id", nargs="?", help="figure id (e.g. fig05), or 'all' for every figure"
-    )
-    figure.add_argument(
-        "--list", action="store_true", help="list available figure ids"
-    )
-    figure.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the figure's sweep (default: serial)",
-    )
-    figure.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache",
-    )
-    figure.add_argument(
-        "--trace",
-        metavar="PATH",
-        help=(
-            "write merged sweep telemetry (task lifecycle, cache hits, and "
-            "every task's own trace under a task<i>/ track prefix) as a "
-            "trace"
-        ),
-    )
-    figure.add_argument(
-        "--trace-light",
-        action="store_true",
-        help=(
-            "with --trace/--health: capture each task under a light tracer "
-            "(aggregate counters only; keeps all fast paths alive)"
-        ),
-    )
-    figure.add_argument(
-        "--health",
-        action="store_true",
-        help=(
-            "print a run-health audit from the merged sweep metrics; "
-            "implies a light tracer when --trace is not given"
-        ),
-    )
-    figure.add_argument(
-        "--profile",
-        metavar="PATH",
-        help=(
-            "sample the host-side call stack and write a profile (.json "
-            "for speedscope, else collapsed stacks); REPRO_PROFILE=PATH "
-            "does the same"
-        ),
-    )
-    figure.add_argument(
-        "--no-fast",
-        action="store_true",
-        help=(
-            "run the figure's pathload measurements packet by packet "
-            "(sets REPRO_NO_FAST for the sweep workers; bit-identical, "
-            "slower — cache entries are shared either way)"
-        ),
-    )
-    figure.add_argument(
-        "--no-vector",
-        action="store_true",
-        help=(
-            "merge bulk cross traffic with a Python sort instead of "
-            "NumPy (sets REPRO_NO_VECTOR for the sweep workers; "
-            "bit-identical, cache entries are shared either way)"
-        ),
-    )
     return parser
 
 
@@ -298,72 +224,12 @@ def _finish_profiler(profiler, profile_path: Optional[str]) -> None:
     )
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from .experiments import REGISTRY
-
-    if args.list or not args.id:
-        for key in REGISTRY:
-            print(key)
-        return 0
-    if args.no_fast:
-        # Sweep workers are separate processes; the environment variable is
-        # the channel that reaches every ProbeChannel they construct.
-        # Results (and cache keys) are identical either way.
-        from .netsim.fastpath import NO_FAST_ENV
-
-        os.environ[NO_FAST_ENV] = "1"
-    if args.no_vector:
-        from .netsim.fastpath import NO_VECTOR_ENV
-
-        os.environ[NO_VECTOR_ENV] = "1"
-    tracer = None
-    previous = None
-    if args.trace or args.health:
-        from .obs import Tracer
-        from .parallel import set_default_tracer
-
-        # The figure modules call run_sweep internally; the process-wide
-        # default tracer collects their telemetry without signature churn.
-        light = args.trace_light or (args.health and not args.trace)
-        tracer = Tracer(light=light)
-        previous = set_default_tracer(tracer)
-    profiler, profile_path = _make_profiler(args)
-    try:
-        if args.id == "all":
-            for key, run_fn in REGISTRY.items():
-                print(f"--- running {key} ---")
-                run_fn(jobs=args.jobs, cache=not args.no_cache).print_table()
-        else:
-            run_fn = REGISTRY.get(args.id)
-            if run_fn is None:
-                print(f"unknown figure {args.id!r}; available: {', '.join(REGISTRY)}",
-                      file=sys.stderr)
-                return 2
-            run_fn(jobs=args.jobs, cache=not args.no_cache).print_table()
-    finally:
-        _finish_profiler(profiler, profile_path)
-        if tracer is not None:
-            from .parallel import set_default_tracer
-
-            set_default_tracer(previous)
-    if tracer is not None and args.trace:
-        tracer.write(args.trace)
-        print(f"trace written to {args.trace} ({len(tracer.events)} events)")
-    if args.health and tracer is not None:
-        from .obs import health_from_tracer
-
-        print(health_from_tracer(tracer).render_text())
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "measure":
         return _cmd_measure(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
     parser.print_help()
     return 0
 

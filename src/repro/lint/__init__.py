@@ -10,7 +10,7 @@ future refactors and performance work cannot regress correctness undetected.
 Per-file rules (one module at a time, ``ModuleContext``):
 
 ========  ===============================================================
-SIM001    no wall-clock calls outside the explicit allowlist
+SIM001    no wall-clock calls; the simulator runs on virtual time
 SIM002    no unseeded randomness — RNGs must flow in as ``Generator`` args
 SIM003    no ``==``/``!=`` comparisons on virtual-time expressions
 SIM004    unit-suffix hygiene (``*_bps`` vs ``*_mbps``; magic literals)

@@ -28,14 +28,13 @@ ALL_RULES: tuple[Rule, ...] = (
         id="SIM001",
         name="wall-clock-call",
         summary=(
-            "wall-clock call (time.time/monotonic/perf_counter, datetime.now) "
-            "outside the realtime allowlist"
+            "wall-clock call (time.time/monotonic/perf_counter, datetime.now)"
         ),
         rationale=(
             "All simulator timing is virtual; consulting the wall clock mixes "
             "interpreter jitter into OWDs that SLoPS reads at ~10 us "
-            "resolution.  Only transport/realtime.py (real UDP sockets) may "
-            "legitimately read the wall clock."
+            "resolution.  Host-side timing of the simulator itself (sweep "
+            "wall time, the profiler) carries a per-line pragma."
         ),
     ),
     Rule(
@@ -177,14 +176,10 @@ ALL_RULES: tuple[Rule, ...] = (
 RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
 
 #: Paths where a rule is expected and allowed, matched as posix-path
-#: suffixes; an entry ending in ``/`` allowlists a whole directory.
-#: ``transport/realtime.py`` is the *only* legitimate wall-clock user: it
-#: drives the sans-IO pathload controller over real UDP sockets, so wall
-#: time is the quantity being measured there, not a contaminant.  The
+#: suffixes; an entry ending in ``/`` allowlists a whole directory.  The
 #: SIM007 entries are the CLI front ends (printing is their job) and the
 #: example scripts.
 DEFAULT_ALLOWLIST: dict[str, tuple[str, ...]] = {
-    "SIM001": ("repro/transport/realtime.py",),
     "SIM007": (
         "repro/cli.py",
         "repro/sweep_cli.py",

@@ -160,8 +160,7 @@ class WallClockChecker:
                     col=node.col_offset,
                     message=(
                         f"wall-clock call {target}() — simulator code must use "
-                        "virtual time (sim.now); only transport/realtime.py may "
-                        "read the wall clock"
+                        "virtual time (sim.now)"
                     ),
                 )
 

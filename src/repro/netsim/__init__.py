@@ -20,8 +20,6 @@ from .crosstraffic import (
 )
 from .engine import Event, Process, ScheduledCall, SimulationError, Simulator
 from .flowgen import ShortFlowGenerator
-from .graph import build_graph_path, route_nodes
-from .replay import TraceReplaySource, load_trace, save_trace, synthesize_trace
 from .link import Link, LinkStats
 from .monitor import LinkMonitor, MRTGMonitor, QueueMonitor, UtilizationSample
 from .packet import Packet, PacketKind
@@ -66,18 +64,12 @@ __all__ = [
     "SkewedClock",
     "LinkTap",
     "TraceRecord",
-    "TraceReplaySource",
     "UtilizationSample",
     "attach_cross_traffic",
     "build_fig4_path",
-    "build_graph_path",
-    "route_nodes",
     "build_path",
     "build_single_hop_path",
-    "load_trace",
     "owd_series",
-    "save_trace",
-    "synthesize_trace",
     "write_csv",
     "build_two_link_path",
     "sink",

@@ -38,20 +38,20 @@ one NumPy comparison per feed.
 
 Idle marks
 ----------
-On a link with an infinite buffer and a fixed capacity, each merge also
-appends one byte per arrival to ``marks``
-(:func:`~repro.netsim.kernels.idle_marks`): 1 where an upper bound on
-the state of the hop fed only these cross arrivals, carried from merge
-to merge in ``_bound``, shows that the arrival finds that hop idle.  The
-real hop also carries foreground packets, and extra work never makes a
-FIFO hop free earlier, so at the first cross arrival that finds the real
-hop idle both are idle and compute the same floats from there until the
-next foreground packet: a marked arrival in between finds the real hop
-idle too.  :func:`~repro.netsim.hopfold.fold` skips on that ground.  A
-merge that cannot mark (a finite buffer, a capacity schedule,
-``REPRO_NO_VECTOR``) appends zeros and sets the bound to +inf, so no
-later merge marks across the gap; :meth:`CrossAggregator._unmerge`
-starts a new chain.
+On a link with an infinite buffer, each merge also appends one byte per
+arrival to ``marks`` (:func:`~repro.netsim.kernels.idle_marks`): 1 where
+an upper bound on the state of the hop fed only these cross arrivals,
+carried from merge to merge in ``_bound``, shows that the arrival finds
+that hop idle.  The real hop also carries foreground packets, and extra
+work never makes a FIFO hop free earlier, so at the first cross arrival
+that finds the real hop idle both are idle and compute the same floats
+from there until the next foreground packet: a marked arrival in
+between finds the real hop idle too.
+:func:`~repro.netsim.hopfold.fold` skips on that ground.  A merge that
+cannot mark (a finite buffer, or ``REPRO_NO_VECTOR``, which selects the
+Python merge) appends zeros and sets the bound to +inf, so no later
+merge marks across the gap; :meth:`CrossAggregator._unmerge` starts a
+new chain.
 
 Determinism contract
 --------------------
@@ -261,11 +261,7 @@ class CrossAggregator:
         if parts_t:
             mt, ms, part_idx = kernels.merge_parts(parts_t, parts_s)
             link = self.link
-            if (
-                link.buffer_bytes is None
-                and link._cap_sched is None
-                and kernels.enabled()
-            ):
+            if link.buffer_bytes is None and kernels.enabled():
                 marks, self._bound = kernels.idle_marks(
                     mt, ms, link.capacity_bps, self._bound
                 )

@@ -10,10 +10,12 @@ probe streams and TCP flows) honors a three-level opt-out:
    workers use, since worker processes only inherit the environment);
 3. otherwise the fast path is on.
 
-The NumPy merge of the bulk cross-traffic feeds
-(:func:`repro.netsim.kernels.merge_parts`) honors the same precedence
-under its own switch, ``REPRO_NO_VECTOR`` (CLI flag ``--no-vector``),
-which selects its stable-sort Python twin.  The two axes are
+The NumPy kernels of the bulk cross-traffic merge
+(:mod:`repro.netsim.kernels`) honor the same precedence under their own
+switch, ``REPRO_NO_VECTOR`` (CLI flag ``--no-vector``).  It selects the
+stable-sort Python twin of the merge and makes no idle marks, so every
+fold walks every cross arrival instead of skipping those the marks prove
+idle: the reference the idle skip is checked against.  The two axes are
 independent; every fold is a scalar loop under either setting.
 
 Bulk cross traffic honors neither switch.  A cross-traffic source goes
@@ -38,7 +40,8 @@ __all__ = ["resolve_fast", "resolve_vector", "NO_FAST_ENV", "NO_VECTOR_ENV"]
 #: Environment variable that disables every analytic fast path.
 NO_FAST_ENV = "REPRO_NO_FAST"
 
-#: Environment variable that routes the NumPy merge to its Python twin.
+#: Environment variable that routes the NumPy merge to its Python twin and
+#: turns the idle marks off, so the folds walk every cross arrival.
 NO_VECTOR_ENV = "REPRO_NO_VECTOR"
 
 
@@ -62,6 +65,8 @@ def resolve_vector(vector: Optional[bool] = None) -> bool:
     """Resolve an optional ``vector=`` argument against ``REPRO_NO_VECTOR``.
 
     Same precedence as :func:`resolve_fast`.  A ``False`` result routes
-    :func:`~repro.netsim.kernels.merge_parts` to its stable-sort twin.
+    :func:`~repro.netsim.kernels.merge_parts` to its stable-sort twin and
+    makes no :func:`~repro.netsim.kernels.idle_marks`, so the folds walk
+    every cross arrival.
     """
     return _resolve(vector, NO_VECTOR_ENV)

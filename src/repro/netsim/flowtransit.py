@@ -11,16 +11,16 @@ and every probe stream with cheap tuples instead of engine events.
 Each hop admission is :func:`~repro.netsim.hopfold.admit`, the per-hop
 recursion ``start = max(arrival, free_at); done = start + size*8/C``,
 merged against each hop's
-:class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, priced by the
-link's capacity schedule if it has one, with exact drop-tail replay on
-finite buffers.  The walk interleaves *feedback* traffic (data -> ack ->
-cwnd growth -> more data) by taking its virtual events in ``(time,
-sequence)`` order.  Deliveries -- exits from the last hop of the forward
-or the reverse chain -- wait in two FIFO deques, one per chain, in
-admission order: a hop's completion times never decrease and its
-propagation delay is fixed, so each deque is already sorted, and the
-walk merges their heads with the head of a private heap that holds
-everything else (timers, stream sends, arrivals at later hops).
+:class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, with exact
+drop-tail replay on finite buffers.  The walk interleaves *feedback*
+traffic (data -> ack -> cwnd growth -> more data) by taking its virtual
+events in ``(time, sequence)`` order.  Deliveries -- exits from the
+last hop of the forward or the reverse chain -- wait in two FIFO deques,
+one per chain, in admission order: a hop's completion times never
+decrease and its propagation delay is fixed, so each deque is already
+sorted, and the walk merges their heads with the head of a private heap
+that holds everything else (timers, stream sends, arrivals at later
+hops).
 A probe stream alone in the domain is *batched* instead: each round folds
 its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold_link`
 call per hop.  Any other stream is admitted per packet, interleaved with
@@ -972,7 +972,6 @@ class FlowTransitDomain:
             )
             infl = deque(infl0)
             cap = link.capacity_bps
-            sched = link._cap_sched
             buffer_bytes = link.buffer_bytes
             name = link.name
             fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
@@ -989,8 +988,6 @@ class FlowTransitDomain:
                         )
                     continue
                 start = free_at if free_at > t else t
-                if sched is not None:
-                    cap = sched[1][bisect_right(sched[0], start)]
                 free_at = start + sz * 8.0 / cap
                 infl.append((free_at, sz))
                 backlog += sz
@@ -1035,7 +1032,7 @@ def _domain_for(network, sim) -> Optional[FlowTransitDomain]:
     use, or None when a forward or reverse link has a qdisc, a drop hook
     or a rebound ``deliver`` callback.  A live domain is trusted without a
     re-check: it names itself on every link it crosses, and every hook
-    setter and ``set_capacity_segments`` dissolve it."""
+    setter dissolves it."""
     domain = network._flow_domain
     if domain is not None:
         return domain

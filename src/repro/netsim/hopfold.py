@@ -3,10 +3,9 @@
 The paper's path model (Section III-A) is a chain of FIFO
 store-and-forward hops.  A hop serves each arrival at ``start =
 max(arrival, free_at)`` and is free again at ``start + size*8/C``, where
-``C`` is the rate in force at ``start`` (the link's fixed capacity, or
-its piecewise-constant schedule, :meth:`Link.set_capacity_segments`).  A
-finite drop-tail buffer refuses an arrival that would push the backlog
-(bytes queued or in transmission) past the buffer size.
+``C`` is the link's capacity.  A finite drop-tail buffer refuses an
+arrival that would push the backlog (bytes queued or in transmission)
+past the buffer size.
 
 Two functions carry that recursion for the event-elided paths:
 
@@ -46,17 +45,16 @@ Contract (bit-identity with ``Link.send()``):
 
 Skipping idle arrivals
 ----------------------
-On an infinite-buffer hop with a fixed capacity, an arrival that finds
-the hop idle restarts the recursion (``start = t``), so only the last
-busy period before a foreground packet, or before ``until``, can change
-an output.  The aggregator's *idle marks*
-(:mod:`repro.netsim.bulkarrivals`) flag the cross arrivals that provably
-find the hop fed only the cross arrivals idle.  :func:`fold` uses them on
-the *leading run* of a call: its cross arrivals up to the first
-foreground packet (ties included), or up to ``until`` when there is
-none.  It walks that run exactly until the first arrival that finds the
-real hop idle, then jumps to the run's last marked arrival and walks
-exactly from there.  The jump is exact:
+On an infinite-buffer hop, an arrival that finds the hop idle restarts
+the recursion (``start = t``), so only the last busy period before a
+foreground packet, or before ``until``, can change an output.  The
+aggregator's *idle marks* (:mod:`repro.netsim.bulkarrivals`) flag the
+cross arrivals that provably find the hop fed only the cross arrivals
+idle.  :func:`fold` uses them on the *leading run* of a call: its cross
+arrivals up to the first foreground packet (ties included), or up to
+``until`` when there is none.  It walks that run exactly until the first
+arrival that finds the real hop idle, then jumps to the run's last
+marked arrival and walks exactly from there.  The jump is exact:
 
 * The real hop carries the same cross arrivals plus foreground packets,
   and extra work never makes a FIFO hop free earlier; float rounding is
@@ -69,9 +67,9 @@ exactly from there.  The jump is exact:
   then, no later than ``until``, so none of them enters ``in_flight``;
   they only add to the forwarded byte and packet sums.
 
-Nothing skips past a foreground packet.  Finite buffers, capacity
-schedules and ``REPRO_NO_VECTOR`` have no marks and walk every arrival,
-and the sanitize shadow replays every arrival one at a time.
+Nothing skips past a foreground packet.  Finite buffers and
+``REPRO_NO_VECTOR`` have no marks and walk every arrival, and the
+sanitize shadow replays every arrival one at a time.
 
 Arrays in, Python scalars out
 -----------------------------
@@ -88,8 +86,6 @@ the fold returns are Python floats and ints.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from .bulkarrivals import _NO_SIZES, _NO_TIMES
 
@@ -119,7 +115,7 @@ def _byte_sum(sizes, a, b):
 
 
 def fold(
-    times, sizes, ci, until, free_at, backlog, in_flight, cap, sched, buffer_bytes,
+    times, sizes, ci, until, free_at, backlog, in_flight, cap, buffer_bytes,
     fg=(), fg_size=0, marks=None,
 ):
     """Fold cross arrivals ``times[ci:]``/``sizes[ci:]`` up to ``until``
@@ -128,8 +124,7 @@ def fold(
 
     ``times`` and ``sizes`` are sorted float64 and int64 arrays; only the
     arrivals walked become Python objects.  ``fg`` is sorted, and its
-    last entry is at or before ``until``.  ``cap`` is the fixed rate and
-    ``sched`` the link's ``(boundaries, rates)`` schedule or ``None``;
+    last entry is at or before ``until``.  ``cap`` is the link's rate and
     ``buffer_bytes`` is ``None`` for an infinite buffer.  ``marks``,
     aligned with ``times``, holds the idle marks of the cross arrivals,
     or is ``None`` (module docstring).  Returns ``(ci, free_at, backlog,
@@ -150,7 +145,7 @@ def fold(
         accepts = None
         drop_bytes = drop_pkts = 0
         ci0 = ci
-        if marks and sched is None:
+        if marks:
             m = marks.rfind(
                 1, ci + 1, int(times.searchsorted(fg[0], "right")) if nfg else j
             )
@@ -181,9 +176,7 @@ def fold(
         for t, size in zip(times[ci:j].tolist(), tail):
             while ft < t:
                 start = free_at if free_at > ft else ft
-                free_at = start + fg_size * 8.0 / (
-                    cap if sched is None else sched[1][bisect_right(sched[0], start)]
-                )
+                free_at = start + fg_size * 8.0 / cap
                 if free_at > until:
                     in_flight.append((free_at, fg_size))
                     backlog += fg_size
@@ -191,17 +184,13 @@ def fold(
                 k += 1
                 ft = fg[k] if k < nfg else _INF
             start = free_at if free_at > t else t
-            free_at = start + size * 8.0 / (
-                cap if sched is None else sched[1][bisect_right(sched[0], start)]
-            )
+            free_at = start + size * 8.0 / cap
             if free_at > until:
                 in_flight.append((free_at, size))
                 backlog += size
         for ft in fg[k:]:
             start = free_at if free_at > ft else ft
-            free_at = start + fg_size * 8.0 / (
-                cap if sched is None else sched[1][bisect_right(sched[0], start)]
-            )
+            free_at = start + fg_size * 8.0 / cap
             if free_at > until:
                 in_flight.append((free_at, fg_size))
                 backlog += fg_size
@@ -231,9 +220,7 @@ def fold(
                     drop_pkts += 1
                 else:
                     start = free_at if free_at > t else t
-                    free_at = start + size * 8.0 / (
-                        cap if sched is None else sched[1][bisect_right(sched[0], start)]
-                    )
+                    free_at = start + size * 8.0 / cap
                     in_flight.append((free_at, size))
                     backlog += size
                     fwd_bytes += size
@@ -250,9 +237,7 @@ def fold(
                 dones.append(0.0)
             else:
                 start = free_at if free_at > stop else stop
-                free_at = start + fg_size * 8.0 / (
-                    cap if sched is None else sched[1][bisect_right(sched[0], start)]
-                )
+                free_at = start + fg_size * 8.0 / cap
                 in_flight.append((free_at, fg_size))
                 backlog += fg_size
                 fwd_bytes += fg_size
@@ -300,8 +285,7 @@ def fold_link(link, until, fg=(), fg_size=0):
         fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts,
     ) = fold(
         times, sizes, ci, until, link._free_at, link._backlog_bytes,
-        link._in_flight, link.capacity_bps, link._cap_sched, link.buffer_bytes,
-        fg, fg_size, marks,
+        link._in_flight, link.capacity_bps, link.buffer_bytes, fg, fg_size, marks,
     )
     if agg is not None:
         agg.idx = ci
@@ -340,10 +324,7 @@ def admit(link, t, size):
         return None
     free_at = link._free_at
     start = free_at if free_at > t else t
-    sched = link._cap_sched
-    done = start + size * 8.0 / (
-        link.capacity_bps if sched is None else sched[1][bisect_right(sched[0], start)]
-    )
+    done = start + size * 8.0 / link.capacity_bps
     infl.append((done, size))
     link._free_at = done
     link._backlog_bytes = backlog + size

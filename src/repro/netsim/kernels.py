@@ -11,10 +11,10 @@ int64 sizes):
   through :func:`repro.netsim.fastpath.resolve_vector`, CLI flag
   ``--no-vector``).  Both take and return the same types and only
   reorder, so they return ``==`` results.
-* :func:`idle_marks`, one byte per merged arrival on an infinite-buffer,
-  fixed-capacity hop: set only when a rigorous upper bound on the
-  cross-only hop state just before that arrival is at or below the
-  arrival's time, so the arrival provably finds that hop idle.
+* :func:`idle_marks`, one byte per merged arrival on an infinite-buffer
+  hop: set only when a rigorous upper bound on the cross-only hop state
+  just before that arrival is at or below the arrival's time, so the
+  arrival provably finds that hop idle.
   :func:`repro.netsim.hopfold.fold` uses the marks to skip the cross
   arrivals of a call that cannot change any output.  It has no twin:
   under ``REPRO_NO_VECTOR`` no marks are made and the fold walks every
@@ -185,7 +185,7 @@ def merge_parts(parts_t: Sequence[np.ndarray], parts_s: Sequence[np.ndarray]):
 def idle_marks(
     times: np.ndarray, sizes: np.ndarray, capacity_bps: float, bound: float
 ) -> tuple[bytes, float]:
-    """Idle marks of one merge on an infinite-buffer, fixed-capacity hop.
+    """Idle marks of one merge on an infinite-buffer hop.
 
     ``times``/``sizes`` are the merged arrivals (float64, int64), and
     ``bound`` is an upper bound on the cross-only hop's ``free_at`` just

@@ -2,9 +2,7 @@
 
 Each :class:`Link` is a FIFO transmission queue with:
 
-* a fixed capacity ``C`` in bits per second — or an optional
-  piecewise-constant capacity schedule (:meth:`Link.set_capacity_segments`)
-  for time-varying channels,
+* a fixed capacity ``C`` in bits per second,
 * a propagation delay,
 * an optional finite drop-tail buffer (in bytes).
 
@@ -54,7 +52,6 @@ sample path is unchanged; see ``docs/performance.md``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from typing import Callable, Optional
 
@@ -133,7 +130,6 @@ class Link:
         "_qdisc",
         "_agg",
         "_domain",
-        "_cap_sched",
         "_free_at",
         "_in_flight",
         "_backlog_bytes",
@@ -176,7 +172,6 @@ class Link:
         self._qdisc = qdisc
         self._agg = None  # CrossAggregator once bulk sources attach
         self._domain = None  # FlowTransitDomain while its walk crosses this hop
-        self._cap_sched = None  # (boundaries, rates) piecewise-constant schedule
         self._free_at = 0.0  # when the transmitter becomes idle
         self._in_flight: deque = deque()  # (tx_done_time, size_bytes)
         self._backlog_bytes = 0
@@ -239,74 +234,6 @@ class Link:
         if self._agg is not None:
             self._decommission()
         self._qdisc = policy
-
-    # ------------------------------------------------------------------
-    # Piecewise-constant capacity schedule (plannable time variation)
-    # ------------------------------------------------------------------
-    def capacity_at(self, t: float) -> float:
-        """Transmission rate in force at instant ``t``.
-
-        Without a schedule this is ``capacity_bps``.  With one, the rate
-        switches at each boundary; an instant exactly on a boundary takes
-        the new rate.  Every data path — per-packet ``send()``, the bulk
-        folds, and the flow-transit walk — serializes each packet at the
-        rate in force when its transmission *starts*, so they agree bit
-        for bit.
-        """
-        sched = self._cap_sched
-        if sched is None:
-            return self.capacity_bps
-        bounds, caps = sched
-        return caps[bisect_right(bounds, t)]
-
-    def set_capacity_segments(self, segments) -> None:
-        """Install a piecewise-constant capacity schedule.
-
-        ``segments`` is an iterable of ``(time, capacity_bps)`` pairs
-        with strictly increasing times, all in the future: from each
-        time on, the link transmits at the paired rate until the next
-        boundary (the last rate holds forever).  Each packet is
-        serialized at the rate in force when its transmission *starts*
-        (:meth:`capacity_at`); a transmission already under way when a
-        boundary passes completes at its admission rate — the
-        store-and-forward idealization of a rate change.
-
-        Installing a schedule is a planning chokepoint like rebinding
-        ``deliver``: a flow-transit walk over this hop dissolves, and the
-        streams and flows it carried continue per-packet, because its
-        future admissions would be priced by the new rate function.
-        Bulk cross traffic stays bulk — the folds look rates up per
-        segment.  Reinstalling replaces the previous schedule; the rate
-        currently in force becomes the rate before the first boundary.
-        ``capacity_bps`` keeps the construction-time base rate (used by
-        monitors' utilization normalization and AQM policies).
-        """
-        now = self.sim.now
-        pairs = [(float(t), float(c)) for t, c in segments]
-        if not pairs:
-            raise ValueError("capacity schedule needs at least one segment")
-        for t, c in pairs:
-            if not 0 < c < math.inf:
-                raise ValueError(
-                    f"segment capacity must be positive and finite, got {c}"
-                )
-            if not now < t < math.inf:
-                raise ValueError(
-                    f"segment boundaries must be finite and in the future, "
-                    f"got {t} at t={now}"
-                )
-        bounds = [t for t, _ in pairs]
-        if any(b >= a for b, a in zip(bounds, bounds[1:])):
-            raise ValueError("segment boundaries must be strictly increasing")
-        if self._domain is not None:
-            self._domain.dissolve("link-decommission")
-        # Fold everything due under the schedule in force until now; the
-        # per-packet path would have admitted those arrivals before this
-        # call ran, under the same (old) rate function.
-        if self._agg is not None:
-            self.sync()
-        base = self.capacity_at(now)
-        self._cap_sched = (bounds, [base] + [c for _, c in pairs])
 
     @property
     def stats(self) -> LinkStats:
@@ -424,11 +351,7 @@ class Link:
 
         free_at = self._free_at
         start = free_at if free_at > now else now
-        cap_sched = self._cap_sched
-        if cap_sched is None:
-            done = start + size * 8.0 / self.capacity_bps
-        else:
-            done = start + size * 8.0 / cap_sched[1][bisect_right(cap_sched[0], start)]
+        done = start + size * 8.0 / self.capacity_bps
         self._free_at = done
         in_flight.append((done, size))
         backlog += size

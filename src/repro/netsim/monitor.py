@@ -132,8 +132,7 @@ class LinkMonitor:
         """The completed window containing time ``t``, if any.
 
         Windows are appended in time order, so the candidate is the last
-        one starting at or before ``t`` — found by bisection, matching the
-        ``coverage_fraction`` treatment from the parallel-sweep work.
+        one starting at or before ``t``, found by bisection.
         """
         samples = self.samples
         i = bisect_right(samples, t, key=lambda s: s.t_start)

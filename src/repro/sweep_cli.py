@@ -1,16 +1,18 @@
-"""``repro-sweep``: regenerate paper figures with the parallel executor.
+"""``repro-sweep``: regenerate the paper's figures.
 
-A thin front end over :mod:`repro.parallel`: each figure module already
-expresses its runs as sweep tasks, so this command only picks figure ids,
-a worker count, and cache policy::
+The one figure command.  A thin front end over :mod:`repro.parallel`:
+each figure module already expresses its runs as sweep tasks, so this
+command only picks figure ids, a worker count, and cache policy::
 
+    repro-sweep --list                  # every figure id
     repro-sweep fig05 --jobs 4          # fan fig05's runs over 4 processes
-    repro-sweep all                     # every figure, serial, cached
+    repro-sweep fig05 --jobs 1          # the serial reference path
+    repro-sweep all                     # every figure, all cores, cached
     repro-sweep fig11 fig12 --no-cache  # force fresh simulations
     repro-sweep --clear-cache           # drop .repro_cache/
 
-Results are row-identical to ``repro-pathload figure`` (the serial path);
-see docs/performance.md for the determinism and caching contract.
+Every worker count prints the same rows as ``--jobs 1``; see
+docs/performance.md for the determinism and caching contract.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "merge bulk cross traffic with a Python sort instead of "
-            "NumPy (sets REPRO_NO_VECTOR for the workers; bit-identical "
+            "NumPy and make no idle marks, so the folds walk every cross "
+            "arrival (sets REPRO_NO_VECTOR for the workers; bit-identical "
             "results, cache entries are shared either way)"
         ),
     )

@@ -5,13 +5,10 @@
 * :mod:`~repro.transport.tcp` — TCP Reno/NewReno, the substrate for the
   paper's Section VII (avail-bw vs. bulk TCP throughput).
 * :mod:`~repro.transport.ping` — periodic RTT echo probing.
-* :mod:`~repro.transport.realtime` — the same pathload controller over
-  real UDP sockets (loopback integration path).
 """
 
 from .ping import Pinger
 from .probe import ProbeChannel, SendJitter, drive_controller, run_pathload
-from .realtime import UdpProbeReceiver, UdpProbeSender, measure_loopback
 from .tcp import TCPConfig, TCPReceiver, TCPSender, open_connection
 
 __all__ = [
@@ -21,10 +18,7 @@ __all__ = [
     "TCPConfig",
     "TCPReceiver",
     "TCPSender",
-    "UdpProbeReceiver",
-    "UdpProbeSender",
     "drive_controller",
-    "measure_loopback",
     "open_connection",
     "run_pathload",
 ]

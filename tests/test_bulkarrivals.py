@@ -298,74 +298,6 @@ class TestFallback:
         assert all(s.is_bulk for s in sources)
 
 
-class TestCapacitySchedule:
-    """A piecewise-constant capacity schedule is *not* a decommission for
-    bulk cross traffic: the folds look the rate up per segment, so the
-    sources stay bulk and every observable still matches per-packet."""
-
-    SEGMENTS = ((1.0, 6e6), (2.0, 14e6), (3.0, 9e6))
-
-    @classmethod
-    def _install(cls, net):
-        net.forward_links[0].set_capacity_segments(cls.SEGMENTS)
-
-    @pytest.mark.parametrize("model", ["poisson", "pareto", "cbr"])
-    def test_scheduled_link_bit_identical(self, model):
-        kwargs = {"model": model, "mutate_at": (0.5, self._install)}
-        pp = run_experiment(False, **kwargs)
-        bulk = run_experiment(None, **kwargs)
-        assert all(s.is_bulk for s in bulk["sources"]), "bulk dropped out"
-        for key in OBSERVABLES:
-            assert bulk[key] == pp[key], f"{key} diverged under schedule"
-
-    def test_scheduled_finite_buffer(self):
-        # Shrinking the rate to 6 Mb/s under near-saturating load makes
-        # the drop-tail replay cross rate boundaries with a hot buffer.
-        kwargs = {
-            "model": "pareto",
-            "buffer_bytes": 9_000,
-            "utilization": 0.95,
-            "mutate_at": (0.5, self._install),
-        }
-        pp = run_experiment(False, **kwargs)
-        bulk = run_experiment(None, **kwargs)
-        assert all(s.is_bulk for s in bulk["sources"])
-        assert pp["stats"][0]["packets_dropped"] > 0, "test needs drops"
-        for key in OBSERVABLES:
-            assert bulk[key] == pp[key], f"{key} diverged under schedule"
-
-    def test_scheduled_modulated_source(self):
-        # Non-stationary offered load over a non-stationary link: the
-        # segmented generator and the segmented fold compose.
-        kwargs = {
-            "model": "pareto",
-            "modulation": (0.5, 0.3),
-            "mutate_at": (0.5, self._install),
-        }
-        pp = run_experiment(False, **kwargs)
-        bulk = run_experiment(None, **kwargs)
-        assert all(s.is_bulk for s in bulk["sources"])
-        for key in OBSERVABLES:
-            assert bulk[key] == pp[key], f"{key} diverged under schedule"
-
-    def test_scheduled_no_vector_layout(self, monkeypatch):
-        # The Python merge twin (REPRO_NO_VECTOR) must agree with the
-        # NumPy merge bit for bit under a capacity schedule.
-        kwargs = {"model": "poisson", "mutate_at": (0.5, self._install)}
-        fast = run_experiment(None, **kwargs)
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        from repro.netsim import kernels
-
-        kernels._reset_for_tests()
-        try:
-            scalar = run_experiment(None, **kwargs)
-        finally:
-            monkeypatch.delenv("REPRO_NO_VECTOR")
-            kernels._reset_for_tests()
-        for key in OBSERVABLES:
-            assert fast[key] == scalar[key], f"{key} diverged across layouts"
-
-
 class TestDecommission:
     """Rebinding a link hook mid-run reverts bulk sources without
     perturbing the sample path."""
@@ -666,12 +598,10 @@ class TestIdleMarks:
         monkeypatch.delenv(NO_VECTOR_ENV, raising=False)
 
     @staticmethod
-    def _link(buffer_bytes=None, schedule=None, rate=6e6):
+    def _link(buffer_bytes=None, rate=6e6):
         sim = Simulator()
         net = build_path(sim, [LinkSpec(10e6, buffer_bytes=buffer_bytes, name="L")])
         link = net.forward_links[0]
-        if schedule is not None:
-            link.set_capacity_segments(schedule)
         attach_cross_traffic(
             sim, net, link, rate, np.random.default_rng(4), n_sources=3
         )
@@ -715,14 +645,9 @@ class TestIdleMarks:
         assert link._agg is None
         assert (len(agg.marks), len(agg.times), agg._bound) == (0, 0, -math.inf)
 
-    @pytest.mark.parametrize(
-        "buffer_bytes, schedule",
-        [(20_000, None), (None, [(0.5, 8e6), (1.0, 12e6)])],
-        ids=["finite-buffer", "capacity-schedule"],
-    )
-    def test_no_marks_where_the_fold_cannot_skip(self, buffer_bytes, schedule):
+    def test_no_marks_on_a_finite_buffer(self):
         before = kernels.kernel_calls.get("idle_marks", 0)
-        sim, _net, link = self._link(buffer_bytes, schedule)
+        sim, _net, link = self._link(buffer_bytes=20_000)
         sim.run(until=1.5)
         assert link.stats.packets_forwarded > 1000
         agg = link._agg

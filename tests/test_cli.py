@@ -1,8 +1,8 @@
-"""Tests for the command-line interface."""
-
-import pytest
+"""Tests for the command-line interfaces: ``repro-pathload`` and
+``repro-sweep``."""
 
 from repro.cli import main
+from repro.sweep_cli import main as sweep_main
 
 
 class TestCli:
@@ -11,13 +11,17 @@ class TestCli:
         assert "repro-pathload" in capsys.readouterr().out
 
     def test_figure_list(self, capsys):
-        assert main(["figure", "--list"]) == 0
+        assert sweep_main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "fig05" in out and "fig15-16" in out
 
     def test_figure_unknown(self, capsys):
-        assert main(["figure", "fig99"]) == 2
+        assert sweep_main(["fig99"]) == 2
         assert "unknown figure" in capsys.readouterr().err
+
+    def test_figure_jobs_below_one_rejected(self, capsys):
+        assert sweep_main(["fig05", "--jobs", "0"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_measure_single_hop(self, capsys):
         code = main(

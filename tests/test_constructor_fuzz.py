@@ -1,23 +1,20 @@
 """Generated fuzz of the public constructors.
 
 Every numeric argument of ``Link``, ``CrossTrafficSource`` (with its
-``PacketMix``), ``PathloadConfig``, ``Scale``, ``TCPConfig``,
-``Link.set_capacity_segments``, ``Pinger``, ``ProbeChannel``,
-``StreamSpec`` and ``SendJitter`` is drawn from NaN, ±inf, a negative
-value, zero and ordinary values.  Each example must either raise
-``ValueError`` or construct an object that works: a link or a source
-then carries traffic and ``sim.run(until=0.5)`` must reach its end, a
-configuration holds only finite numbers, a TCP configuration carries a
-transfer to the end of its run with the same sender and receiver state
-on the planned and the per-packet path, a capacity schedule carries bulk
-cross traffic to the same link state as per-packet cross traffic, and a
-pinger or a probe stream runs to t = 5 s with a finite clock and its
-answers back.  A wall-clock alarm turns a hang (a NaN start time never
-comes due) into a failure instead of a stalled suite.
+``PacketMix``), ``PathloadConfig``, ``Scale``, ``TCPConfig``, ``Pinger``,
+``ProbeChannel``, ``StreamSpec`` and ``SendJitter`` is drawn from NaN,
+±inf, a negative value, zero and ordinary values.  Each example must
+either raise ``ValueError`` or construct an object that works: a link or
+a source then carries traffic and ``sim.run(until=0.5)`` must reach its
+end, a configuration holds only finite numbers, a TCP configuration
+carries a transfer to the end of its run with the same sender and
+receiver state on the planned and the per-packet path, and a pinger or a
+probe stream runs to t = 5 s with a finite clock and its answers back.
+A wall-clock alarm turns a hang (a NaN start time never comes due) into
+a failure instead of a stalled suite.
 
 Where a constructor has several fuzzed fields, each example first draws
-its kind (:func:`_kinds`, or the schedule kinds of
-:func:`_capacity_segments`): hypothesis's generator favours odd and
+its kind (:func:`_kinds`): hypothesis's generator favours odd and
 boundary values, so with every field drawn at even odds almost no
 example would construct.
 """
@@ -307,81 +304,6 @@ def test_tcp_config(overrides):
         per_packet = _tcp_transfer(cfg, False)
     assert planned == per_packet
     assert planned[0] > 0, "the transfer never had a byte acknowledged"
-
-
-#: When a fuzzed capacity schedule is installed.
-_INSTALL_AT = 0.1
-
-
-@st.composite
-def _capacity_segments(draw):
-    """1-4 ``(time, capacity)`` pairs of one of five kinds: "odd" draws
-    every value from :func:`_numbers`, in drawn order; the others draw
-    ordinary values with increasing times, then leave them ("valid"),
-    move the first to or before the install instant ("past"), repeat it
-    last ("repeat") or reverse the order ("fall").  With odd values at
-    even odds, a schedule of several segments would almost never be
-    valid."""
-    n = draw(st.integers(1, 4))
-    times = st.floats(0.0, 0.6)
-    caps = st.floats(1e5, 2e7)
-    kind = draw(st.sampled_from(["valid", "odd", "past", "repeat", "fall"]))
-    if kind == "odd":
-        times = [draw(_numbers(times)) for _ in range(n)]
-        return [(t, draw(_numbers(caps))) for t in times]
-    future = st.floats(_INSTALL_AT, 0.6, exclude_min=True)
-    times = sorted(draw(st.lists(future, min_size=n, max_size=n, unique=True)))
-    if kind == "past":
-        times[0] = draw(st.floats(0.0, _INSTALL_AT))
-    elif kind == "repeat":
-        times[-1] = times[0]
-    elif kind == "fall":
-        times.reverse()
-    return [(t, draw(caps)) for t in times]
-
-
-def _scheduled_hop(bulk):
-    """A 10 Mb/s hop with a 30 kB buffer, loaded with 4 Mb/s of Poisson
-    cross traffic and run to the install instant."""
-    sim = Simulator()
-    net = build_path(sim, [LinkSpec(10e6, buffer_bytes=30_000)])
-    link = net.forward_links[0]
-    CrossTrafficSource(
-        sim, net, link, 4e6, np.random.default_rng(0), model="poisson", bulk=bulk
-    )
-    sim.run(until=_INSTALL_AT)
-    return sim, net, link
-
-
-def _carry(sim, net, link):
-    """50 foreground packets across the hop, then the hop's state."""
-    delivered = []
-
-    def send():
-        net.send_forward(Packet(1000), lambda _p: delivered.append(sim.now))
-
-    for k in range(50):
-        sim.schedule_at(_INSTALL_AT + 0.008 * k, send)
-    sim.run(until=0.6)
-    return link.stats.snapshot(), link.backlog_bytes(), delivered
-
-
-@given(segments=_capacity_segments())
-@_FUZZ
-def test_capacity_segments(segments):
-    sim, net, link = _scheduled_hop(bulk=True)
-    try:
-        link.set_capacity_segments(segments)
-    except ValueError:
-        return
-    for t, c in segments:
-        assert link.capacity_at(t) == c
-    with _deadline():
-        bulk = _carry(sim, net, link)
-        sim, net, link = _scheduled_hop(bulk=False)
-        link.set_capacity_segments(segments)
-        per_packet = _carry(sim, net, link)
-    assert bulk == per_packet
 
 
 def _idle_hop(now=0.0):

@@ -1,18 +1,11 @@
-"""Tests for the closed-loop flow generator and trace replay."""
+"""Tests for the closed-loop flow generator."""
 
 import numpy as np
 import pytest
 
 from repro.experiments.base import fast_pathload_config
 from repro.netsim import LinkSpec, MRTGMonitor, Simulator, build_path
-from repro.netsim.crosstraffic import PacketMix
 from repro.netsim.flowgen import ShortFlowGenerator
-from repro.netsim.replay import (
-    TraceReplaySource,
-    load_trace,
-    save_trace,
-    synthesize_trace,
-)
 from repro.transport.probe import run_pathload
 
 
@@ -101,97 +94,3 @@ class TestShortFlowGenerator:
             ShortFlowGenerator(sim, net, 1e6, rng, size_alpha=1.0)
         with pytest.raises(ValueError):
             ShortFlowGenerator(sim, net, 1e6, rng, max_concurrent=0)
-
-
-class TestTraceSynthesis:
-    def test_rate_and_duration(self):
-        rng = np.random.default_rng(0)
-        trace = synthesize_trace(rng, 5e6, 20.0)
-        assert trace[-1, 0] <= 20.0
-        rate = trace[:, 1].sum() * 8 / 20.0
-        assert rate == pytest.approx(5e6, rel=0.15)
-
-    def test_timestamps_sorted(self):
-        rng = np.random.default_rng(1)
-        trace = synthesize_trace(rng, 5e6, 5.0, model="poisson")
-        assert np.all(np.diff(trace[:, 0]) >= 0)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize_trace(np.random.default_rng(0), 1e6, 1.0, model="weird")
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        trace = synthesize_trace(rng, 2e6, 3.0)
-        path = tmp_path / "trace.csv"
-        n = save_trace(trace, str(path))
-        loaded = load_trace(str(path))
-        assert n == len(loaded) == len(trace)
-        assert np.allclose(loaded[:, 0], trace[:, 0], atol=1e-9)
-        assert np.array_equal(loaded[:, 1], trace[:, 1])
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            load_trace(str(path))
-
-
-class TestTraceReplay:
-    def test_exact_replay(self):
-        sim = Simulator()
-        net = build_path(sim, [LinkSpec(100e6)])
-        trace = np.array([[0.1, 500], [0.25, 1000], [0.9, 200]])
-        src = TraceReplaySource(sim, net, net.forward_links[0], trace, start=1.0)
-        sim.run()
-        assert src.packets_sent == 3
-        assert src.bytes_sent == 1700
-        assert sim.now >= 1.9
-
-    def test_replay_is_deterministic_cross_traffic(self):
-        """Two simulations fed the same trace see identical byte counts."""
-
-        def run_once():
-            sim = Simulator()
-            net = build_path(sim, [LinkSpec(10e6)])
-            trace = synthesize_trace(np.random.default_rng(42), 4e6, 10.0)
-            TraceReplaySource(sim, net, net.forward_links[0], trace)
-            sim.run(until=10.0)
-            return net.forward_links[0].stats.bytes_forwarded
-
-        assert run_once() == run_once()
-
-    def test_looping_sustains_the_rate(self):
-        sim = Simulator()
-        net = build_path(sim, [LinkSpec(100e6)])
-        trace = synthesize_trace(np.random.default_rng(7), 4e6, 2.0)
-        TraceReplaySource(sim, net, net.forward_links[0], trace, loop=True)
-        sim.run(until=20.0)
-        rate = net.forward_links[0].stats.bytes_forwarded * 8 / 20.0
-        assert rate == pytest.approx(4e6, rel=0.2)
-
-    def test_pathload_over_replayed_trace(self):
-        """Pin the workload, measure it: the replayed rate is the truth."""
-        sim = Simulator()
-        net = build_path(sim, [LinkSpec(10e6, prop_delay=0.01)])
-        trace = synthesize_trace(np.random.default_rng(11), 6e6, 5.0)
-        TraceReplaySource(sim, net, net.forward_links[0], trace, loop=True)
-        report = run_pathload(
-            sim, net, config=fast_pathload_config(), start=2.0, time_limit=600.0
-        )
-        truth = 10e6 - trace[:, 1].sum() * 8 / trace[-1, 0]
-        assert report.low_bps - 1.5e6 <= truth <= report.high_bps + 1.5e6
-
-    def test_validation(self):
-        sim = Simulator()
-        net = build_path(sim, [LinkSpec(1e6)])
-        with pytest.raises(ValueError):
-            TraceReplaySource(sim, net, net.forward_links[0], np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            TraceReplaySource(
-                sim, net, net.forward_links[0], np.array([[0.2, 100], [0.1, 100]])
-            )
-        with pytest.raises(ValueError):
-            TraceReplaySource(
-                sim, net, net.forward_links[0], np.array([[0.1, 0.0]])
-            )

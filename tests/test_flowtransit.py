@@ -76,15 +76,12 @@ def run_flow(
     mutate_at=None,
     mutate=None,
     second_flow_at=None,
-    schedule=None,
     reads=None,
     read_at=(),
 ):
     """One TCP transfer (plus optional concurrent probe streams).
 
-    ``schedule`` installs the same capacity schedule on every forward
-    link before the transfer starts.  At each instant of ``read_at`` a
-    real callback appends to ``reads`` what a monitor sees on every
+    At each instant of ``read_at`` a real callback appends to ``reads`` what a monitor sees on every
     forward and reverse link: stats, backlog and queueing delay.
     """
     sim = Simulator(sanitize=sanitize)
@@ -106,9 +103,6 @@ def run_flow(
                 attach_cross_traffic(
                     sim, net, link, 10e6 * utilization, rng, n_sources=4
                 )
-    if schedule is not None:
-        for link in net.forward_links:
-            link.set_capacity_segments(schedule)
     cfg = TCPConfig(
         congestion_control=cc, delayed_ack=delayed_ack, min_rto=min_rto
     )
@@ -497,44 +491,15 @@ class TestRevocation:
         assert planned == 2
         assert (states, stats) == run_two(False)[:2]
 
-    @pytest.mark.parametrize("hops", [1, 2])
-    @pytest.mark.parametrize("n_streams", [0, 3])
-    @pytest.mark.parametrize("util", [0.0, 0.4])
-    @pytest.mark.parametrize("buf", [None, 12_000])
-    def test_capacity_schedule_flow_planned(self, buf, util, n_streams, hops):
-        # A flow on scheduled links is planned: every admission of the
-        # walk is priced at the rate in force when its transmission
-        # starts, as per-packet send() prices it.  The transfer and the
-        # probe streams straddle both rate changes.
-        schedule = [(0.2000789, 6e6), (0.4000456, 12e6)]
-        kwargs = dict(
-            buffer_bytes=buf, utilization=util, n_streams=n_streams,
-            hops=hops, stream_start=0.15, schedule=schedule,
-        )
-        stf, sf, mf, netf, chf = run_flow(True, sanitize=True, **kwargs)
-        sts, ss, ms, _, _ = run_flow(False, **kwargs)
-        assert stf == sts
-        assert sf == ss
-        assert mf == ms
-        assert netf._ft_flows == 1
-        assert netf._ft_fallbacks == {}
-        if n_streams:
-            assert chf.fastpath_streams == n_streams
-        delivered_log = stf[0][14]  # (time, rcv_nxt) per in-order delivery
-        assert delivered_log[0][0] < schedule[0][0]
-        assert delivered_log[-1][0] > schedule[-1][0]
-
-    def test_capacity_schedule_install_dissolves_domain(self):
-        # Installing a schedule mid-transfer is a planning chokepoint
+    def test_drop_hook_install_dissolves_domain(self):
+        # Installing a drop hook mid-transfer is a planning chokepoint
         # like rebinding deliver: the domain dissolves onto the
         # per-packet path with an unchanged sample path.
-        def mutate_install(net):
-            net.forward_links[0].set_capacity_segments(
-                [(0.5000789, 6e6), (0.9000456, 12e6)]
-            )
+        def mutate(net):
+            net.forward_links[0].drop_hook = lambda pkt: None
 
         kwargs = dict(
-            total_bytes=2_000_000, mutate_at=0.2000123, mutate=mutate_install
+            total_bytes=2_000_000, mutate_at=0.2000123, mutate=mutate
         )
         stf, sf, _, netf, _ = run_flow(True, **kwargs)
         sts, ss, _, _, _ = run_flow(False, **kwargs)

@@ -8,10 +8,10 @@ state after the prefix, so its ``LinkStats`` are compared too, and
 ``fold_link`` folds that link's trailing cross arrivals.  The link
 folds, the stream planner and the flow-transit walk all call these
 functions, so this one generated test stands in for per-site loop
-proofs.  On infinite-buffer, fixed-capacity hops both also run with the
-idle marks of ``repro.netsim.kernels.idle_marks``, which let the fold
-skip cross arrivals; the marks themselves are checked against the
-cross-only float recursion they bound.
+proofs.  On infinite-buffer hops both also run with the idle marks of
+``repro.netsim.kernels.idle_marks``, which let the fold skip cross
+arrivals; the marks themselves are checked against the cross-only float
+recursion they bound.
 """
 
 import math
@@ -84,9 +84,6 @@ def _scenario(draw):
         fg_size=draw(_SIZES),
         fg_sizes=draw(st.lists(_SIZES, min_size=len(fg), max_size=len(fg))),
         until=remap(until),
-        scheduled=draw(st.booleans()),
-        rates=draw(st.lists(st.sampled_from([0.5e6, 2e6, 20e6]), min_size=1, max_size=2)),
-        pick=draw(st.integers(0, 10_000)),
         cuts=sorted(draw(st.lists(st.integers(0, len(cross_t)), max_size=2))),
         preload=draw(st.integers(0, 3)),
     )
@@ -134,24 +131,21 @@ def _assert_sound(times, sizes, cap, marks, margin=None):
     return free_at
 
 
-def _reference(sc, fg_sizes, schedule=None):
+def _reference(sc, fg_sizes):
     """Per-packet reference: a real Link fed every arrival by ``send()``.
 
     Returns the link, its state and stats right after the prefix, and one
-    ``(is_fg, accepted, done, start)`` entry per arrival after it.
+    ``(is_fg, accepted, done)`` entry per arrival after it.
     """
     sim = Simulator()
     link = Link(sim, sc.cap, buffer_bytes=sc.buffer_bytes, deliver=lambda pkt: None)
-    if schedule:
-        link.set_capacity_segments(schedule)
     snap = {}
     log = []
 
     def arrive(size, is_fg, logged=True):
-        before = link._free_at
         ok = link.send(Packet(size))
         if logged:
-            log.append((is_fg, ok, link._free_at if ok else 0.0, max(sim.now, before)))
+            log.append((is_fg, ok, link._free_at if ok else 0.0))
 
     def snapshot():
         snap["state"] = (link._free_at, link._backlog_bytes, deque(link._in_flight))
@@ -177,19 +171,6 @@ def _reference(sc, fg_sizes, schedule=None):
     return link, snap, log
 
 
-def _schedule(sc, fg_sizes):
-    """No schedule, or one whose first boundary falls exactly on the
-    start of a transmission after the prefix."""
-    if not sc.scheduled:
-        return None
-    _, _, log = _reference(sc, fg_sizes)
-    starts = sorted({start for _fg, ok, _done, start in log if ok})
-    if not starts:
-        return None
-    boundary = starts[sc.pick % len(starts)]
-    return [(boundary + 0.003 * k, rate) for k, rate in enumerate(sc.rates)]
-
-
 @given(_scenario())
 # Preloaded foreground work keeps the real hop busy through two marked
 # cross arrivals: the fold must walk them, not jump to the last one.
@@ -197,7 +178,7 @@ def _schedule(sc, fg_sizes):
     SimpleNamespace(
         cap=1e6, buffer_bytes=None, cross_t=[0.001, 0.01, 0.02],
         cross_s=[100, 100, 100], prefix=1, fg=[], fg_size=40, fg_sizes=[],
-        until=0.02, scheduled=False, rates=[2e6], pick=0, cuts=[], preload=3,
+        until=0.02, cuts=[], preload=3,
     )
 )
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -205,13 +186,10 @@ def test_fold_and_admit_match_per_packet_send(sc):
     n_cross = sum(1 for t in sc.cross_t if t <= sc.until)
 
     # fold: one call for the whole slice, fixed foreground size; on an
-    # infinite-buffer, fixed-capacity hop once without idle marks and
-    # once with them.
-    sizes = [sc.fg_size] * len(sc.fg)
-    schedule = _schedule(sc, sizes)
-    link, snap, log = _reference(sc, sizes, schedule)
+    # infinite-buffer hop once without idle marks and once with them.
+    link, snap, log = _reference(sc, [sc.fg_size] * len(sc.fg))
     runs = [None]
-    if sc.buffer_bytes is None and schedule is None:
+    if sc.buffer_bytes is None:
         marks, bound = _marks(sc.cross_t, sc.cross_s, sc.cap, sc.cuts)
         end = _assert_sound(sc.cross_t, sc.cross_s, sc.cap, marks)
         assert end <= bound
@@ -222,8 +200,7 @@ def test_fold_and_admit_match_per_packet_send(sc):
         in_flight = deque(in_flight)
         ci, free_at, backlog, fb, fp, db, dp, dones, accepts = out = fold(
             *_arrays(sc.cross_t, sc.cross_s), sc.prefix, sc.until, free_at, backlog,
-            in_flight, link.capacity_bps, link._cap_sched, sc.buffer_bytes, sc.fg,
-            sc.fg_size, marks,
+            in_flight, link.capacity_bps, sc.buffer_bytes, sc.fg, sc.fg_size, marks,
         )
         results.append((out, list(in_flight)))
         stats, before = link._stats.snapshot(), snap["stats"]
@@ -236,11 +213,11 @@ def test_fold_and_admit_match_per_packet_send(sc):
             stats[key] - before[key]
             for key in ("bytes_forwarded", "packets_forwarded", "bytes_dropped", "packets_dropped")
         )
-        assert dones == [done for _fg, _ok, done, _start in fg_log]
+        assert dones == [done for _fg, _ok, done in fg_log]
         if sc.buffer_bytes is None:
-            assert accepts is None and all(ok for _fg, ok, _done, _start in fg_log)
+            assert accepts is None and all(ok for _fg, ok, _done in fg_log)
         else:
-            assert accepts == [ok for _fg, ok, _done, _start in fg_log]
+            assert accepts == [ok for _fg, ok, _done in fg_log]
     assert results[-1] == results[0]
 
     # admit: one call per foreground arrival, per-entry sizes, into a
@@ -249,25 +226,23 @@ def test_fold_and_admit_match_per_packet_send(sc):
     # has them) in an aggregator; then the trailing cross arrivals folded
     # to ``until`` by ``fold_link``, the entry ``Link.sync`` folds
     # through (``sync`` itself folds only to now).
-    schedule = _schedule(sc, sc.fg_sizes)
-    link, snap, log = _reference(sc, sc.fg_sizes, schedule)
+    link, snap, log = _reference(sc, sc.fg_sizes)
     free_at, backlog, in_flight = snap["state"]
     live = Link(Simulator(), sc.cap, buffer_bytes=sc.buffer_bytes)
-    live._cap_sched = link._cap_sched
     live._free_at, live._backlog_bytes, live._in_flight = free_at, backlog, in_flight
     for key, value in snap["stats"].items():
         setattr(live._stats, key, value)
     agg = CrossAggregator(live.sim, live)
     agg.times, agg.sizes = _arrays(sc.cross_t, sc.cross_s)
     agg.idx = sc.prefix
-    if sc.buffer_bytes is None and schedule is None:
+    if sc.buffer_bytes is None:
         agg.marks = _marks(sc.cross_t, sc.cross_s, sc.cap, sc.cuts)[0]
     agg._horizon = math.inf
     live._agg = agg
     got = [admit(live, t, size) for t, size in zip(sc.fg, sc.fg_sizes)]
     fold_link(live, sc.until)
     live._purge(sc.until)
-    assert got == [done if ok else None for is_fg, ok, done, _start in log if is_fg]
+    assert got == [done if ok else None for is_fg, ok, done in log if is_fg]
     assert agg.idx == n_cross
     assert (live._free_at, live._backlog_bytes, list(live._in_flight)) == (
         link._free_at, link._backlog_bytes, list(link._in_flight)
@@ -324,7 +299,7 @@ def test_idle_marks_keep_the_rounding_slack():
     for m in (None, marks):
         in_flight = deque()
         out = fold(
-            *_arrays(times, sizes), 0, late, 0.0, 0, in_flight, cap, None, None, (), 0, m
+            *_arrays(times, sizes), 0, late, 0.0, 0, in_flight, cap, None, (), 0, m
         )
         outs.append((out, list(in_flight)))
     assert outs[1] == outs[0]
@@ -345,7 +320,7 @@ def test_skipped_bytes_sum_exactly_past_int64():
     outs = []
     for m in (None, marks):
         in_flight = deque()
-        out = fold(t, s, 0, times[-1], 0.0, 0, in_flight, cap, None, None, (), 0, m)
+        out = fold(t, s, 0, times[-1], 0.0, 0, in_flight, cap, None, (), 0, m)
         outs.append((out, list(in_flight)))
         ci, free_at, backlog, fwd_bytes, fwd_pkts = out[:5]
         assert (ci, fwd_pkts, fwd_bytes) == (n, n, sum(sizes))

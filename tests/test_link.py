@@ -152,87 +152,6 @@ class TestStats:
         assert link.utilization_of(625000, 1.0) == pytest.approx(0.5)
 
 
-class TestCapacitySchedule:
-    def test_capacity_at_boundary_semantics(self):
-        sim = Simulator()
-        link, _ = make_link(sim, capacity=8e6)
-        link.set_capacity_segments([(1.0, 4e6), (2.0, 16e6)])
-        assert link.capacity_at(0.5) == 8e6
-        assert link.capacity_at(1.0) == 4e6  # boundary takes the new rate
-        assert link.capacity_at(1.5) == 4e6
-        assert link.capacity_at(2.0) == 16e6
-        assert link.capacity_at(100.0) == 16e6  # last rate holds forever
-        assert link.capacity_bps == 8e6  # base rate untouched
-
-    def test_serialization_uses_rate_at_transmission_start(self):
-        sim = Simulator()
-        link, arrivals = make_link(sim, capacity=8e6, prop=0.0)
-        link.set_capacity_segments([(1.0, 4e6)])
-        # Admitted at t=0 on an idle link: starts immediately at 8 Mb/s.
-        link.send(Packet(1000))
-        # Admitted at t=1.5: starts after the boundary, at 4 Mb/s.
-        sim.schedule_at(1.5, lambda: link.send(Packet(1000)))
-        sim.run()
-        assert arrivals[0][0] == pytest.approx(0.001)
-        assert arrivals[1][0] == pytest.approx(1.502)
-
-    def test_queued_start_after_boundary_takes_new_rate(self):
-        # Admission *time* is before the boundary, but the queue pushes
-        # the transmission start past it: the new rate applies, because
-        # serialization is priced at transmission start.
-        sim = Simulator()
-        link, arrivals = make_link(sim, capacity=8e6, prop=0.0)
-        link.set_capacity_segments([(0.0015, 4e6)])
-
-        def burst():
-            link.send(Packet(1000))  # starts idle at 0.0012 (8 Mb/s)
-            link.send(Packet(1000))  # queued: starts 0.0022 > boundary
-
-        sim.schedule_at(0.0012, burst)
-        sim.run()
-        assert arrivals[0][0] == pytest.approx(0.0022)
-        assert arrivals[1][0] == pytest.approx(0.0042)
-
-    def test_mid_transmission_boundary_does_not_reprice(self):
-        # A transmission under way when the boundary passes completes at
-        # its admission rate (store-and-forward idealization).
-        sim = Simulator()
-        link, arrivals = make_link(sim, capacity=8e6, prop=0.0)
-        link.set_capacity_segments([(0.0005, 1e6)])
-        link.send(Packet(1000))  # starts at t=0 under 8 Mb/s
-        sim.run()
-        assert arrivals[0][0] == pytest.approx(0.001)
-
-    def test_reinstall_replaces_schedule(self):
-        sim = Simulator()
-        link, _ = make_link(sim, capacity=8e6)
-        link.set_capacity_segments([(1.0, 4e6)])
-        sim.schedule_at(
-            1.5, lambda: link.set_capacity_segments([(2.0, 16e6)])
-        )
-        sim.run(until=1.6)
-        # Rate in force at reinstall (4 Mb/s) becomes the pre-boundary rate.
-        assert link.capacity_at(1.7) == 4e6
-        assert link.capacity_at(2.0) == 16e6
-
-    def test_validation_errors(self):
-        sim = Simulator()
-        link, _ = make_link(sim)
-        with pytest.raises(ValueError, match="at least one"):
-            link.set_capacity_segments([])
-        with pytest.raises(ValueError, match="positive"):
-            link.set_capacity_segments([(1.0, 0.0)])
-        with pytest.raises(ValueError, match="future"):
-            link.set_capacity_segments([(0.0, 1e6)])
-        with pytest.raises(ValueError, match="increasing"):
-            link.set_capacity_segments([(1.0, 1e6), (1.0, 2e6)])
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="positive and finite"):
-                link.set_capacity_segments([(1.0, bad)])
-            with pytest.raises(ValueError, match="finite and in the future"):
-                link.set_capacity_segments([(bad, 1e6)])
-
-
 class TestValidation:
     def test_bad_capacity(self):
         sim = Simulator()

@@ -101,10 +101,11 @@ class TestSuppression:
         assert [f.rule_id for f in findings] == ["SIM001"]
 
     def test_allowlist_matches_path_suffix(self):
-        source = "import time\nt = time.time()\n"
+        source = 'print("hello")\n'
         hit = lint_source(source, "src/repro/netsim/link.py")
-        assert [f.rule_id for f in hit] == ["SIM001"]
-        allowed = lint_source(source, "src/repro/transport/realtime.py")
+        assert [f.rule_id for f in hit] == ["SIM007"]
+        # the entry matches wherever the repository is checked out
+        allowed = lint_source(source, "/work/checkout/src/repro/cli.py")
         assert allowed == []
 
     def test_rule_selection(self):
@@ -459,10 +460,10 @@ class TestCli:
         for rule in ALL_RULES:
             assert rule.id in out
 
-    def test_no_allowlist_reports_realtime(self):
-        realtime = REPO_ROOT / "src" / "repro" / "transport" / "realtime.py"
-        assert lint_main([str(realtime)]) == 0
-        assert lint_main([str(realtime), "--no-allowlist"]) == 1
+    def test_no_allowlist_reports_cli(self):
+        cli = REPO_ROOT / "src" / "repro" / "cli.py"
+        assert lint_main([str(cli)]) == 0
+        assert lint_main([str(cli), "--no-allowlist"]) == 1
 
     def test_syntax_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"

@@ -15,8 +15,6 @@ import gc
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignResult, CampaignSample
-from repro.core.pathload import PathloadReport
 from repro.experiments import fig05_load, fig15_16_btc
 from repro.experiments.base import (
     Scale,
@@ -323,71 +321,3 @@ class TestCache:
         )
         with pytest.raises(TypeError):
             cache_key(task)
-
-
-# ----------------------------------------------------------------------
-# coverage_fraction bisect rewrite
-# ----------------------------------------------------------------------
-
-
-def _campaign_sample(t_start, t_end, low_bps, high_bps):
-    report = PathloadReport(
-        low_bps=low_bps,
-        high_bps=high_bps,
-        grey_low_bps=None,
-        grey_high_bps=None,
-        termination="converged",
-    )
-    return CampaignSample(t_start=t_start, t_end=t_end, report=report)
-
-
-class TestCoverageFraction:
-    def _brute_force(self, result, slack_bps):
-        """The O(S*M) scan coverage_fraction replaced."""
-        hits = 0
-        for sample in result.samples:
-            mid = (sample.t_start + sample.t_end) / 2.0
-            truth = min(result.monitor_series, key=lambda p: abs(p[0] - mid))[1]
-            if (
-                sample.report.low_bps - slack_bps
-                <= truth
-                <= sample.report.high_bps + slack_bps
-            ):
-                hits += 1
-        return hits / len(result.samples)
-
-    def test_matches_bruteforce_on_random_series(self):
-        rng = np.random.default_rng(3)
-        times = np.sort(rng.uniform(0.0, 100.0, size=40))
-        values = rng.uniform(1e6, 9e6, size=40)
-        monitor = [(float(t), float(v)) for t, v in zip(times, values)]
-        samples = []
-        for _ in range(60):
-            # midpoints land inside, before, and after the monitored span
-            t0 = float(rng.uniform(-10.0, 110.0))
-            t1 = t0 + float(rng.uniform(0.1, 20.0))
-            low = float(rng.uniform(0.5e6, 5e6))
-            samples.append(
-                _campaign_sample(t0, t1, low, low + float(rng.uniform(0.0, 4e6)))
-            )
-        result = CampaignResult(samples=samples, monitor_series=monitor)
-        for slack in (0.0, 5e5):
-            assert result.coverage_fraction(slack) == self._brute_force(result, slack)
-
-    def test_exact_tie_picks_earlier_window(self):
-        # midpoint 15 is equidistant from windows at t=10 (covering) and
-        # t=20 (not); min() picked the first, i.e. the earlier one.
-        monitor = [(10.0, 5e6), (20.0, 9e6)]
-        samples = [_campaign_sample(14.0, 16.0, 4e6, 6e6)]
-        result = CampaignResult(samples=samples, monitor_series=monitor)
-        assert result.coverage_fraction() == 1.0
-
-    def test_unsorted_monitor_series(self):
-        monitor = [(30.0, 9e6), (10.0, 5e6), (20.0, 7e6)]
-        samples = [_campaign_sample(9.0, 13.0, 4e6, 6e6)]
-        result = CampaignResult(samples=samples, monitor_series=monitor)
-        assert result.coverage_fraction() == self._brute_force(result, 0.0)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignResult(samples=[], monitor_series=[]).coverage_fraction()

@@ -63,13 +63,15 @@ def run_streams(
     monitor_at=(),
     qdisc_hop=None,
     clocks=None,
-    cap_install=None,
+    hook_at=None,
     prepare=None,
 ):
     """Send ``n_streams`` probe streams; return every observable series.
 
     ``capacities`` sets each hop's rate (default 10 Mb/s on every hop).
-    ``prepare(sim, net)`` runs once the path is built, before the channel.
+    ``hook_at`` installs a drop hook on the first hop at that instant,
+    which dissolves a walk over it.  ``prepare(sim, net)`` runs once the
+    path is built, before the channel.
     """
     sim = Simulator(sanitize=sanitize)
     if utilization > 0.0:
@@ -88,10 +90,9 @@ def run_streams(
         net.forward_links[qdisc_hop].qdisc = REDQueue(
             5_000, 20_000, np.random.default_rng(seed + 1)
         )
-    if cap_install is not None:
-        at, segments = cap_install
+    if hook_at is not None:
         sim.schedule_at(
-            at, lambda: net.forward_links[0].set_capacity_segments(segments)
+            hook_at, lambda: setattr(net.forward_links[0], "drop_hook", _observe_drop)
         )
     if prepare is not None:
         prepare(sim, net)
@@ -236,62 +237,19 @@ class TestBitEquality:
 
 
 # ----------------------------------------------------------------------
-# Piecewise-constant capacity schedules (Section VI dynamics)
+# Mid-stream decommission: the walk dissolves
 # ----------------------------------------------------------------------
-class TestCapacitySchedule:
-    # Boundaries off the 0.3 ms probe-send grid, straddling the first
-    # stream's ~17.7 ms window so the plan crosses rate changes mid-walk.
-    SEGMENTS = ((2.00312345, 6e6), (2.00921234, 14e6))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(hops=1),
-            dict(hops=2),
-            dict(utilization=0.5),
-            dict(hops=1, buffer_bytes=4_000, rate_bps=9.5e6),
-            dict(utilization=0.6, buffer_bytes=15_000),
-        ],
-        ids=["idle-1hop", "idle-2hop", "cross-0.5", "droptail", "cross-finite"],
-    )
-    def test_scheduled_link_bit_identical(self, kwargs):
-        kwargs = dict(kwargs, cap_install=(1.0, self.SEGMENTS))
-        mf, sf, _, chf, _ = run_streams(True, **kwargs)
-        ms, ss, _, chs, _ = run_streams(False, **kwargs)
-        assert mf == ms
-        assert sf == ss
-        # Planning stays engaged: the walks look the rate up per
-        # admission instead of refusing the hop.
-        assert chf.fastpath_streams == len(mf)
-        assert not chf.fastpath_fallbacks
-        assert chs.fastpath_streams == 0
-
-    def test_scheduled_link_shadow_verify_passes(self):
-        # Under sanitize every round is shadow-replayed; the run must not
-        # raise and must still equal per-packet.
-        kwargs = dict(utilization=0.5, cap_install=(1.0, self.SEGMENTS))
-        mf, sf, _, chf, _ = run_streams(True, sanitize=True, **kwargs)
-        ms, ss, _, _, _ = run_streams(False, **kwargs)
-        assert mf == ms
-        assert sf == ss
-        assert chf.fastpath_streams == len(mf)
-
+class TestDissolve:
     def test_install_mid_stream_revokes_then_matches(self):
-        # Installing a schedule while a stream is in transit is a
-        # planning chokepoint: the walk dissolves, revoking its future
-        # admissions (they would be priced by the new rate function), and
-        # the remainder continues per-packet.  The second install comes
-        # after the first stream's first deliveries, so that measurement
-        # holds a committed walk slice, stamped by one array read of each
-        # skewed clock, followed by per-packet arrivals stamped one read
-        # at a time.
-        for at, segments, skewed in (
-            (2.00512345, ((2.00791234, 6e6), (2.01321234, 14e6)), False),
-            (2.01512345, ((2.01791234, 6e6), (2.02321234, 14e6)), True),
-        ):
-            kwargs = dict(
-                utilization=0.4, cap_install=(at, segments), skewed_clocks=skewed
-            )
+        # Installing a drop hook while a stream is in transit is a
+        # planning chokepoint: the walk dissolves, and the remainder
+        # continues per-packet.  The second install comes after the first
+        # stream's first deliveries, so that measurement holds a
+        # committed walk slice, stamped by one array read of each skewed
+        # clock, followed by per-packet arrivals stamped one read at a
+        # time.
+        for at, skewed in ((2.00512345, False), (2.01512345, True)):
+            kwargs = dict(utilization=0.4, hook_at=at, skewed_clocks=skewed)
             mf, sf, _, chf, _ = run_streams(True, **kwargs)
             ms, ss, _, _, _ = run_streams(False, **kwargs)
             assert mf == ms
@@ -513,12 +471,12 @@ class TestStragglerSends:
     @pytest.mark.parametrize("tcp", [False, True], ids=["solo", "tcp"])
     def test_dissolve_resumes_finalized_stream(self, tcp):
         # The first stream's closing packet is delivered at ~2.07175 s and
-        # its last jittered send is due at ~2.07487 s.  A capacity schedule
+        # its last jittered send is due at ~2.07487 s.  A drop hook
         # installed in between dissolves the walk; the finalized stream's
         # unsent packets must still go out, per-packet.
         kwargs = dict(
             self.KWARGS, jitter_delay=0.05, tcp_at=1.0 if tcp else None,
-            cap_install=(2.0736123, ((2.0900123, 8e6), (2.1500123, 12e6))),
+            hook_at=2.0736123,
         )
         mf, sf, _, _, _ = run_streams(True, tcp_fast=True, **kwargs)
         ms, ss, _, _, _ = run_streams(False, tcp_fast=False, **kwargs)
