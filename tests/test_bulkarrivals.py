@@ -645,9 +645,20 @@ class TestIdleMarks:
         assert link._agg is None
         assert (len(agg.marks), len(agg.times), agg._bound) == (0, 0, -math.inf)
 
-    def test_no_marks_on_a_finite_buffer(self):
+    @pytest.mark.parametrize(
+        "buffer_bytes, no_vector",
+        [(20_000, False), (None, True)],
+        ids=["finite-buffer", "no-vector"],
+    )
+    def test_no_marks_where_the_fold_cannot_skip(
+        self, monkeypatch, buffer_bytes, no_vector
+    ):
+        # A drop-tail replay needs every arrival, and the Python merge
+        # (REPRO_NO_VECTOR) makes no marks even on an infinite buffer.
+        if no_vector:
+            monkeypatch.setenv(NO_VECTOR_ENV, "1")
         before = kernels.kernel_calls.get("idle_marks", 0)
-        sim, _net, link = self._link(buffer_bytes=20_000)
+        sim, _net, link = self._link(buffer_bytes)
         sim.run(until=1.5)
         assert link.stats.packets_forwarded > 1000
         agg = link._agg

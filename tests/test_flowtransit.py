@@ -491,7 +491,7 @@ class TestRevocation:
         assert planned == 2
         assert (states, stats) == run_two(False)[:2]
 
-    def test_drop_hook_install_dissolves_domain(self):
+    def test_capacity_schedule_install_dissolves_domain(self):
         # Installing a drop hook mid-transfer is a planning chokepoint
         # like rebinding deliver: the domain dissolves onto the
         # per-packet path with an unchanged sample path.

@@ -460,7 +460,7 @@ class TestCli:
         for rule in ALL_RULES:
             assert rule.id in out
 
-    def test_no_allowlist_reports_cli(self):
+    def test_no_allowlist_reports_realtime(self):
         cli = REPO_ROOT / "src" / "repro" / "cli.py"
         assert lint_main([str(cli)]) == 0
         assert lint_main([str(cli), "--no-allowlist"]) == 1
