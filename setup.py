@@ -1,8 +1,9 @@
 """Legacy setup shim.
 
-All metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works in offline environments lacking the ``wheel``
-package (pip falls back to ``setup.py develop`` there).
+All metadata, extras and console scripts live in setup.cfg; this file
+exists so that ``pip install -e .`` works in offline environments
+lacking the ``wheel`` package (pip falls back to ``setup.py develop``
+there).
 """
 
 from setuptools import setup

@@ -119,7 +119,9 @@ def _sender_rate_deviates(
     if len(gaps) == 0:
         return False
     period = measurement.spec.period
-    deviant = int(np.sum(np.abs(gaps - period) > config.gap_deviation_tolerance * period))
+    deviant = np.count_nonzero(
+        np.abs(gaps - period) > config.gap_deviation_tolerance * period
+    )
     return deviant > config.max_deviant_gap_fraction * len(gaps)
 
 

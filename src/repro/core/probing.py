@@ -264,9 +264,11 @@ class StreamMeasurement:
         context switches and other send-rate deviations; gaps spanning a
         lost packet are normalized by the sequence distance.
         """
-        if len(self.seq) < 2:
+        seq = self.seq
+        if len(seq) < 2:
             return np.empty(0, dtype=np.float64)
-        return np.diff(self.sender_stamp) / np.diff(self.seq.astype(np.float64))
+        stamps = self.sender_stamp
+        return (stamps[1:] - stamps[:-1]) / (seq[1:] - seq[:-1])
 
     def dispersion_rate_bps(self) -> float:
         """Receiver-side rate of the stream (packet-train dispersion).

@@ -120,7 +120,7 @@ def pct_metric(medians: Sequence[float]) -> float:
     medians = np.asarray(medians, dtype=np.float64)
     if len(medians) < 2:
         raise ValueError(f"need at least 2 group medians, got {len(medians)}")
-    increases = np.diff(medians) > 0
+    increases = medians[1:] - medians[:-1] > 0
     return float(np.count_nonzero(increases)) / (len(medians) - 1)
 
 
@@ -133,7 +133,7 @@ def pdt_metric(medians: Sequence[float]) -> float:
     medians = np.asarray(medians, dtype=np.float64)
     if len(medians) < 2:
         raise ValueError(f"need at least 2 group medians, got {len(medians)}")
-    total_variation = float(np.sum(np.abs(np.diff(medians))))
+    total_variation = float(np.abs(medians[1:] - medians[:-1]).sum())
     if total_variation == 0.0:
         return 0.0
     return float(medians[-1] - medians[0]) / total_variation

@@ -23,8 +23,9 @@ that holds everything else (timers, stream sends, arrivals at later
 hops).
 A probe stream alone in the domain is *batched* instead: each round folds
 its arrivals hop by hop with one :func:`~repro.netsim.hopfold.fold_link`
-call per hop.  Any other stream is admitted per packet, interleaved with
-the flows.
+call per hop, which returns the exit times (done plus propagation delay)
+that are the next hop's arrivals.  Any other stream is admitted per
+packet, interleaved with the flows.
 
 Streams (:func:`plan_stream`) and flows (:func:`try_attach_flow`) enter
 through one gate, :func:`_domain_for`, which refuses a path whose links
@@ -62,13 +63,17 @@ the heap until it can fire.  The walk hands deliveries straight to
 and the RTO run the one implementation in ``tcp.py`` on both paths.
 
 A probe stream is one object on both paths, the channel's
-:class:`~repro.transport.probe._StreamRun`.  While the walk carries it
-(``run.walked``), the walk keeps the stream's pending hop arrivals and
-its deliveries on the run, and ``ProbeChannel._finalize`` commits the
-deliveries due into the run's records at the closing delivery or at the
-deadline.  A probe packet the walk hands back is built by the run
-(``run.packet``) and received by it (``run.on_arrival``), exactly as on
-the per-packet path.
+:class:`~repro.transport.probe._StreamRun`, and it carries its send
+schedule as two arrays, send times and sequence numbers in send order.
+While the walk carries it (``run.walked``), the walk keeps the stream's
+pending hop arrivals and its deliveries on the run, as lists of times
+and schedule indices: hop 0 of a batched stream starts from the
+send-time array, and each fold's exit times are the next hop's
+arrivals.  ``ProbeChannel._finalize`` commits the deliveries due at the
+closing delivery or at the deadline: the run's records are gathered
+from the schedule arrays by the delivered schedule indices.  A probe
+packet the walk hands back is built by the run (``run.packet``) and
+received by it (``run.on_arrival``), exactly as on the per-packet path.
 
 Determinism contract
 --------------------
@@ -604,8 +609,8 @@ class FlowTransitDomain:
         event.  Any other stream is admitted per packet, and so is a
         batched one once :meth:`_round` finds a full tracer on its hops.
         """
-        sched = run.schedule
         n = run.n
+        t_first = run.times.item(0)
         self.streams.append(run)
         run.walked = True
         run.n_sent = n
@@ -615,18 +620,18 @@ class FlowTransitDomain:
         if (
             self.flows
             or self._batch is not None
-            or sched[-1][1] != n - 1
+            or run.seqs[-1] != n - 1
             or any(ev[2] == K_SSEND or ev[2] == K_ADMIT for ev in self._vheap)
         ):
             self._unbatch()
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (sched[0][0], q, K_SSEND, run, 0))
+            heapq.heappush(self._vheap, (t_first, q, K_SSEND, run, 0))
         else:
             rest = range(1, len(self._fwd))
-            run.bt = [[t for t, _seq in sched]] + [[] for _ in rest]
-            run.bi = [list(range(len(sched)))] + [[] for _ in rest]
+            run.bt = [run.times.tolist()] + [[] for _ in rest]
+            run.bi = [list(range(n))] + [[] for _ in rest]
             self._batch = run
-        self._kick(sched[0][0])
+        self._kick(t_first)
 
     def _unbatch(self) -> None:
         """Move the batched stream's pending arrivals onto per-packet
@@ -658,9 +663,12 @@ class FlowTransitDomain:
         One :func:`~repro.netsim.hopfold.fold_link` per hop admits the
         due arrivals into the live link, with the due cross arrivals folded
         first, exactly as :func:`~repro.netsim.hopfold.admit` would one by
-        one.  Exits before the limit feed the next hop in this round;
-        later ones wait for the next round.  Exits from the last hop are
-        deliveries (:meth:`_deliver_batch`).
+        one, and returns each arrival's exit time from the hop (done plus
+        propagation delay).  Exits before the limit feed the next hop in
+        this round; later ones wait for the next round.  Exits from the
+        last hop are deliveries (:meth:`_deliver_batch`).  Under sanitize
+        the fold returns the done times themselves, which the shadow check
+        compares bit for bit, and the delay is added here.
         """
         limit = self._limit
         rec = self._rec
@@ -675,21 +683,21 @@ class FlowTransitDomain:
             if not k:
                 continue
             fg = ts[:k]
-            ix = bi[h][:k]
+            xi = bi[h][:k]
             del ts[:k], bi[h][:k]
-            dones, accepts = fold_link(link, fg[-1], fg, size)
-            if rec is not None:
+            prop = link._prop_delay
+            if rec is None:
+                xs, accepts = fold_link(link, fg[-1], fg, size, prop)
+            else:
+                dones, accepts = fold_link(link, fg[-1], fg, size, 0.0)
                 rec.extend(
                     (link, t, size, d if accepts is None or accepts[j] else None)
                     for j, (t, d) in enumerate(zip(fg, dones))
                 )
-            prop = link._prop_delay
-            if accepts is None:
                 xs = [d + prop for d in dones]
-                xi = ix
-            else:
-                xs = [d + prop for d, ok in zip(dones, accepts) if ok]
-                xi = [i for i, ok in zip(ix, accepts) if ok]
+            if accepts is not None:
+                xs = [x for x, ok in zip(xs, accepts) if ok]
+                xi = [i for i, ok in zip(xi, accepts) if ok]
             if h < last:
                 bt[h + 1] += xs
                 bi[h + 1] += xi
@@ -722,7 +730,7 @@ class FlowTransitDomain:
             # Push the next send before admitting this packet, mirroring
             # the per-packet sender's reschedule-before-inject tie order.
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (run.schedule[j][0], q, K_SSEND, run, j))
+            heapq.heappush(self._vheap, (run.times.item(j), q, K_SSEND, run, j))
         self._hop_admit(self._fwd, 0, t, run.size, (K_SDELIV, run, i))
 
     def _ev_sdeliv(self, t: float, run: "_StreamRun", i: int) -> None:
@@ -730,7 +738,7 @@ class FlowTransitDomain:
             return  # straggler after deadline finalization: lost
         run.idx.append(i)
         run.rec_times.append(t)
-        if run.schedule[i][1] == run.n - 1:
+        if run.seqs[i] == run.n - 1:
             run.closing = True
             self._defer(run.channel._finalize, run, True)
 
@@ -907,9 +915,12 @@ class FlowTransitDomain:
                 # Virtually complete: the pending _finalize event will
                 # commit and finalize; nothing to rewind.
                 continue
-            run.commit(now, inclusive=True)
-            # Deliveries a batched fold recorded past now arrive per-packet.
-            p = run.committed
+            p = run.commit(now, inclusive=True)
+            # Deliveries a batched fold recorded past now arrive per-packet,
+            # appended to the records.
+            run.seq = run.seq.tolist()
+            run.sender_stamp = run.sender_stamp.tolist()
+            run.recv_stamp = run.recv_stamp.tolist()
             for i, x in zip(run.idx[p:], run.rec_times[p:]):
                 self._materialize((x, None, K_SDELIV, run, i))
             run.walked = False

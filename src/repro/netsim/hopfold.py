@@ -22,8 +22,9 @@ cursor (with a foreground slice, if any) and writes the link's state and
 :class:`~repro.netsim.link.LinkStats` back.  ``Link.sync`` calls it to
 fold cross traffic alone, :func:`admit` before each admission, and the
 flow-transit walk once per hop per round with a batched probe stream's
-arrivals.  The walk never runs ahead of a real reader, so its admissions
-go straight into the link's state.  ``Link.send()`` keeps its own copy
+arrivals, which takes back each packet's exit time from the hop.  The
+walk never runs ahead of a real reader, so its admissions go straight
+into the link's state.  ``Link.send()`` keeps its own copy
 of the recursion, because it is the per-packet reference every equality
 suite compares against.  So does the sanitize shadow
 (``FlowTransitDomain._verify_round``), so that a bug here cannot hide
@@ -116,7 +117,7 @@ def _byte_sum(sizes, a, b):
 
 def fold(
     times, sizes, ci, until, free_at, backlog, in_flight, cap, buffer_bytes,
-    fg=(), fg_size=0, marks=None,
+    fg=(), fg_size=0, marks=None, prop=0.0,
 ):
     """Fold cross arrivals ``times[ci:]``/``sizes[ci:]`` up to ``until``
     (inclusive), merged with foreground arrivals ``fg`` of ``fg_size``
@@ -128,15 +129,19 @@ def fold(
     ``buffer_bytes`` is ``None`` for an infinite buffer.  ``marks``,
     aligned with ``times``, holds the idle marks of the cross arrivals,
     or is ``None`` (module docstring).  Returns ``(ci, free_at, backlog,
-    fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts)``: the
+    fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, exits, accepts)``: the
     new cursor, the hop state at ``until`` (``in_flight`` already purged
     to it), the bytes and packets this call forwarded and dropped, cross
-    and foreground together, each foreground entry's
-    transmission-complete time (0.0 when dropped), and its verdicts
-    (``None`` for an infinite buffer, which accepts every entry).
+    and foreground together, each foreground entry's exit time from the
+    hop (0.0 when dropped), and its verdicts (``None`` for an infinite
+    buffer, which accepts every entry).  An exit time is ``done + prop``:
+    the entry's transmission-complete time plus ``prop``, the hop's
+    propagation delay, so the caller can feed the exits to the next hop
+    as they are.  With the default ``prop`` of 0.0 it is ``done``, bit
+    for bit.
     """
     nfg = len(fg)
-    dones: list[float] = []
+    exits: list[float] = []
     # bisect_right(times, until, ci), on a sorted array.
     j = int(times.searchsorted(until, "right"))
     if j < ci:
@@ -180,7 +185,7 @@ def fold(
                 if free_at > until:
                     in_flight.append((free_at, fg_size))
                     backlog += fg_size
-                dones.append(free_at)
+                exits.append(free_at + prop)
                 k += 1
                 ft = fg[k] if k < nfg else _INF
             start = free_at if free_at > t else t
@@ -194,7 +199,7 @@ def fold(
             if free_at > until:
                 in_flight.append((free_at, fg_size))
                 backlog += fg_size
-            dones.append(free_at)
+            exits.append(free_at + prop)
         fwd_pkts = j - ci0 + nfg
     else:
         # Drop-tail decisions replay in merge order: the backlog each
@@ -234,7 +239,7 @@ def fold(
                 drop_bytes += fg_size
                 drop_pkts += 1
                 accepts.append(False)
-                dones.append(0.0)
+                exits.append(0.0)
             else:
                 start = free_at if free_at > stop else stop
                 free_at = start + fg_size * 8.0 / cap
@@ -243,19 +248,20 @@ def fold(
                 fwd_bytes += fg_size
                 fwd_pkts += 1
                 accepts.append(True)
-                dones.append(free_at)
+                exits.append(free_at + prop)
             k += 1
     while in_flight and in_flight[0][0] <= until:
         backlog -= in_flight.popleft()[1]
     return (
-        j, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts
+        j, free_at, backlog, fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, exits, accepts
     )
 
 
-def fold_link(link, until, fg=(), fg_size=0):
+def fold_link(link, until, fg=(), fg_size=0, prop=0.0):
     """Fold ``link``'s cross arrivals up to ``until`` (inclusive), merged
     with foreground arrivals ``fg`` of ``fg_size`` bytes each, into its
-    live state; return ``(dones, accepts)`` as :func:`fold` does.
+    live state; return ``(exits, accepts)`` as :func:`fold` does with
+    propagation delay ``prop``.
 
     The aggregator's merged coverage is pulled up to ``until`` first
     (:meth:`~repro.netsim.bulkarrivals.CrossAggregator.extend_until`).
@@ -282,10 +288,11 @@ def fold_link(link, until, fg=(), fg_size=0):
         return (), None
     (
         ci, link._free_at, link._backlog_bytes,
-        fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, dones, accepts,
+        fwd_bytes, fwd_pkts, drop_bytes, drop_pkts, exits, accepts,
     ) = fold(
         times, sizes, ci, until, link._free_at, link._backlog_bytes,
         link._in_flight, link.capacity_bps, link.buffer_bytes, fg, fg_size, marks,
+        prop,
     )
     if agg is not None:
         agg.idx = ci
@@ -294,7 +301,7 @@ def fold_link(link, until, fg=(), fg_size=0):
     stats.packets_forwarded += fwd_pkts
     stats.bytes_dropped += drop_bytes
     stats.packets_dropped += drop_pkts
-    return dones, accepts
+    return exits, accepts
 
 
 def admit(link, t, size):

@@ -76,15 +76,20 @@ class _StreamRun:
 
     The sender's schedule, the receiver's records and, while the
     flow-transit walk carries the stream (``walked``), the walk's state.
-    A batched stream keeps its pending hop arrivals in ``bt`` (times) and
-    ``bi`` (schedule indices), one pair of lists per forward hop; hop 0
-    starts with the whole send schedule.  A stream the walk admits per
-    packet has ``bt = bi = None``.  Each walk delivery appends its
-    schedule index to ``idx`` and its time to ``rec_times``; the first
-    ``committed`` of them are in the records (see :meth:`commit`).
-    ``closing`` is set once the walk has reached the stream-closing
-    delivery and scheduled its :meth:`ProbeChannel._finalize`; the run
-    keeps no reference to that event, which holds the run.
+    The schedule is two arrays in send order, indexed by *schedule
+    index*: ``times`` (float64 send times, all jitter drawn up front) and
+    ``seqs`` (int64 sequence numbers; they differ from the schedule
+    indices only under send jitter).  A batched stream keeps its pending
+    hop arrivals in ``bt`` (times) and ``bi`` (schedule indices), one
+    pair of lists per forward hop; hop 0 starts with the whole schedule.
+    A stream the walk admits per packet has ``bt = bi = None``.  Each
+    walk delivery appends its schedule index to ``idx`` and its time to
+    ``rec_times``.  The records ``seq``, ``sender_stamp`` and
+    ``recv_stamp`` are lists the per-packet receiver appends to, or the
+    arrays :meth:`commit` gathers from the walk's deliveries.  ``closing`` is set once the walk has
+    reached the stream-closing delivery and scheduled its
+    :meth:`ProbeChannel._finalize`; the run keeps no reference to that
+    event, which holds the run.
     """
 
     __slots__ = (
@@ -100,13 +105,13 @@ class _StreamRun:
         "t_start",
         "done",
         "completion",
-        "schedule",
+        "times",
+        "seqs",
         "walked",
         "bt",
         "bi",
         "idx",
         "rec_times",
-        "committed",
         "closing",
     )
 
@@ -126,13 +131,12 @@ class _StreamRun:
         self.done = False
         #: triggers with the :class:`StreamMeasurement` once reported
         self.completion = channel.sim.event()
-        #: sorted ``(send_time, seq)`` pairs — all jitter drawn up front
-        self.schedule: list[tuple[float, int]] = []
+        #: send times and sequence numbers, in send order (``send_stream``)
+        self.times = self.seqs = None
         self.walked = False
         self.bt = self.bi = None
         self.idx: list[int] = []
         self.rec_times: list[float] = []
-        self.committed = 0
         self.closing = False
 
     def packet(self, i: int) -> Packet:
@@ -140,11 +144,11 @@ class _StreamRun:
         sender's clock at its send time.  The per-packet sender builds it
         at exactly that instant, after scheduling its next send: an
         impure clock draws from its RNG on each read."""
-        s, seq = self.schedule[i]
+        s = self.times.item(i)
         return Packet(
             self.size,
             flow_id=self.flow_id,
-            seq=seq,
+            seq=self.seqs.item(i),
             kind=PacketKind.PROBE,
             created_at=s,
             sender_stamp=self.channel.sender_clock.read(s),
@@ -162,33 +166,32 @@ class _StreamRun:
             # FIFO path ⇒ the last packet is the last arrival.
             channel._finalize(self, True)
 
-    def commit(self, limit: float, inclusive: bool) -> None:
-        """Append the walk's deliveries with time up to ``limit`` to the
+    def commit(self, limit: float, inclusive: bool) -> int:
+        """Make the walk's deliveries with time up to ``limit`` the
         records, at finalize time or at a dissolve, so straggler
-        accounting matches the per-packet path exactly.
+        accounting matches the per-packet path exactly; return how many
+        there are.  It runs once, at whichever comes first, before any
+        per-packet arrival.
 
         ``inclusive`` matches the per-packet event order at the boundary:
         the stream-closing arrival commits itself (<=), while the
         deadline event — inserted at stream start, hence popped first on
-        an exact tie — cuts strictly (<).  Each host clock is read once
-        on the slice's array: the walk only carries pure clocks, whose
-        ``read`` is elementwise.
+        an exact tie — cuts strictly (<).  Each record is one gather by
+        the delivered schedule indices, and each host clock is read once
+        on an array: the walk only carries pure clocks, whose ``read`` is
+        elementwise.
         """
         times = self.rec_times
-        p = self.committed
         if inclusive:
-            q = bisect_right(times, limit, p)
+            q = bisect_right(times, limit)
         else:
-            q = bisect_left(times, limit, p)
-        if q > p:
-            sched = self.schedule
-            channel = self.channel
-            sent = [sched[i] for i in self.idx[p:q]]
-            self.seq += [seq for _s, seq in sent]
-            send_times = np.array([s for s, _seq in sent])
-            self.sender_stamp += channel.sender_clock.read(send_times).tolist()
-            self.recv_stamp += channel.receiver_clock.read(np.array(times[p:q])).tolist()
-            self.committed = q
+            q = bisect_left(times, limit)
+        ix = np.array(self.idx[:q], dtype=np.int64)
+        channel = self.channel
+        self.seq = self.seqs[ix]
+        self.sender_stamp = channel.sender_clock.read(self.times[ix])
+        self.recv_stamp = channel.receiver_clock.read(np.array(times[:q]))
+        return q
 
 
 class ProbeChannel:
@@ -271,20 +274,21 @@ class ProbeChannel:
                     "period": spec.period,
                 },
             )
-        # All context-switch jitter is drawn up front, in sequence order —
-        # exactly the draws (and draw order) the K-upfront-events scheduler
-        # made — and the send order is the sorted (time, seq) sequence the
-        # event heap would have popped, ties included.
+        # Packet seq is sent at t0 + seq * period, the same two float
+        # operations per element as in Python.  All context-switch jitter
+        # is drawn up front, in sequence order — exactly the draws (and
+        # draw order) the K-upfront-events scheduler made — and the send
+        # order is the (time, seq) order the event heap would have
+        # popped: a stable sort by time keeps tied packets in seq order.
+        seqs = np.arange(spec.n_packets)
+        times = t0 + seqs * spec.period
         jitter = self.jitter
-        period = spec.period
         if jitter is not None:
-            schedule = sorted(
-                (t0 + seq * period + jitter.sample(), seq)
-                for seq in range(spec.n_packets)
-            )
-        else:
-            schedule = [(t0 + seq * period, seq) for seq in range(spec.n_packets)]
-        run.schedule = schedule
+            times += np.array([jitter.sample() for _ in range(spec.n_packets)])
+            seqs = np.argsort(times, kind="stable")
+            times = times[seqs]
+        run.times = times
+        run.seqs = seqs
         if self.fast:
             reason = plan_stream(run)
             if reason is not None:
@@ -308,7 +312,7 @@ class ProbeChannel:
         if not run.walked:
             # Per-packet path: one self-rescheduling sender callback — a
             # single outstanding heap entry per in-flight stream, not K.
-            self.sim.schedule_at(schedule[0][0], self._send_next, run, 0)
+            self.sim.schedule_at(times.item(0), self._send_next, run, 0)
         # Deadline: everything should have drained well before
         # last send + slack; stragglers after it count as lost.
         slack = (
@@ -324,7 +328,7 @@ class ProbeChannel:
         if j < run.n:
             # Reschedule before injecting: send events then sort ahead of
             # same-instant delivery events, as the K-upfront order did.
-            self.sim.schedule_at(run.schedule[j][0], self._send_next, run, j)
+            self.sim.schedule_at(run.times.item(j), self._send_next, run, j)
         pkt = run.packet(i)
         run.n_sent += 1
         self.packets_sent += 1

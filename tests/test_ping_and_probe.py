@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.probing import StreamSpec
 from repro.netsim import LinkSpec, Simulator, build_path
@@ -193,3 +195,49 @@ class TestProbeChannel:
             SendJitter(rng, prob=1.5)
         with pytest.raises(ValueError):
             SendJitter(rng, max_delay=-1.0)
+
+
+def _send_one(t0, spec, fast, jitter_seed=None):
+    """Send ``spec`` at ``t0`` over two idle 10 Mb/s hops; return the
+    measurement and the channel."""
+    sim = Simulator()
+    net = build_path(sim, [LinkSpec(10e6, prop_delay=1e-3) for _ in range(2)])
+    jitter = None
+    if jitter_seed is not None:
+        # Delays of up to three periods reorder the sends.
+        jitter = SendJitter(
+            np.random.default_rng(jitter_seed), prob=0.5, max_delay=3 * spec.period
+        )
+    ch = ProbeChannel(sim, net, jitter=jitter, fast=fast)
+    holder = {}
+    sim.schedule_at(t0, lambda: holder.update(ev=ch.send_stream(spec)))
+    sim.run(until=t0)
+    return sim.run_until(holder["ev"]), ch
+
+
+class TestSendSchedule:
+    """The schedule is built as arrays; each send time must be the Python
+    float ``t0 + seq * period``, and the jittered send order the sorted
+    ``(time, seq)`` order, on the walk and on the per-packet path."""
+
+    @given(
+        t0=st.floats(0.0, 1e4),
+        rate=st.floats(1e5, 2e7),
+        n=st.integers(2, 200),
+        jitter_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_array_schedule_matches_the_tuple_schedule(self, t0, rate, n, jitter_seed):
+        spec = StreamSpec(rate_bps=rate, packet_size=300, n_packets=n)
+        period = spec.period
+        for fast in (True, False):
+            m, ch = _send_one(t0, spec, fast)
+            assert ch.fastpath_streams == (1 if fast else 0)
+            assert m.n_received == n
+            stamps = [(r.seq, r.sender_stamp.hex()) for r in m.records]
+            assert stamps == [(seq, (t0 + seq * period).hex()) for seq in range(n)]
+        walked, ch = _send_one(t0, spec, True, jitter_seed)
+        per_packet, _ = _send_one(t0, spec, False, jitter_seed)
+        assert ch.fastpath_streams == 1
+        assert walked == per_packet
+        assert walked.records == per_packet.records

@@ -27,12 +27,14 @@ import numpy as np
 import pytest
 
 from repro.core.probing import StreamSpec
+from repro.experiments.base import fast_pathload_config, rng_from_entropy
 from repro.netsim import LinkSpec, Simulator, build_path
 from repro.netsim.clock import NoisyClock, SkewedClock
 from repro.netsim.crosstraffic import CrossTrafficSource
 from repro.netsim.engine import SimulationError
+from repro.netsim.flowtransit import FlowTransitDomain
 from repro.netsim.qdisc import REDQueue
-from repro.netsim.topologies import build_single_hop_path
+from repro.netsim.topologies import Fig4Config, build_fig4_path, build_single_hop_path
 from repro.transport.ping import Pinger
 from repro.transport.probe import ProbeChannel, SendJitter, run_pathload
 from repro.transport.tcp import open_connection
@@ -171,6 +173,32 @@ def run_quick_pathload(
     )
     stats = [lk.stats.snapshot() for lk in setup.network.forward_links]
     return report, stats, chan
+
+
+def run_figure_point(point, sanitize):
+    """One pathload measurement at a figure's operating point, started at
+    2 s with the figures' fast config; returns (report, channel).
+
+    ``"fig04"`` is the Fig. 4 five-hop path at 80 % tight-link load with
+    Pareto cross traffic; ``"fig11"`` is CI's Fig. 11 point, one 12.4 Mb/s
+    hop at u = 0.45 with modulated Pareto load.
+    """
+    sim = Simulator(sanitize=sanitize)
+    rng = rng_from_entropy(987654321)
+    if point == "fig04":
+        cfg = Fig4Config(tight_utilization=0.8, traffic_model="pareto")
+        setup = build_fig4_path(sim, cfg, rng)
+    else:
+        setup = build_single_hop_path(
+            sim, 12.4e6, 0.45, rng, prop_delay=0.01, traffic_model="pareto",
+            n_sources=10, modulation=(2.0, 0.25),
+        )
+    chan = ProbeChannel(sim, setup.network)
+    report = run_pathload(
+        sim, setup.network, config=fast_pathload_config(), start=2.0,
+        channel=chan, time_limit=1200.0,
+    )
+    return report, chan
 
 
 # ----------------------------------------------------------------------
@@ -638,3 +666,23 @@ class TestSanitize:
         monkeypatch.setattr(hopfold, "fold", bad_fold)
         with pytest.raises(SimulationError, match="shadow"):
             run_streams(True, utilization=0.5, sanitize=True, n_streams=1)
+
+    @pytest.mark.parametrize("point,hops", [("fig04", 5), ("fig11", 1)])
+    def test_figure_point_passes_shadow_check(self, monkeypatch, point, hops):
+        # The batched fold with cross traffic on every hop, at figure
+        # scale: every round's admissions are replayed, and the report
+        # must be the one the unsanitized run gives.
+        checked = []
+        verify = FlowTransitDomain._verify_round
+
+        def counting_verify(self, snaps, recs):
+            checked.append(len(recs))
+            verify(self, snaps, recs)
+
+        monkeypatch.setattr(FlowTransitDomain, "_verify_round", counting_verify)
+        sanitized, chan = run_figure_point(point, sanitize=True)
+        plain, _ = run_figure_point(point, sanitize=False)
+        assert sanitized == plain
+        assert chan.fastpath_streams == sanitized.n_streams_sent > 0
+        # Every probe packet was admitted, and checked, at every hop.
+        assert sum(checked) == hops * chan.packets_sent
